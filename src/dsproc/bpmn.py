@@ -138,8 +138,6 @@ def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], L
             n += 1
         used_ids.add(fid)
         flows.append(SequenceFlow(fid, src, tgt, cond))
-    # keep document order stable: element order is already fixed; order flows
-    # by (source position, original order) so gateway bridges come first
     return elements, flows
 
 

@@ -58,8 +58,7 @@ def _load_store(path: str, d: dom.Domain) -> mappings.MappingStore:
 
 
 def _generate(proc_path: str, domain_path: str, mappings_path: str
-              ) -> Tuple[dom.Domain, proc.ProcessModel, pivot.CommonModel,
-                         bpmn.BpmnModel, mappings.MappingStore, mappings.UidRegistry]:
+              ) -> Tuple[bpmn.BpmnModel, mappings.MappingStore]:
     d = _load_domain(domain_path)
     model = _load_process(proc_path, d)
     store = _load_store(mappings_path, d)
@@ -69,7 +68,7 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
     am = mappings.build_am([common])
     store.cm = mappings.build_cm(d)
     store.update_process(model.name, am, registry)
-    return d, model, common, generated, store, registry
+    return generated, store
 
 
 def cmd_check(args) -> int:
@@ -98,8 +97,7 @@ def cmd_check(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        _d, _model, _common, generated, store, _registry = _generate(
-            args.process, args.domain, args.mappings)
+        generated, store = _generate(args.process, args.domain, args.mappings)
     except (DsprocError, OSError) as exc:
         return _fail(str(exc))
     _write(args.output, bpmn.serialize_bpmn(generated))
@@ -109,8 +107,7 @@ def cmd_gen(args) -> int:
 
 def cmd_sync(args) -> int:
     try:
-        _d, _model, _common, generated, store, _registry = _generate(
-            args.process, args.domain, args.mappings)
+        generated, store = _generate(args.process, args.domain, args.mappings)
         edited = bpmn.parse_bpmn(_read(args.edited))
     except (DsprocError, OSError) as exc:
         return _fail(str(exc))
@@ -163,7 +160,7 @@ def cmd_monitor(args) -> int:
         d = _load_domain(args.domain)
         store = mappings.load_store(args.mappings)
         with open(args.events, "r", encoding="utf-8") as fh:
-            probes = monitor.ingest(fh, store.am, store.cm)
+            probes = monitor.ingest(fh, store.am)
         propagated = dom.propagate_sla(d, store.am)
         monitor.register_sla(
             probes, monitor.propagated_to_concepts(propagated, store.am))

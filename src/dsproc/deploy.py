@@ -67,12 +67,6 @@ class DeploymentManifest:
     process: str
     rows: List[ManifestRow] = field(default_factory=list)
 
-    def row(self, uid: str) -> Optional[ManifestRow]:
-        for r in self.rows:
-            if r.uid == uid:
-                return r
-        return None
-
 
 def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
                   process: str, known_processes: Optional[List[str]] = None) -> DeploymentManifest:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from . import diagnostics as diag
 from . import process as proc
 from .diagnostics import Diagnostic, DsprocError, ParseError
-from .lexer import stream
+from .lexer import escape, stream
 
 SLA_METRICS = ("max_duration", "max_mean_duration", "max_fault_rate")
 TIME_UNITS = {"ms": 1.0, "s": 1000.0, "min": 60_000.0, "h": 3_600_000.0, "d": 86_400_000.0}
@@ -26,7 +26,6 @@ SLA_SEVERITIES = ("info", "warning", "critical")
 class DSService:
     name: str
     operation: str
-    abstract: bool = True  # always true at domain level; bound at deployment
 
 
 @dataclass(frozen=True)
@@ -277,13 +276,13 @@ def _cycles(d: Domain, deps: Dict[str, List[str]], what: str) -> List[Diagnostic
 def serialize_domain(d: Domain) -> str:
     lines = [f"domain {d.name} {{"]
     for s in d.services:
-        lines.append(f'  service {s.name} {{ operation "{_esc(s.operation)}" }}')
+        lines.append(f'  service {s.name} {{ operation "{escape(s.operation)}" }}')
     for s in d.slas:
         threshold = _num(s.threshold)
         lines.append(f"  sla {s.name} {{ {s.metric} {threshold} {s.unit} severity {s.severity} }}")
     for c in d.concepts:
         lines.append(f"  concept {c.name} {{")
-        lines.append(f'    label "{_esc(c.label)}"')
+        lines.append(f'    label "{escape(c.label)}"')
         if c.version != 1:
             lines.append(f"    version {c.version}")
         if c.service_refs:
@@ -323,10 +322,6 @@ def propagate_sla(d: Domain, am) -> List[Tuple[str, Sla]]:
                               f"{concept.sla_ref!r}")
         out.append((uid, sla))
     return out
-
-
-def _esc(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _num(value: float) -> str:

@@ -21,7 +21,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple, Union
 
 from .bpmn import BpmnElement, BpmnModel, SequenceFlow
 from .deploy import DeploymentManifest
@@ -30,8 +31,14 @@ from .diagnostics import DsprocError
 RNG_ID = "python-mt19937"
 LOG_VERSION = 1
 
-_FIELD_ORDER = ("seq", "ts_ms", "kind", "process", "instance", "element_uid",
-                "element_id", "concept", "service", "status", "duration_ms")
+_NUMBER = (int, float)
+# every field of an event record in log order, with the types a line may
+# carry for it; the first five are required
+_FIELD_TYPES = {"seq": int, "ts_ms": _NUMBER, "kind": str, "process": str, "instance": int,
+                "element_uid": str, "element_id": str, "concept": str, "service": str,
+                "status": str, "duration_ms": _NUMBER}
+_FIELD_ORDER = tuple(_FIELD_TYPES)
+_REQUIRED = frozenset(_FIELD_ORDER[:5])
 
 
 class SimulationError(DsprocError):
@@ -122,7 +129,7 @@ class SimulationConfig:
         return cfg
 
 
-@dataclass
+@dataclass(slots=True)
 class EventRecord:
     seq: int
     ts_ms: float
@@ -130,7 +137,7 @@ class EventRecord:
     process: str
     instance: int
     element_uid: Optional[str] = None
-    element_id: str = ""
+    element_id: Optional[str] = None
     concept: Optional[str] = None
     service: Optional[str] = None
     status: Optional[str] = None
@@ -150,22 +157,41 @@ def log_header(cfg: SimulationConfig) -> str:
     return json.dumps({"log_version": LOG_VERSION, "seed": cfg.seed, "rng": RNG_ID})
 
 
-def parse_header(line: str) -> dict:
-    doc = json.loads(line)
-    if doc.get("log_version") != LOG_VERSION:
-        raise DsprocError(f"unsupported log version {doc.get('log_version')!r}")
-    return doc
+def decode_line(line: str) -> Union[dict, EventRecord]:
+    """Decode one log line with a single ``json.loads``.
+
+    Returns the header as a dict and any other line as an
+    :class:`EventRecord`. A line that is neither (not JSON, not an object,
+    a required field missing, a field of the wrong type, an unsupported
+    log version) raises :class:`DsprocError`.
+    """
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DsprocError(f"malformed record: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DsprocError("malformed record: not a JSON object")
+    if "log_version" in doc:
+        if doc["log_version"] != LOG_VERSION:
+            raise DsprocError(f"unsupported log version {doc['log_version']!r}")
+        return doc
+    values = []
+    for name, types in _FIELD_TYPES.items():
+        value = doc.get(name)
+        if value is None:
+            if name in _REQUIRED:
+                raise DsprocError(f"malformed record: {name!r} missing")
+        elif value.__class__ is bool or not isinstance(value, types):
+            raise DsprocError(f"malformed record: {name!r} has the wrong type")
+        values.append(value)
+    return EventRecord(*values)
 
 
 def parse_event_line(line: str) -> EventRecord:
-    doc = json.loads(line)
-    return EventRecord(
-        seq=doc["seq"], ts_ms=doc["ts_ms"], kind=doc["kind"], process=doc["process"],
-        instance=doc["instance"], element_uid=doc.get("element_uid"),
-        element_id=doc.get("element_id", ""), concept=doc.get("concept"),
-        service=doc.get("service"), status=doc.get("status"),
-        duration_ms=doc.get("duration_ms"),
-    )
+    record = decode_line(line)
+    if isinstance(record, dict):
+        raise DsprocError("malformed record: a log header, not an event")
+    return record
 
 
 def render_log(records: List[EventRecord], cfg: SimulationConfig) -> str:
@@ -218,8 +244,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     rng = random.Random(cfg.seed)
     process = model.process_id
 
-    raw: List[Tuple[float, int, dict]] = []
-    order = 0
+    records: List[EventRecord] = []
     last_ts: Dict[int, float] = {}
     ended: Dict[int, bool] = {}
     faulted: Dict[int, bool] = {}
@@ -228,11 +253,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     join_arrivals: Dict[Tuple[int, Tuple[str, ...], str], int] = {}
 
     def emit(ts: float, kind: str, instance: int, **fields) -> None:
-        nonlocal order
-        rec = {"ts_ms": ts, "kind": kind, "process": process, "instance": instance}
-        rec.update({k: v for k, v in fields.items() if v is not None})
-        raw.append((ts, order, rec))
-        order += 1
+        records.append(EventRecord(0, ts, kind, process, instance, **fields))
         last_ts[instance] = max(last_ts.get(instance, 0.0), ts)
 
     heap: List[Tuple[float, int, int, Tuple[str, ...], str, str]] = []
@@ -371,16 +392,10 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             "deadlock: join never satisfied for instance(s) "
             + ", ".join(str(i) for i in stuck))
 
-    raw.sort(key=lambda item: (item[0], item[1]))
-    records = []
-    for seq, (ts, _, rec) in enumerate(raw, start=1):
-        records.append(EventRecord(
-            seq=seq, ts_ms=ts, kind=rec["kind"], process=rec["process"],
-            instance=rec["instance"], element_uid=rec.get("element_uid"),
-            element_id=rec.get("element_id", ""), concept=rec.get("concept"),
-            service=rec.get("service"), status=rec.get("status"),
-            duration_ms=rec.get("duration_ms"),
-        ))
+    # the sort is stable, so events of one timestamp keep their emission order
+    records.sort(key=attrgetter("ts_ms"))
+    for seq, record in enumerate(records, start=1):
+        record.seq = seq
     return records
 
 

@@ -106,6 +106,11 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
+def escape(text: str) -> str:
+    """Escape ``text`` for use inside a string literal; :func:`tokenize` reads it back."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 class TokenStream:
     """Cursor over a token list with the usual expect/accept helpers."""
 

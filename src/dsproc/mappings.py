@@ -99,17 +99,8 @@ class ActivityMappings:
             seen.setdefault(e.process, None)
         return list(seen)
 
-    def for_process(self, process: str) -> "ActivityMappings":
-        return ActivityMappings({u: e for u, e in self._entries.items()
-                                 if e.process == process})
-
     def as_dict(self) -> Dict[str, AmEntry]:
         return dict(self._entries)
-
-
-def concept_for_activity(am: ActivityMappings, uid: str) -> Optional[str]:
-    entry = am.entry(uid)
-    return entry.concept if entry is not None else None
 
 
 def build_cm(d) -> Dict[str, List[str]]:
@@ -188,12 +179,6 @@ class MappingStore:
 
     def registry(self) -> UidRegistry:
         return UidRegistry(self.uids)
-
-    def node_path(self, uid: str) -> Optional[str]:
-        for path, u in self.uids.items():
-            if u == uid:
-                return path
-        return None
 
     def update_process(self, process: str, am: ActivityMappings,
                        registry: UidRegistry) -> None:

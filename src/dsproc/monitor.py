@@ -1,4 +1,4 @@
-"""Concept-level monitoring: probes, composite metrics, SLA alerts, reports.
+"""Concept-level monitoring: probes, SLA alerts and reports.
 
 One probe exists per mapped concept; it collects the BPMS layer (activity
 completions of every activity mapped to the concept, across all processes)
@@ -7,31 +7,36 @@ whose element has no concept mapping land in a per-process technical
 bucket, so enrichment-time additions are measured but never surface under
 a concept. Ingestion works the same whether a log is replayed in one batch
 or fed line by line.
+
+The report gives each concept its count, faults, total, mean, min, max,
+nearest-rank p95 and share of all activity time, with a count, total and
+mean per model node and per service; each process gets its instance
+statistics and its technical bucket. :func:`_stats` computes every one of
+these numbers, and the mean that ``max_mean_duration`` alerts compare.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagnostics import DsprocError
 from .domain import Sla
-from .engine import EventRecord, parse_event_line, parse_header
+from .engine import EventRecord, decode_line
 from .mappings import ActivityMappings, MappingStore
 
 _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     duration_ms: float
     status: str
     instance: int
     ts_ms: float
     uid: Optional[str]
-    element_id: str
     service: Optional[str] = None
 
 
@@ -72,36 +77,28 @@ class ProbeSet:
 class ProbeBuilder:
     """Incremental log consumer; batch ingest is just a loop over this."""
 
-    def __init__(self, am: ActivityMappings, cm: Dict[str, List[str]],
-                 probes: Optional[ProbeSet] = None):
-        self.am = am
-        self.cm = cm
+    def __init__(self, am: ActivityMappings, probes: Optional[ProbeSet] = None):
         self.probes = probes or ProbeSet()
+        self._concept_of = dict(am.items())
         self._known_processes = set(am.processes())
         self._line_no = 0
         self._header_seen = False
-        for _uid, concept in am.items():
+        for concept in self._concept_of.values():
             self.probes.concepts.setdefault(concept, ConceptProbe(concept))
 
     def feed(self, line: str) -> None:
         self._line_no += 1
-        line = line.strip()
-        if not line:
+        if not line.strip():
             return
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DsprocError(f"line {self._line_no}: malformed record: {exc}") from None
-        if "log_version" in doc:
-            parse_header(line)
+            record = decode_line(line)
+        except DsprocError as exc:
+            raise DsprocError(f"line {self._line_no}: {exc}") from None
+        if isinstance(record, dict):
             self._header_seen = True
             return
         if not self._header_seen:
             raise DsprocError(f"line {self._line_no}: log header missing")
-        try:
-            record = parse_event_line(line)
-        except (KeyError, TypeError) as exc:
-            raise DsprocError(f"line {self._line_no}: malformed record ({exc})") from None
         self._apply(record)
 
     def _apply(self, r: EventRecord) -> None:
@@ -116,143 +113,58 @@ class ProbeBuilder:
             rec.status = r.status or "ok"
         elif r.kind == "activityEnd":
             sample = Sample(r.duration_ms or 0.0, r.status or "ok", r.instance,
-                            r.ts_ms, r.element_uid, r.element_id)
-            concept = self.am.entry(r.element_uid).concept \
-                if r.element_uid is not None and r.element_uid in self.am else None
+                            r.ts_ms, r.element_uid)
+            concept = self._concept_of.get(r.element_uid)
             if concept is None:
                 pp.technical.append(sample)
             else:
                 self.probes.concepts[concept].bpms.append(sample)
         elif r.kind == "serviceInvoke":
-            if r.element_uid is not None and r.element_uid in self.am:
-                concept = self.am.entry(r.element_uid).concept
+            concept = self._concept_of.get(r.element_uid)
+            if concept is not None:
                 self.probes.concepts[concept].soa.append(Sample(
                     r.duration_ms or 0.0, r.status or "ok", r.instance, r.ts_ms,
-                    r.element_uid, r.element_id, r.service))
+                    r.element_uid, r.service))
         # activityStart / gatewayTaken carry no aggregated measure
 
 
-def ingest(lines: Iterable[str], am: ActivityMappings, cm: Dict[str, List[str]],
+def ingest(lines: Iterable[str], am: ActivityMappings,
            probes: Optional[ProbeSet] = None) -> ProbeSet:
     """Replay a complete event log (header line included) into a probe set.
 
     Pass an existing ``probes`` to aggregate several logs, e.g. the same
     concept used by two processes accumulates into one probe.
     """
-    builder = ProbeBuilder(am, cm, probes)
+    builder = ProbeBuilder(am, probes)
     for line in lines:
         builder.feed(line)
     return builder.probes
 
 
 # ---------------------------------------------------------------------------
-# composite metrics
+# statistics
 
 
-@dataclass
-class LayerStats:
-    count: int = 0
-    faults: int = 0
-    total_ms: float = 0.0
-    mean_ms: Optional[float] = None
-    min_ms: Optional[float] = None
-    max_ms: Optional[float] = None
-    p95_ms: Optional[float] = None
+def _stats(durations: List[float], faults: int = 0) -> dict:
+    """Count, faults and total of ``durations``; when there are any, also
+    their mean, min, max and nearest-rank p95.
 
-
-@dataclass
-class CompositeMetric:
-    subject: str
-    subject_kind: str  # concept | process | technical
-    layers: Dict[str, LayerStats]
-    count: int
-    faults: int
-    mean_ms: Optional[float]
-    min_ms: Optional[float]
-    max_ms: Optional[float]
-    p95_ms: Optional[float]
-    contribution_pct: Optional[float] = None
-
-
-def _stats(samples: List[Sample]) -> LayerStats:
-    if not samples:
-        return LayerStats()
-    durations = sorted(s.duration_ms for s in samples)
+    The sum runs over the sorted durations, so a quantity computed here
+    twice, e.g. a concept's mean in the report and in an alert, is the same
+    float both times.
+    """
+    durations = sorted(durations)
     n = len(durations)
+    if not n:
+        return {"count": 0, "faults": faults, "total_ms": 0.0}
     total = sum(durations)
-    rank = max(1, math.ceil(0.95 * n))  # nearest-rank percentile
-    return LayerStats(
-        count=n,
-        faults=sum(1 for s in samples if s.status == "fault"),
-        total_ms=total,
-        mean_ms=total / n,
-        min_ms=durations[0],
-        max_ms=durations[-1],
-        p95_ms=durations[rank - 1],
-    )
+    return {"count": n, "faults": faults, "total_ms": total, "mean_ms": total / n,
+            "min_ms": durations[0], "max_ms": durations[-1],
+            "p95_ms": durations[max(1, math.ceil(0.95 * n)) - 1]}
 
 
-def _instance_stats(pp: ProcessProbe) -> LayerStats:
-    finished = [r for r in pp.instances.values() if r.duration_ms is not None]
-    if not finished:
-        return LayerStats(count=len(pp.instances))
-    durations = sorted(r.duration_ms for r in finished)
-    n = len(durations)
-    total = sum(durations)
-    rank = max(1, math.ceil(0.95 * n))
-    return LayerStats(
-        count=len(pp.instances),
-        faults=sum(1 for r in pp.instances.values() if r.status == "fault"),
-        total_ms=total,
-        mean_ms=total / n,
-        min_ms=durations[0],
-        max_ms=durations[-1],
-        p95_ms=durations[rank - 1],
-    )
-
-
-def total_activity_time(probes: ProbeSet) -> float:
-    total = sum(_stats(p.bpms).total_ms for p in probes.concepts.values())
-    total += sum(_stats(p.technical).total_ms for p in probes.processes.values())
-    return total
-
-
-def composite_metrics(probes: ProbeSet) -> List[CompositeMetric]:
-    out: List[CompositeMetric] = []
-    denom = total_activity_time(probes)
-
-    def pct(total: float) -> float:
-        return (total / denom * 100.0) if denom > 0 else 0.0
-
-    for concept in sorted(probes.concepts):
-        probe = probes.concepts[concept]
-        bpms = _stats(probe.bpms)
-        soa = _stats(probe.soa)
-        out.append(CompositeMetric(
-            subject=concept, subject_kind="concept",
-            layers={"bpms": bpms, "soa": soa},
-            count=bpms.count, faults=bpms.faults, mean_ms=bpms.mean_ms,
-            min_ms=bpms.min_ms, max_ms=bpms.max_ms, p95_ms=bpms.p95_ms,
-            contribution_pct=pct(bpms.total_ms),
-        ))
-    for process in sorted(probes.processes):
-        pp = probes.processes[process]
-        inst = _instance_stats(pp)
-        out.append(CompositeMetric(
-            subject=process, subject_kind="process",
-            layers={"bpms": inst},
-            count=inst.count, faults=inst.faults, mean_ms=inst.mean_ms,
-            min_ms=inst.min_ms, max_ms=inst.max_ms, p95_ms=inst.p95_ms,
-        ))
-        tech = _stats(pp.technical)
-        out.append(CompositeMetric(
-            subject=f"technical:{process}", subject_kind="technical",
-            layers={"bpms": tech},
-            count=tech.count, faults=tech.faults, mean_ms=tech.mean_ms,
-            min_ms=tech.min_ms, max_ms=tech.max_ms, p95_ms=tech.p95_ms,
-            contribution_pct=pct(tech.total_ms),
-        ))
-    return out
+def _faults(samples: Iterable) -> int:
+    return sum(1 for s in samples if s.status == "fault")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +241,7 @@ def _check_sla(probe: ConceptProbe, sla: Sla) -> Optional[Alert]:
                      sorted({s.instance for s in violating}))
     if sla.metric == "max_mean_duration":
         threshold = sla.threshold_ms()
-        mean = sum(s.duration_ms for s in samples) / len(samples)
+        mean = _stats([s.duration_ms for s in samples])["mean_ms"]
         if mean <= threshold:
             return None
         return Alert(sla.name, probe.concept, sla.metric, mean, threshold,
@@ -355,69 +267,52 @@ def _check_sla(probe: ConceptProbe, sla: Sla) -> Optional[Alert]:
 def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     """Monitoring report keyed by the modelling-level node paths, not BPMN ids."""
     path_of = {uid: path for path, uid in store.uids.items()}
-    denom = total_activity_time(probes)
+    uids_by_concept: Dict[str, List[str]] = defaultdict(list)
+    for uid, concept in store.am.items():
+        uids_by_concept[concept].append(uid)
+
+    bpms = {concept: _stats([s.duration_ms for s in probe.bpms], _faults(probe.bpms))
+            for concept, probe in probes.concepts.items()}
+    technical = {process: _stats([s.duration_ms for s in pp.technical])
+                 for process, pp in probes.processes.items()}
+    # concepts first, then processes, each in ingest order: the order of the
+    # additions fixes the last bits of every contribution_pct
+    denom = sum(s["total_ms"] for s in bpms.values()) \
+        + sum(s["total_ms"] for s in technical.values())
 
     def pct(total: float) -> float:
         return (total / denom * 100.0) if denom > 0 else 0.0
 
-    concepts: dict = {}
-    uids_by_concept: Dict[str, List[str]] = {}
-    for uid, concept in store.am.items():
-        uids_by_concept.setdefault(concept, []).append(uid)
+    def brief(durations: List[float]) -> dict:
+        stats = _stats(durations)
+        return {key: stats[key] for key in ("count", "total_ms", "mean_ms") if key in stats}
 
+    concepts: dict = {}
     for concept in sorted(probes.concepts):
         probe = probes.concepts[concept]
-        bpms = _stats(probe.bpms)
-        entry = {
-            "count": bpms.count,
-            "faults": bpms.faults,
-            "total_ms": bpms.total_ms,
-            "contribution_pct": pct(bpms.total_ms),
-        }
-        for key in ("mean_ms", "min_ms", "max_ms", "p95_ms"):
-            value = getattr(bpms, key)
-            if value is not None:
-                entry[key] = value
-        nodes = {}
-        for uid in sorted(uids_by_concept.get(concept, [])):
-            node_samples = [s for s in probe.bpms if s.uid == uid]
-            node_stats = _stats(node_samples)
-            node_entry = {"count": node_stats.count, "total_ms": node_stats.total_ms}
-            if node_stats.mean_ms is not None:
-                node_entry["mean_ms"] = node_stats.mean_ms
-            nodes[path_of.get(uid, uid)] = node_entry
-        entry["nodes"] = nodes
-        services: dict = {}
-        for svc in store.cm.get(concept, []):
-            svc_samples = [s for s in probe.soa if s.service == svc]
-            svc_stats = _stats(svc_samples)
-            svc_entry = {"count": svc_stats.count, "total_ms": svc_stats.total_ms}
-            if svc_stats.mean_ms is not None:
-                svc_entry["mean_ms"] = svc_stats.mean_ms
-            services[svc] = svc_entry
-        entry["services"] = services
+        by_uid, by_service = defaultdict(list), defaultdict(list)
+        for s in probe.bpms:
+            by_uid[s.uid].append(s.duration_ms)
+        for s in probe.soa:
+            by_service[s.service].append(s.duration_ms)
+        entry = dict(bpms[concept], contribution_pct=pct(bpms[concept]["total_ms"]))
+        entry["nodes"] = {path_of.get(uid, uid): brief(by_uid.get(uid, []))
+                          for uid in sorted(uids_by_concept.get(concept, []))}
+        entry["services"] = {svc: brief(by_service.get(svc, []))
+                             for svc in store.cm.get(concept, [])}
         concepts[concept] = entry
 
     processes: dict = {}
     for process in sorted(probes.processes):
         pp = probes.processes[process]
-        inst = _instance_stats(pp)
-        tech = _stats(pp.technical)
-        proc_entry = {
-            "instances": inst.count,
-            "faults": inst.faults,
-            "technical": {
-                "count": tech.count,
-                "total_ms": tech.total_ms,
-                "contribution_pct": pct(tech.total_ms),
-            },
-        }
-        if inst.mean_ms is not None:
-            proc_entry["mean_ms"] = inst.mean_ms
-            proc_entry["min_ms"] = inst.min_ms
-            proc_entry["max_ms"] = inst.max_ms
-            proc_entry["p95_ms"] = inst.p95_ms
-        processes[process] = proc_entry
+        finished = [r.duration_ms for r in pp.instances.values() if r.end_ts is not None]
+        entry = _stats(finished, _faults(pp.instances.values()))
+        del entry["count"], entry["total_ms"]
+        entry["instances"] = len(pp.instances)
+        tech = technical[process]
+        entry["technical"] = {"count": tech["count"], "total_ms": tech["total_ms"],
+                              "contribution_pct": pct(tech["total_ms"])}
+        processes[process] = entry
 
     return {"domain": store.domain, "concepts": concepts, "processes": processes}
 

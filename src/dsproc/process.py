@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import diagnostics as diag
 from .diagnostics import Diagnostic, ParseError
-from .lexer import TokenStream, stream
+from .lexer import TokenStream, escape, stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from .domain import Domain
@@ -263,7 +263,7 @@ def serialize_body(body: ProcessBody, indent: str = "  ") -> str:
     for f in body.flows:
         parts = [f"{indent}{f.source} -> {f.target}"]
         if f.condition is not None:
-            parts.append(f'when "{_escape(f.condition)}"')
+            parts.append(f'when "{escape(f.condition)}"')
         if f.exceptional:
             parts.append("exceptional")
         lines.append(" ".join(parts))
@@ -274,7 +274,3 @@ def serialize_process(model: ProcessModel) -> str:
     body = serialize_body(model.body)
     inner = f"\n{body}\n" if body else "\n"
     return f"process {model.name} uses {model.domain_ref} {{{inner}}}\n"
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')

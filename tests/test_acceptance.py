@@ -380,8 +380,9 @@ def test_c7_monitoring_oracle_equivalence():
             "process": "P", "instance": i, "element_id": "A9",
             "status": "ok", "duration_ms": d}))
 
-    probes = monitor.ingest(lines, p.store.am, p.store.cm)
-    metrics = {m.subject: m for m in monitor.composite_metrics(probes)}
+    probes = monitor.ingest(lines, p.store.am)
+    report = monitor.build_report(probes, p.store)
+    metrics = report["concepts"]
 
     # brute-force oracle straight from the raw lines
     concept_of = dict(p.store.am.items())
@@ -415,22 +416,22 @@ def test_c7_monitoring_oracle_equivalence():
     for concept, samples in by_concept.items():
         want = oracle(samples)
         m = metrics[concept]
-        assert m.count == want["count"]
-        assert m.faults == want["faults"]
-        assert m.mean_ms == pytest.approx(want["mean"], rel=1e-9)
-        assert m.min_ms == pytest.approx(want["min"], rel=1e-9)
-        assert m.max_ms == pytest.approx(want["max"], rel=1e-9)
-        assert m.p95_ms == pytest.approx(want["p95"], rel=1e-9)
-        assert m.contribution_pct == pytest.approx(
+        assert m["count"] == want["count"]
+        assert m["faults"] == want["faults"]
+        assert m["mean_ms"] == pytest.approx(want["mean"], rel=1e-9)
+        assert m["min_ms"] == pytest.approx(want["min"], rel=1e-9)
+        assert m["max_ms"] == pytest.approx(want["max"], rel=1e-9)
+        assert m["p95_ms"] == pytest.approx(want["p95"], rel=1e-9)
+        assert m["contribution_pct"] == pytest.approx(
             want["total"] / grand_total * 100.0, rel=1e-9)
     tech_want = oracle(technical)
-    tech = metrics["technical:P"]
-    assert tech.count == tech_want["count"]
-    assert tech.contribution_pct == pytest.approx(
+    tech = report["processes"]["P"]["technical"]
+    assert tech["count"] == tech_want["count"]
+    assert tech["contribution_pct"] == pytest.approx(
         tech_want["total"] / grand_total * 100.0, rel=1e-9)
 
-    total_pct = sum(m.contribution_pct for m in metrics.values()
-                    if m.contribution_pct is not None)
+    total_pct = sum(m["contribution_pct"] for m in metrics.values()) \
+        + tech["contribution_pct"]
     assert total_pct == pytest.approx(100.0, abs=1e-6)
     _report("C7 monitoring oracle equivalence (10,000 instances, rel 1e-9)")
 
@@ -458,7 +459,7 @@ def test_c8_alert_soundness_completeness():
                                  "element_uid": "u1", "element_id": "u1",
                                  "concept": "C", "status": "ok",
                                  "duration_ms": d}))
-    probes = monitor.ingest(lines, am, {"C": ["s"]})
+    probes = monitor.ingest(lines, am)
     sla = dom.Sla("Cap", "max_duration", 1000.0, "ms", "critical")
     monitor.register_sla(probes, [("C", sla)])
     alerts = monitor.evaluate_alerts(probes)
@@ -467,7 +468,7 @@ def test_c8_alert_soundness_completeness():
     assert alerts[0].observed == 5000.0
 
     # nothing fires when the threshold is generous
-    relaxed = monitor.ingest(lines, am, {"C": ["s"]})
+    relaxed = monitor.ingest(lines, am)
     monitor.register_sla(relaxed, [
         ("C", dom.Sla("Cap", "max_duration", 10.0, "s", "critical")),
         ("C", dom.Sla("Faults", "max_fault_rate", 0.5, "ratio", "warning")),
@@ -503,13 +504,12 @@ def test_c9_cross_process_aggregation():
         manifest = deploy.bind_services(d, fixed_bindings(d), store.am, name)
         cfg = fixed_config(instances=instances, seed=5, value=10.0)
         records = engine.simulate(generated, manifest, cfg)
-        probes = monitor.ingest(log_lines(records, cfg), store.am, store.cm,
-                                probes=probes)
+        probes = monitor.ingest(log_lines(records, cfg), store.am, probes=probes)
         counts[name] = sum(1 for r in records
                            if r.kind == "activityEnd" and r.concept == "A")
 
     assert len([c for c in probes.concepts if c == "A"]) == 1
-    m = next(x for x in monitor.composite_metrics(probes) if x.subject == "A")
-    assert m.count == sum(counts.values())  # 60 + 40, exact
-    assert m.count == 100
+    m = monitor.build_report(probes, store)["concepts"]["A"]
+    assert m["count"] == sum(counts.values())  # 60 + 40, exact
+    assert m["count"] == 100
     _report("C9 cross-process aggregation (one probe, 60 + 40 = 100 samples)")

@@ -175,6 +175,29 @@ def test_monitor_rejects_foreign_log(work, capsys):
     assert "Ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", [
+    "5",
+    "null",
+    '{"seq": 1, "ts_ms": 0, "kind": "processStart", "process": "HandleOrder", '
+    '"instance": [1]}',
+    '{"seq": 1, "ts_ms": 5, "kind": "activityEnd", "process": "HandleOrder", '
+    '"instance": 1, "element_uid": "u3", "duration_ms": "7"}',
+], ids=["number", "null", "list-instance", "string-duration"])
+def test_monitor_malformed_record_exits_one_without_traceback(work, record):
+    assert _gen(work) == 0
+    (work / "events.jsonl").write_text(
+        '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}\n' + record + "\n",
+        encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "dsproc.cli", "monitor", str(work / "events.jsonl"),
+         "--mappings", str(work / "mappings.json"),
+         "--domain", str(work / "order_handling.dsml")],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "line 2: malformed record" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_module_entry_point(work):
     result = subprocess.run(
         [sys.executable, "-m", "dsproc.cli", "check",

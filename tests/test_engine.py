@@ -273,7 +273,7 @@ def test_log_render_parse_round_trip():
     cfg = fixed_config(instances=2, value=5.0)
     _, _, records = _sim(_LINEAR, cfg)
     lines = log_lines(records, cfg)
-    header = engine.parse_header(lines[0])
+    header = engine.decode_line(lines[0])
     assert header == {"log_version": 1, "seed": 1, "rng": "python-mt19937"}
     parsed = [engine.parse_event_line(l) for l in lines[1:]]
     assert parsed == records
@@ -285,7 +285,7 @@ def test_log_render_parse_round_trip():
 
 def test_unsupported_log_version_rejected():
     with pytest.raises(Exception, match="log version"):
-        engine.parse_header('{"log_version": 99, "seed": 0, "rng": "x"}')
+        engine.decode_line('{"log_version": 99, "seed": 0, "rng": "x"}')
 
 
 def test_normal_profile_matches_box_muller_oracle():

