@@ -21,17 +21,11 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from . import diagnostics as diag
-from .diagnostics import Diagnostic, DsprocError, ParseError
+from .diagnostics import DsprocError, ParseError
 from .pivot import CommonModel
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 DSML_NS = "urn:dsml:1"
-
-KNOWN_KINDS = (
-    "startEvent", "endEvent", "serviceTask", "task", "subProcess",
-    "exclusiveGateway", "parallelGateway",
-)
 
 _KIND_FROM_COMMON = {
     "start": "startEvent",
@@ -69,12 +63,6 @@ class BpmnModel:
     elements: List[BpmnElement] = field(default_factory=list)
     flows: List[SequenceFlow] = field(default_factory=list)
     domain: Optional[str] = None
-
-    def element(self, element_id: str) -> Optional[BpmnElement]:
-        for e in walk_elements(self):
-            if e.id == element_id:
-                return e
-        return None
 
 
 def walk_elements(model) -> Iterator[BpmnElement]:
@@ -299,45 +287,6 @@ def _parse_level(node) -> Tuple[List[BpmnElement], List[SequenceFlow], Optional[
 
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1] if "}" in tag else tag
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate_bpmn(model: BpmnModel) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    _validate_level(model.elements, model.flows, model.process_id, out)
-    return out
-
-
-def _validate_level(elements: List[BpmnElement], flows: List[SequenceFlow],
-                    where: str, out: List[Diagnostic]) -> None:
-    starts = [e for e in elements if e.kind == "startEvent"]
-    if len(starts) != 1:
-        out.append(diag.error(f"{where}: expected exactly one startEvent, found {len(starts)}"))
-    outgoing: Dict[str, List[SequenceFlow]] = {}
-    for f in flows:
-        outgoing.setdefault(f.source, []).append(f)
-    for e in elements:
-        if e.kind.endswith("Gateway") and not outgoing.get(e.id):
-            out.append(diag.error(f"{where}: gateway {e.id!r} has no outgoing flow"))
-    if len(starts) == 1:
-        seen = set()
-        stack = [starts[0].id]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for f in outgoing.get(cur, ()):
-                stack.append(f.target)
-        for e in elements:
-            if e.id not in seen:
-                out.append(diag.warning(f"{where}: element {e.id!r} is unreachable"))
-    for e in elements:
-        if e.kind == "subProcess":
-            _validate_level(e.inner_elements, e.inner_flows, f"{where}/{e.id}", out)
 
 
 def _ncname(name: str) -> str:

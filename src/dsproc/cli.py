@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import bpmn, deploy, domain as dom, engine, mappings, monitor, pivot, process as proc
-from .diagnostics import DsprocError, ParseError
+from .diagnostics import DsprocError, ParseError, load_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,10 +73,7 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
 
 def cmd_check(args) -> int:
     status = EXIT_OK
-    try:
-        d = _load_domain(args.domain)
-    except (DsprocError, OSError) as exc:
-        return _fail(str(exc))
+    d = _load_domain(args.domain)
     for diagnostic in dom.validate_domain(d):
         print(f"{args.domain}: {diagnostic}")
         if diagnostic.severity == "error":
@@ -85,8 +82,7 @@ def cmd_check(args) -> int:
         try:
             model = _load_process(path, d)
         except (DsprocError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            status = EXIT_ERROR
+            status = _fail(str(exc))
             continue
         for diagnostic in proc.validate_process(model, d):
             print(f"{path}: {diagnostic}")
@@ -96,21 +92,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        generated, store = _generate(args.process, args.domain, args.mappings)
-    except (DsprocError, OSError) as exc:
-        return _fail(str(exc))
+    generated, store = _generate(args.process, args.domain, args.mappings)
     _write(args.output, bpmn.serialize_bpmn(generated))
     mappings.save_store(store, args.mappings)
     return EXIT_OK
 
 
 def cmd_sync(args) -> int:
-    try:
-        generated, store = _generate(args.process, args.domain, args.mappings)
-        edited = bpmn.parse_bpmn(_read(args.edited))
-    except (DsprocError, OSError) as exc:
-        return _fail(str(exc))
+    generated, store = _generate(args.process, args.domain, args.mappings)
+    edited = bpmn.parse_bpmn(_read(args.edited))
     result = mappings.merge_enriched(generated, edited, store.am)
     _write(args.output, bpmn.serialize_bpmn(result.merged))
     for element_id in result.technical_additions:
@@ -124,50 +114,41 @@ def cmd_sync(args) -> int:
 
 
 def cmd_bind(args) -> int:
-    try:
-        d = _load_domain(args.domain)
-        store = mappings.load_store(args.mappings)
-        table = deploy.load_bindings(args.bindings)
-        known = sorted({path.split("/", 1)[0] for path in store.uids})
-        manifest = deploy.bind_services(d, table, store.am, args.process,
-                                        known_processes=known)
-    except (DsprocError, OSError) as exc:
-        return _fail(str(exc))
+    d = _load_domain(args.domain)
+    store = mappings.load_store(args.mappings)
+    table = deploy.load_bindings(args.bindings)
+    known = sorted({path.split("/", 1)[0] for path in store.uids})
+    manifest = deploy.bind_services(d, table, store.am, args.process,
+                                    known_processes=known)
     _write(args.output, deploy.emit_manifest(manifest))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        model = bpmn.parse_bpmn(_read(args.bpmn))
-        manifest = deploy.load_manifest(args.manifest)
-        cfg = engine.SimulationConfig.from_json(_read(args.sim)) if args.sim \
-            else engine.SimulationConfig()
-        if args.instances is not None:
-            cfg.instance_count = args.instances
-        if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.validate()
-        records = engine.simulate(model, manifest, cfg)
-    except (DsprocError, OSError) as exc:
-        return _fail(str(exc))
+    model = bpmn.parse_bpmn(_read(args.bpmn))
+    manifest = deploy.load_manifest(args.manifest)
+    cfg = load_json(args.sim, engine.SimulationConfig.from_json) if args.sim \
+        else engine.SimulationConfig()
+    if args.instances is not None:
+        cfg.instance_count = args.instances
+    if args.seed is not None:
+        cfg.seed = args.seed
+    cfg.validate()
+    records = engine.simulate(model, manifest, cfg)
     _write(args.output, engine.render_log(records, cfg))
     return EXIT_OK
 
 
 def cmd_monitor(args) -> int:
-    try:
-        d = _load_domain(args.domain)
-        store = mappings.load_store(args.mappings)
-        with open(args.events, "r", encoding="utf-8") as fh:
-            probes = monitor.ingest(fh, store.am)
-        propagated = dom.propagate_sla(d, store.am)
-        monitor.register_sla(
-            probes, monitor.propagated_to_concepts(propagated, store.am))
-        alerts = monitor.evaluate_alerts(probes)
-        report = monitor.build_report(probes, store)
-    except (DsprocError, OSError) as exc:
-        return _fail(str(exc))
+    d = _load_domain(args.domain)
+    store = mappings.load_store(args.mappings)
+    with open(args.events, "r", encoding="utf-8") as fh:
+        probes = monitor.ingest(fh, store.am)
+    propagated = dom.propagate_sla(d, store.am)
+    monitor.register_sla(
+        probes, monitor.propagated_to_concepts(propagated, store.am))
+    alerts = monitor.evaluate_alerts(probes)
+    report = monitor.build_report(probes, store)
     if args.report:
         _write(args.report, monitor.render_report_json(report))
     if args.alert_out:
@@ -237,9 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one command; any toolchain or file error becomes ``error: …`` and exit 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (DsprocError, OSError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .diagnostics import DsprocError
+from .diagnostics import DsprocError, load_json
 from .domain import Domain
 from .mappings import ActivityMappings
 
@@ -42,8 +42,7 @@ def bindings_from_json(text: str) -> BindingTable:
 
 
 def load_bindings(path) -> BindingTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bindings_from_json(fh.read())
+    return load_json(path, bindings_from_json)
 
 
 @dataclass(frozen=True)
@@ -139,5 +138,4 @@ def parse_manifest(text: str) -> DeploymentManifest:
 
 
 def load_manifest(path) -> DeploymentManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+    return load_json(path, parse_manifest)

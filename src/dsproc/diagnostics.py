@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, TypeVar
 
-SEVERITIES = ("error", "warning", "info")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -56,3 +57,13 @@ class ParseError(DsprocError):
             loc = f"{self.line}:{self.column}" if self.column is not None else str(self.line)
             return f"{loc}: {base}"
         return base
+
+
+def load_json(path, parse: Callable[[str], T]) -> T:
+    """Read ``path`` and ``parse`` its text; malformed JSON names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise DsprocError(f"{path}: malformed JSON: {exc}") from None

@@ -187,13 +187,6 @@ def decode_line(line: str) -> Union[dict, EventRecord]:
     return EventRecord(*values)
 
 
-def parse_event_line(line: str) -> EventRecord:
-    record = decode_line(line)
-    if isinstance(record, dict):
-        raise DsprocError("malformed record: a log header, not an event")
-    return record
-
-
 def render_log(records: List[EventRecord], cfg: SimulationConfig) -> str:
     lines = [log_header(cfg)]
     lines.extend(r.to_json_line() for r in records)

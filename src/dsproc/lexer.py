@@ -6,21 +6,31 @@ strings, numbers, a handful of punctuation tokens and ``#`` line comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import re
+from typing import List, NamedTuple, Optional
 
 from .diagnostics import ParseError
 
-_PUNCT_TWO = ("->",)
-_PUNCT_ONE = "{}[],:"
+# One token per match, after a prefix of blanks. A comment runs to the end
+# of its line; any other non-blank character is an error, so finditer skips
+# nothing but blanks. In a string only \" and \\ are escapes; each backslash
+# can be read one way only, so the body cannot backtrack into a shorter
+# string ("a\" stays unterminated).
+_TOKEN = re.compile(r"""
+    [ \t\r]*
+    (?:
+        (?P<PUNCT>->|[{}\[\],:])
+      | (?P<STRING>"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*")
+      | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<COMMENT>\#.*)
+      | (?P<ERROR>[^ \t\r])
+    )
+""", re.X)
+_ESCAPE = re.compile(r'\\(["\\])')
 
-IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-IDENT_CONT = IDENT_START | set("0123456789")
-DIGITS = set("0123456789")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | STRING | NUMBER | PUNCT | EOF
     value: str
     line: int
@@ -29,80 +39,22 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source[i : i + 2] in _PUNCT_TWO:
-            tokens.append(Token("PUNCT", source[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT_ONE:
-            tokens.append(Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                c = source[i]
-                if c == "\\" and i + 1 < n and source[i + 1] in ('"', "\\"):
-                    buf.append(source[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                buf.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if ch in DIGITS:
-            start_col = col
-            j = i
-            while j < n and source[j] in DIGITS:
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in DIGITS:
-                j += 1
-                while j < n and source[j] in DIGITS:
-                    j += 1
-            tokens.append(Token("NUMBER", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in IDENT_START:
-            start_col = col
-            j = i
-            while j < n and source[j] in IDENT_CONT:
-                j += 1
-            tokens.append(Token("IDENT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            value = m[kind]
+            column = m.start(kind) + 1
+            if kind == "STRING":
+                value = _ESCAPE.sub(r"\1", value[1:-1])
+            elif kind == "COMMENT":
+                break
+            elif kind == "ERROR":
+                if value == '"':
+                    raise ParseError("unterminated string literal", line, column)
+                raise ParseError(f"unexpected character {value!r}", line, column)
+            tokens.append(Token(kind, value, line, column))
+    tokens.append(Token("EOF", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .diagnostics import DsprocError
+from .diagnostics import DsprocError, load_json
 
 
 class MappingError(DsprocError):
@@ -50,12 +50,6 @@ class UidRegistry:
     @property
     def entries(self) -> Dict[str, str]:
         return dict(self._entries)
-
-    def path_of(self, uid: str) -> Optional[str]:
-        for path, u in self._entries.items():
-            if u == uid:
-                return path
-        return None
 
 
 @dataclass(frozen=True)
@@ -108,12 +102,11 @@ def build_cm(d) -> Dict[str, List[str]]:
     return {c.name: list(c.service_refs) for c in d.concepts if c.service_refs}
 
 
-def build_am(models: Iterable, include_subprocess: bool = False) -> ActivityMappings:
+def build_am(models: Iterable) -> ActivityMappings:
     """Union the per-process activity maps of pivot models produced by ``to_common``.
 
-    Subprocess container elements are tagged with their concept too, but by
-    default only leaf activities enter the map (monitoring needs leaf
-    timings); pass ``include_subprocess=True`` to also map the containers.
+    Subprocess container elements are tagged with their concept too, but
+    only leaf activities enter the map: monitoring needs leaf timings.
     """
     am = ActivityMappings()
     for model in models:
@@ -121,7 +114,7 @@ def build_am(models: Iterable, include_subprocess: bool = False) -> ActivityMapp
             concept = owner.concept_tags.get(element.uid)
             if concept is None:
                 continue
-            if element.kind == "subprocess" and not include_subprocess:
+            if element.kind == "subprocess":
                 continue
             if element.uid in am:
                 raise MappingError(f"uid {element.uid!r} appears in more than one model")
@@ -218,8 +211,7 @@ def store_from_json(text: str) -> MappingStore:
 
 
 def load_store(path) -> MappingStore:
-    with open(path, "r", encoding="utf-8") as fh:
-        return store_from_json(fh.read())
+    return load_json(path, store_from_json)
 
 
 def save_store(store: MappingStore, path) -> None:

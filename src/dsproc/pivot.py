@@ -49,12 +49,6 @@ class CommonModel:
     flows: Tuple[CommonFlow, ...] = ()
     concept_tags: Dict[str, str] = field(default_factory=dict)
 
-    def element(self, uid: str) -> Optional[CommonElement]:
-        for e in self.elements:
-            if e.uid == uid:
-                return e
-        return None
-
 
 def to_common(p: ProcessModel, d: Domain, registry: UidRegistry) -> CommonModel:
     """Lower a validated process model into the pivot representation.
@@ -102,16 +96,3 @@ def _lower_body(body: ProcessBody, d: Domain, registry: UidRegistry,
     )
     return CommonModel(name, tuple(elements), flows, tags)
 
-
-def common_stats(m: CommonModel) -> Tuple[int, int, int]:
-    """(activity, gateway, flow) counts, including nested subprocess content."""
-    flow_count = len(m.flows)
-    activities = sum(1 for e in m.elements if e.kind == ACTIVITY)
-    gateways = sum(1 for e in m.elements if e.kind in (EXCLUSIVE, PARALLEL))
-    for e in m.elements:
-        if e.kind == SUBPROCESS and e.inner is not None:
-            a, g, f = common_stats(e.inner)
-            activities += a
-            gateways += g
-            flow_count += f
-    return activities, gateways, flow_count

@@ -51,12 +51,6 @@ class ProcessBody:
     nodes: Tuple[Node, ...] = ()
     flows: Tuple[Flow, ...] = ()
 
-    def node(self, node_id: str) -> Optional[Node]:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        return None
-
     def concept_refs(self) -> List[Node]:
         return [n for n in self.nodes if n.kind == "concept"]
 
@@ -243,12 +237,8 @@ def validate_body(body: ProcessBody, domain: Optional["Domain"], where: str = ""
 
 
 def validate_process(model: ProcessModel, domain: "Domain") -> List[Diagnostic]:
-    out = validate_body(model.body, domain)
-    if model.domain_ref != domain.name:
-        out.append(diag.error(
-            f"process {model.name!r} references domain {model.domain_ref!r}, "
-            f"not {domain.name!r}"))
-    return out
+    """Diagnostics for a parsed process; :func:`parse_process` already matched its domain."""
+    return validate_body(model.body, domain)
 
 
 def serialize_body(body: ProcessBody, indent: str = "  ") -> str:

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dsproc import bpmn, domain as dom, mappings, pivot
+from dsproc import bpmn, deploy, domain as dom, engine, mappings, pivot
 from dsproc import process as proc
 from dsproc.diagnostics import ParseError
 
@@ -16,6 +16,10 @@ def _xml_root(xml):
 
 def _local(tag):
     return tag.rsplit("}", 1)[-1]
+
+
+def _by_id(model):
+    return {e.id: e for e in bpmn.walk_elements(model)}
 
 
 def test_service_task_per_leaf_concept(order_pipeline):
@@ -107,7 +111,7 @@ def test_exceptional_flow_inserts_routing_gateway():
       b -> end
     }""")
     a_uid = next(uid for uid, c in common.concept_tags.items() if c == "A")
-    gw = model.element(f"{a_uid}_exc")
+    gw = _by_id(model).get(f"{a_uid}_exc")
     assert gw is not None and gw.kind == "exclusiveGateway"
     assert gw.concept_uid is None
     # all of a's outgoing traffic is re-routed through the gateway
@@ -130,8 +134,9 @@ def test_exceptional_flow_from_gateway_needs_no_insertion():
       g -> end exceptional
     }""")
     assert not any(e.id.endswith("_exc") for e in bpmn.walk_elements(model))
+    by_id = _by_id(model)
     conds = sorted(f.condition for f in model.flows
-                   if model.element(f.source).kind == "exclusiveGateway")
+                   if by_id[f.source].kind == "exclusiveGateway")
     assert conds == ["exception", "ok"]
 
 
@@ -149,10 +154,15 @@ def test_duplicate_flow_ids_are_deduplicated():
     assert any(i.endswith("_2") for i in ids)
 
 
+def _simulate(model):
+    return engine.simulate(model, deploy.DeploymentManifest(model.process_id),
+                           engine.SimulationConfig())
+
+
 def test_validate_reports_missing_start():
     model = bpmn.BpmnModel("P", elements=[bpmn.BpmnElement("e1", "endEvent")])
-    diags = bpmn.validate_bpmn(model)
-    assert any(d.severity == "error" and "startEvent" in d.message for d in diags)
+    with pytest.raises(engine.SimulationError, match="expected exactly one startEvent"):
+        _simulate(model)
 
 
 def test_validate_reports_gateway_without_outgoing():
@@ -161,12 +171,8 @@ def test_validate_reports_gateway_without_outgoing():
         bpmn.BpmnElement("g", "exclusiveGateway"),
         bpmn.BpmnElement("e", "endEvent"),
     ], flows=[bpmn.SequenceFlow("f1", "s", "g")])
-    diags = bpmn.validate_bpmn(model)
-    assert any("no outgoing" in d.message and d.severity == "error" for d in diags)
-
-
-def test_validate_clean_generated_model(order_pipeline):
-    assert bpmn.validate_bpmn(order_pipeline.generated) == []
+    with pytest.raises(engine.SimulationError, match="has no outgoing flow"):
+        _simulate(model)
 
 
 def test_parse_rejects_duplicate_ids():
@@ -198,7 +204,7 @@ def test_technical_enrichment_survives_parse(order_pipeline):
         "</bpmn:process>",
         '  <bpmn:task id="A9" name="audit hook"/>\n  </bpmn:process>')
     parsed = bpmn.parse_bpmn(enriched)
-    added = parsed.element("A9")
+    added = _by_id(parsed).get("A9")
     assert added is not None
     assert added.kind == "task"
     assert added.concept_uid is None

@@ -212,3 +212,27 @@ def test_missing_file_is_an_error_not_a_traceback(work, capsys):
                      "--mappings", str(work / "mappings.json"),
                      "-o", str(work / "out.bpmn")])
     assert code == 1
+
+
+
+@pytest.mark.parametrize("command", [_gen, _run], ids=["gen", "run"])
+def test_unwritable_output_exits_one_without_traceback(work, capsys, command):
+    assert _gen(work) == 0
+    assert _bind(work) == 0
+    assert command(work, out="nodir/out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nodir" in err
+
+
+@pytest.mark.parametrize("bad, command", [
+    ("bindings.json", _bind),
+    ("mappings.json", _bind),
+    ("manifest.json", _run),
+    ("sim.json", _run),
+], ids=["bindings", "mappings", "manifest", "sim"])
+def test_malformed_json_input_names_the_file(work, capsys, bad, command):
+    assert _gen(work) == 0
+    assert _bind(work) == 0
+    (work / bad).write_text("{bad", encoding="utf-8")
+    assert command(work) == 1
+    assert capsys.readouterr().err.startswith(f"error: {work / bad}: malformed JSON: ")

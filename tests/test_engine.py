@@ -275,7 +275,7 @@ def test_log_render_parse_round_trip():
     lines = log_lines(records, cfg)
     header = engine.decode_line(lines[0])
     assert header == {"log_version": 1, "seed": 1, "rng": "python-mt19937"}
-    parsed = [engine.parse_event_line(l) for l in lines[1:]]
+    parsed = [engine.decode_line(l) for l in lines[1:]]
     assert parsed == records
     # field order in each line is stable
     for line in lines[1:]:

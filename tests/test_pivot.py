@@ -23,22 +23,6 @@ def test_flow_count_oracle(order_pipeline):
     assert len(order_pipeline.common.flows) == len(order_pipeline.model.body.flows)
 
 
-def test_common_stats_against_manual_count(order_pipeline):
-    common = order_pipeline.common
-
-    def count(m):
-        a = sum(1 for e in m.elements if e.kind == "activity")
-        g = sum(1 for e in m.elements if e.kind in ("exclusive", "parallel"))
-        f = len(m.flows)
-        for e in m.elements:
-            if e.inner is not None:
-                ia, ig, if_ = count(e.inner)
-                a, g, f = a + ia, g + ig, f + if_
-        return a, g, f
-
-    assert pivot.common_stats(common) == count(common)
-
-
 def test_concept_tags_cover_all_concept_nodes(order_pipeline):
     common = order_pipeline.common
     top_tagged = {common.concept_tags[e.uid] for e in common.elements
@@ -55,10 +39,10 @@ def test_subprocess_recursion(order_pipeline):
     inner_concepts = set(inner.concept_tags.values())
     assert inner_concepts == {"HandlePayment", "PackageItems", "ShipAndConfirm"}
     # inner uids are registered under the container's path
-    registry = order_pipeline.registry
-    container_path = registry.path_of(subs[0].uid)
+    path_of = {uid: path for path, uid in order_pipeline.registry.entries.items()}
+    container_path = path_of[subs[0].uid]
     for e in inner.elements:
-        assert registry.path_of(e.uid).startswith(container_path + "/")
+        assert path_of[e.uid].startswith(container_path + "/")
 
 
 def test_uid_stability_across_regeneration(order_domain, order_process):
@@ -95,4 +79,4 @@ def test_empty_process_lowering(order_domain):
         "process P uses OrderHandling { start -> end }", order_domain)
     common = pivot.to_common(model, order_domain, mappings.UidRegistry())
     assert [e.kind for e in common.elements] == ["start", "end"]
-    assert pivot.common_stats(common) == (0, 0, 1)
+    assert len(common.flows) == 1

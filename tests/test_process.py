@@ -204,3 +204,9 @@ def _processes(draw):
 def test_round_trip_property(model):
     text = proc.serialize_process(model)
     assert proc.parse_process(text, _TINY_DOMAIN) == model
+
+
+def test_foreign_domain_is_a_located_error(order_domain):
+    with pytest.raises(ParseError, match="uses domain 'Other' but 'OrderHandling'") as info:
+        proc.parse_process("process P uses Other {\n  start -> end\n}", order_domain)
+    assert (info.value.line, info.value.column) == (1, 16)
