@@ -1,4 +1,4 @@
-"""BPMN 2.0 generation, parsing and validation.
+"""BPMN 2.0 generation, serialization and parsing.
 
 Output uses only the descriptive element subset (start/end events, tasks,
 service tasks, subprocesses, exclusive/parallel gateways, sequence flows).
@@ -84,8 +84,15 @@ def generate_bpmn(m: CommonModel, domain_name: str) -> BpmnModel:
 
 
 def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], List[SequenceFlow]]:
+    # exceptional-flow lowering: each non-gateway source of an exceptional
+    # flow gets one routing gateway, emitted straight after the source
+    kind_of = {ce.uid: ce.kind for ce in m.elements}
+    inserted: Dict[str, str] = {}
+    for f in m.flows:
+        if f.exceptional and kind_of[f.source] != "exclusive" and f.source not in inserted:
+            inserted[f.source] = f"{f.source}_exc"
+
     elements: List[BpmnElement] = []
-    by_uid: Dict[str, BpmnElement] = {}
     for ce in m.elements:
         kind = _KIND_FROM_COMMON[ce.kind]
         el = BpmnElement(id=ce.uid, kind=kind, name=ce.label)
@@ -96,25 +103,15 @@ def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], L
         if ce.kind == "subprocess" and ce.inner is not None:
             el.inner_elements, el.inner_flows = _lower_level(ce.inner, domain_name)
         elements.append(el)
-        by_uid[ce.uid] = el
+        gw_id = inserted.get(ce.uid)
+        if gw_id is not None:
+            elements.append(BpmnElement(id=gw_id, kind="exclusiveGateway"))
 
-    # exceptional-flow lowering: collect per-source, insert a routing gateway
-    raw = [(f.source, f.target, f.condition, f.exceptional) for f in m.flows]
-    final: List[Tuple[str, str, Optional[str]]] = []
-    inserted: Dict[str, str] = {}
-    for src, _tgt, _cond, exc in raw:
-        if exc and by_uid[src].kind != "exclusiveGateway" and src not in inserted:
-            gw_id = f"{src}_exc"
-            gw = BpmnElement(id=gw_id, kind="exclusiveGateway")
-            elements.insert(elements.index(by_uid[src]) + 1, gw)
-            inserted[src] = gw_id
-    for src, gw_id in inserted.items():
-        final.append((src, gw_id, None))
-    for src, tgt, cond, exc in raw:
-        if exc and cond is None:
-            cond = "exception"
-        new_src = inserted.get(src, src)
-        final.append((new_src, tgt, cond))
+    final: List[Tuple[str, str, Optional[str]]] = [
+        (src, gw_id, None) for src, gw_id in inserted.items()]
+    for f in m.flows:
+        cond = "exception" if f.exceptional and f.condition is None else f.condition
+        final.append((inserted.get(f.source, f.source), f.target, cond))
 
     flows: List[SequenceFlow] = []
     used_ids = set()
@@ -230,19 +227,18 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
     elements, flows, domain = _parse_level(process)
     model.elements, model.flows, model.domain = elements, flows, domain
 
-    ids = []
-    for e in walk_elements(model):
-        ids.append(e.id)
     all_flows = list(model.flows)
     for e in walk_elements(model):
         all_flows.extend(e.inner_flows)
-    for f in all_flows:
-        ids.append(f.id)
-    dupes = {i for i in ids if ids.count(i) > 1}
+    id_set = set()
+    dupes = set()
+    for i in [e.id for e in walk_elements(model)] + [f.id for f in all_flows]:
+        if i in id_set:
+            dupes.add(i)
+        id_set.add(i)
     if dupes:
         raise ParseError(f"duplicate ids: {', '.join(sorted(dupes))}")
 
-    id_set = set(ids)
     for f in all_flows:
         for ref in (f.source, f.target):
             if ref not in id_set:

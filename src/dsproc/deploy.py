@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .diagnostics import DsprocError, load_json
+from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
+                          load_json)
 from .domain import Domain
 from .mappings import ActivityMappings
 
@@ -34,11 +35,10 @@ BindingTable = Dict[str, Binding]
 
 
 def bindings_from_json(text: str) -> BindingTable:
-    doc = json.loads(text)
-    table: BindingTable = {}
-    for name, entry in doc.get("bindings", {}).items():
-        table[name] = Binding(entry["endpoint"], entry.get("profile"))
-    return table
+    doc = json_check(json.loads(text), "object")
+    return {name: Binding(json_field(entry, "endpoint", "string", path),
+                          json_field(entry, "profile", "string", path, None))
+            for name, entry, path in json_members(doc, "bindings", "object")}
 
 
 def load_bindings(path) -> BindingTable:
@@ -125,16 +125,22 @@ def emit_manifest(m: DeploymentManifest) -> str:
 
 
 def parse_manifest(text: str) -> DeploymentManifest:
-    doc = json.loads(text)
+    doc = json_check(json.loads(text), "object")
+    process = json_field(doc, "process", "string")
     rows = []
-    for uid in sorted(doc.get("activities", {})):
-        entry = doc["activities"][uid]
+    for uid, entry, path in json_members(doc, "activities", "object"):
+        endpoints = []
+        for i, e in enumerate(json_elements(entry, "endpoints", "object", path)):
+            where = f"{path}.endpoints[{i}]"
+            endpoints.append(EndpointRef(json_field(e, "service", "string", where),
+                                         json_field(e, "endpoint", "string", where),
+                                         json_field(e, "profile", "string", where, None)))
         rows.append(ManifestRow(
-            uid, entry["element"], entry["concept"], list(entry["services"]),
-            [EndpointRef(e["service"], e["endpoint"], e.get("profile"))
-             for e in entry["endpoints"]],
-        ))
-    return DeploymentManifest(doc["process"], rows)
+            uid, json_field(entry, "element", "string", path),
+            json_field(entry, "concept", "string", path),
+            json_elements(entry, "services", "string", path), endpoints))
+    rows.sort(key=lambda r: r.uid)
+    return DeploymentManifest(process, rows)
 
 
 def load_manifest(path) -> DeploymentManifest:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, TypeVar
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -60,10 +60,67 @@ class ParseError(DsprocError):
 
 
 def load_json(path, parse: Callable[[str], T]) -> T:
-    """Read ``path`` and ``parse`` its text; malformed JSON names the file."""
+    """Read ``path`` and ``parse`` its text; any error it raises names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         return parse(text)
     except json.JSONDecodeError as exc:
         raise DsprocError(f"{path}: malformed JSON: {exc}") from None
+    except DsprocError as exc:
+        raise DsprocError(f"{path}: {exc}") from None
+
+
+# JSON input shapes: the Python types json.loads gives each kind of value
+_JSON_KINDS = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "integer": int}
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+_REQUIRED = object()
+
+
+def _at(where: str, key) -> str:
+    """The path of member ``key`` (an array index when an int) of the value at ``where``."""
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def json_check(value, kind: str, where: str = "", key=None):
+    """``value`` if it is a JSON ``kind`` (no boolean is a number); else an error
+    naming its path, ``where`` plus ``key``, or the document when that is empty."""
+    if value.__class__ is bool or not isinstance(value, _JSON_KINDS[kind]):
+        path = where if key is None else _at(where, key)
+        what = f"field {path!r}" if path else "the document"
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise DsprocError(f"{what} must be {article} {kind}, found {_JSON_NAMES[value.__class__]}")
+    return value
+
+
+def json_field(obj: dict, key: str, kind: str, where: str = "", default=_REQUIRED):
+    """Field ``key`` of the JSON object at path ``where``, checked to be a ``kind``.
+
+    An absent or null field gives ``default``; without one it is missing.
+    """
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise DsprocError(f"missing field {_at(where, key)!r}")
+        return default
+    return json_check(value, kind, where, key)
+
+
+def json_members(obj: dict, key: str, kind: str,
+                 where: str = "") -> Iterator[Tuple[str, Any, str]]:
+    """``(name, value, path)`` of each member of the optional object field ``key``,
+    each value checked to be a ``kind``."""
+    path = _at(where, key)
+    for name, value in json_field(obj, key, "object", where, {}).items():
+        yield name, json_check(value, kind, path, name), f"{path}.{name}"
+
+
+def json_elements(obj: dict, key: str, kind: str, where: str = "") -> List[Any]:
+    """The required array field ``key``, each element checked to be a ``kind``."""
+    path = _at(where, key)
+    return [json_check(item, kind, path, i)
+            for i, item in enumerate(json_field(obj, key, "array", where))]

@@ -61,23 +61,25 @@ class Domain:
     services: Tuple[DSService, ...] = ()
     slas: Tuple[Sla, ...] = ()
 
+    def __post_init__(self):
+        # name -> item indexes, which are not fields: ==, hash and repr see
+        # only the tuples. The first declaration of a name wins, as a scan
+        # would find it; validate_domain reports the later ones.
+        for attr, items in (("_concepts", self.concepts), ("_services", self.services),
+                            ("_slas", self.slas)):
+            index: Dict[str, object] = {}
+            for item in items:
+                index.setdefault(item.name, item)
+            object.__setattr__(self, attr, index)
+
     def concept(self, name: str) -> Optional[DSConcept]:
-        for c in self.concepts:
-            if c.name == name:
-                return c
-        return None
+        return self._concepts.get(name)
 
     def service(self, name: str) -> Optional[DSService]:
-        for s in self.services:
-            if s.name == name:
-                return s
-        return None
+        return self._services.get(name)
 
     def sla(self, name: str) -> Optional[Sla]:
-        for s in self.slas:
-            if s.name == name:
-                return s
-        return None
+        return self._slas.get(name)
 
 
 def parse_domain(source: str) -> Domain:
@@ -127,7 +129,7 @@ def parse_domain(source: str) -> Domain:
         elif ts.accept("concept"):
             concepts.append(_parse_concept(ts, lines))
         else:
-            raise ParseError(f"expected 'concept', 'service' or 'sla', found {tok.value!r}",
+            raise ParseError(f"expected 'concept', 'service' or 'sla', found {tok.describe()}",
                              tok.line, tok.column)
     ts.expect("}")
     if not ts.at_eof():

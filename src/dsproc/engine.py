@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .bpmn import BpmnElement, BpmnModel, SequenceFlow
 from .deploy import DeploymentManifest
-from .diagnostics import DsprocError
+from .diagnostics import DsprocError, json_check, json_field, json_members
 
 RNG_ID = "python-mt19937"
 LOG_VERSION = 1
@@ -76,15 +76,13 @@ class DurationProfile:
         return max(0.0, self.mean + self.stddev * z)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DurationProfile":
-        return cls(
-            kind=obj["kind"],
-            value=float(obj.get("value", 0.0)),
-            low=float(obj.get("low", 0.0)),
-            high=float(obj.get("high", 0.0)),
-            mean=float(obj.get("mean", 0.0)),
-            stddev=float(obj.get("stddev", 0.0)),
-        )
+    def from_json(cls, obj: dict, where: str) -> "DurationProfile":
+        """A profile from its JSON object at path ``where``; its numbers default to 0."""
+        def number(key: str) -> float:
+            return float(json_field(obj, key, "number", where, 0.0))
+        return cls(kind=json_field(obj, "kind", "string", where), value=number("value"),
+                   low=number("low"), high=number("high"), mean=number("mean"),
+                   stddev=number("stddev"))
 
 
 @dataclass
@@ -115,15 +113,18 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
-        doc = json.loads(text)
+        doc = json_check(json.loads(text), "object")
+        branch = json_field(doc, "branch_probs", "object", default={})
         cfg = cls(
-            instance_count=int(doc.get("instance_count", 1)),
-            seed=int(doc.get("seed", 0)),
-            profiles={k: DurationProfile.from_json(v)
-                      for k, v in doc.get("profiles", {}).items()},
-            branch_probs={k: dict(v) for k, v in doc.get("branch_probs", {}).items()},
-            fault_probs=dict(doc.get("fault_probs", {})),
-            default_profile=doc.get("default_profile"),
+            instance_count=json_field(doc, "instance_count", "integer", default=1),
+            seed=json_field(doc, "seed", "integer", default=0),
+            profiles={k: DurationProfile.from_json(v, path)
+                      for k, v, path in json_members(doc, "profiles", "object")},
+            branch_probs={gw: {flow: p for flow, p, _ in
+                               json_members(branch, gw, "number", "branch_probs")}
+                          for gw in branch},
+            fault_probs={k: p for k, p, _ in json_members(doc, "fault_probs", "number")},
+            default_profile=json_field(doc, "default_profile", "string", default=None),
         )
         cfg.validate()
         return cfg

@@ -36,6 +36,10 @@ class Token(NamedTuple):
     line: int
     column: int
 
+    def describe(self) -> str:
+        """The token as an error message's ``found …`` names it."""
+        return "end of input" if self.kind == "EOF" else repr(self.value)
+
 
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
@@ -91,14 +95,13 @@ class TokenStream:
     def expect(self, value: str) -> Token:
         tok = self.peek()
         if not self.at(value):
-            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.column)
+            raise ParseError(f"expected {value!r}, found {tok.describe()}", tok.line, tok.column)
         return self.next()
 
     def expect_kind(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            found = tok.value if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {kind}, found {found!r}", tok.line, tok.column)
+            raise ParseError(f"expected {kind}, found {tok.describe()}", tok.line, tok.column)
         return self.next()
 
     def expect_ident(self) -> Token:

@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .diagnostics import DsprocError, load_json
+from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
+                          load_json)
 
 
 class MappingError(DsprocError):
@@ -197,16 +198,19 @@ class MappingStore:
 
 
 def store_from_json(text: str) -> MappingStore:
-    doc = json.loads(text)
+    doc = json_check(json.loads(text), "object")
     am = ActivityMappings({
-        uid: AmEntry(e["concept"], e["process"], e["element"])
-        for uid, e in doc.get("am", {}).items()
+        uid: AmEntry(json_field(e, "concept", "string", path),
+                     json_field(e, "process", "string", path),
+                     json_field(e, "element", "string", path))
+        for uid, e, path in json_members(doc, "am", "object")
     })
+    cm = json_field(doc, "cm", "object", default={})
     return MappingStore(
-        domain=doc["domain"],
-        cm={k: list(v) for k, v in doc.get("cm", {}).items()},
+        domain=json_field(doc, "domain", "string"),
+        cm={k: json_elements(cm, k, "string", "cm") for k in cm},
         am=am,
-        uids=dict(doc.get("uids", {})),
+        uids={node_path: uid for node_path, uid, _ in json_members(doc, "uids", "string")},
     )
 
 

@@ -140,6 +140,49 @@ def test_exceptional_flow_from_gateway_needs_no_insertion():
     assert conds == ["exception", "ok"]
 
 
+def test_exceptional_gateways_follow_their_sources_at_every_level():
+    d = dom.parse_domain("""
+        domain T {
+          service s { operation "op" }
+          concept A { label "a" services [s] }
+          concept B { label "b" services [s] }
+          concept S { label "sub" subprocess {
+            node x: concept A
+            node y: concept B
+            start -> x
+            x -> y
+            x -> end exceptional
+            y -> end
+          } }
+        }
+    """)
+    # b's exceptional flow comes first, a has two, the gateway g needs no insertion
+    _, model = _compile("""process P uses T {
+      node a: concept A
+      node b: concept B
+      node sub: concept S
+      node g: exclusive
+      start -> a
+      a -> b
+      b -> sub
+      b -> end exceptional
+      sub -> g
+      a -> end exceptional
+      g -> end when "ok"
+      g -> end exceptional
+      a -> g exceptional
+    }""", d)
+    assert [e.id for e in model.elements] == [
+        "u1", "u2", "u2_exc", "u3", "u3_exc", "u4", "u9", "u10"]
+    assert [f.id for f in model.flows] == [
+        "f_u3_u3_exc", "f_u2_u2_exc", "f_u1_u2", "f_u2_exc_u3", "f_u3_exc_u4",
+        "f_u3_exc_u10", "f_u4_u9", "f_u2_exc_u10", "f_u9_u10", "f_u9_u10_2", "f_u2_exc_u9"]
+    sub = model.elements[5]
+    assert [e.id for e in sub.inner_elements] == ["u5", "u6", "u6_exc", "u7", "u8"]
+    assert [f.id for f in sub.inner_flows] == [
+        "f_u6_u6_exc", "f_u5_u6", "f_u6_exc_u7", "f_u6_exc_u8", "f_u7_u8"]
+
+
 def test_duplicate_flow_ids_are_deduplicated():
     _, model = _compile("""process P uses T {
       node a: concept A
@@ -185,6 +228,28 @@ def test_parse_rejects_duplicate_ids():
     </definitions>"""
     with pytest.raises(ParseError, match="duplicate"):
         bpmn.parse_bpmn(xml)
+
+
+def test_parse_lists_every_duplicate_id_once_sorted():
+    # "s" is declared three times, twice inside the subprocess; "e" is both an
+    # element id and a flow id; "f1" is a flow id at both levels
+    xml = f"""<?xml version="1.0"?>
+    <definitions xmlns="{bpmn.BPMN_NS}">
+      <process id="P">
+        <startEvent id="s"/>
+        <subProcess id="sp">
+          <startEvent id="s"/>
+          <task id="s"/>
+          <sequenceFlow id="f1" sourceRef="s" targetRef="s"/>
+        </subProcess>
+        <endEvent id="e"/>
+        <sequenceFlow id="f1" sourceRef="s" targetRef="sp"/>
+        <sequenceFlow id="e" sourceRef="sp" targetRef="e"/>
+      </process>
+    </definitions>"""
+    with pytest.raises(ParseError) as info:
+        bpmn.parse_bpmn(xml)
+    assert str(info.value) == "duplicate ids: e, f1, s"
 
 
 def test_parse_rejects_dangling_flow_reference():

@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dsproc import cli
+from dsproc import cli, deploy, engine, mappings
+from dsproc.diagnostics import DsprocError
 
 from conftest import FIXTURES
 
@@ -236,3 +238,63 @@ def test_malformed_json_input_names_the_file(work, capsys, bad, command):
     (work / bad).write_text("{bad", encoding="utf-8")
     assert command(work) == 1
     assert capsys.readouterr().err.startswith(f"error: {work / bad}: malformed JSON: ")
+
+
+def _monitor(work):
+    return cli.main(["monitor", str(work / "events.jsonl"),
+                     "--mappings", str(work / "mappings.json"),
+                     "--domain", str(work / "order_handling.dsml")])
+
+
+def _drop_concept(text):
+    doc = json.loads(text)
+    del doc["activities"]["u3"]["concept"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("bad, edit, command, message", [
+    ("bindings.json", lambda _: '{"bindings": {"X": {}}}', _bind,
+     "missing field 'bindings.X.endpoint'"),
+    ("bindings.json", lambda _: "[]", _bind,
+     "the document must be an object, found array"),
+    ("sim.json", lambda _: '{"seed": "x"}', _run,
+     "field 'seed' must be an integer, found string"),
+    ("sim.json", lambda _: '{"profiles": {"p": 3}}', _run,
+     "field 'profiles.p' must be an object, found number"),
+    ("manifest.json", _drop_concept, _run,
+     "missing field 'activities.u3.concept'"),
+    ("mappings.json", lambda _: '{"domain": "OrderHandling", "am": {"u1": {}}}', _monitor,
+     "missing field 'am.u1.concept'"),
+], ids=["binding-without-endpoint", "bindings-array", "string-seed", "number-profile",
+        "activity-without-concept", "am-entry-without-concept"])
+def test_wrongly_shaped_json_input_names_the_field(work, capsys, bad, edit, command, message):
+    assert _gen(work) == 0
+    assert _bind(work) == 0
+    path = work / bad
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert command(work) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+# JSON values built from the field names the input formats use
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-1, 2) | st.sampled_from(
+        ["", "x", "fixed", "uniform", "normal"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from([
+        "bindings", "endpoint", "profile", "process", "activities", "element", "concept",
+        "services", "endpoints", "service", "domain", "am", "cm", "uids", "instance_count",
+        "seed", "profiles", "kind", "value", "low", "high", "mean", "stddev",
+        "branch_probs", "fault_probs", "default_profile", "x"]), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json)
+def test_json_inputs_of_any_shape_raise_only_dsproc_errors(doc):
+    text = json.dumps(doc)
+    for parse in (deploy.bindings_from_json, deploy.parse_manifest,
+                  mappings.store_from_json, engine.SimulationConfig.from_json):
+        try:
+            parse(text)
+        except DsprocError:
+            pass

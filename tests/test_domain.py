@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -113,6 +114,31 @@ def test_validate_domain_flags_undeclared_service():
     diags = dom.validate_domain(d)
     assert len([x for x in diags if x.severity == "error"]) == 1
     assert "ghost" in diags[0].message
+
+
+def test_repeated_names_resolve_to_the_first_declaration():
+    concepts = (dom.DSConcept("A", "first", service_refs=("s",)),
+                dom.DSConcept("A", "second", service_refs=("s",)))
+    services = (dom.DSService("s", "op1"), dom.DSService("s", "op2"))
+    slas = (dom.Sla("L", "max_duration", 1.0, "s", "info"),
+            dom.Sla("L", "max_duration", 2.0, "s", "info"))
+    d = dom.Domain("D", concepts, services, slas)
+    assert d.concept("A") is concepts[0]
+    assert d.service("s") is services[0]
+    assert d.sla("L") is slas[0]
+    assert d.concept("s") is None and d.service("A") is None and d.sla("A") is None
+    assert [x.message for x in dom.validate_domain(d)] == [
+        "duplicate concept name 'A'", "duplicate service name 's'", "duplicate SLA name 'L'"]
+
+
+def test_lookup_indexes_are_not_dataclass_fields(order_domain):
+    d = dom.Domain(order_domain.name, order_domain.concepts, order_domain.services,
+                   order_domain.slas)
+    assert [f.name for f in dataclasses.fields(d)] == ["name", "concepts", "services", "slas"]
+    assert d == order_domain and hash(d) == hash(order_domain)
+    assert repr(d) == (f"Domain(name={d.name!r}, concepts={d.concepts!r}, "
+                       f"services={d.services!r}, slas={d.slas!r})")
+    assert d != dom.Domain(d.name, d.concepts[1:], d.services, d.slas)
 
 
 def test_fixture_round_trip(order_domain):

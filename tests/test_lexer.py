@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dsproc import domain as dom, lexer
+from dsproc import domain as dom, lexer, process as proc
 from dsproc.diagnostics import ParseError
 
 _WORDS = ("IDENT", "NUMBER")
@@ -71,4 +71,24 @@ def test_eof_after_trailing_comment_is_at_end_of_line():
     assert lexer.tokenize(source)[-1] == lexer.Token("EOF", "", 1, 30)
     with pytest.raises(ParseError) as info:
         dom.parse_domain(source)
-    assert str(info.value) == "1:30: expected 'concept', 'service' or 'sla', found ''"
+    assert str(info.value) == ("1:30: expected 'concept', 'service' or 'sla', "
+                               "found end of input")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("domain D", "1:9: expected '{', found end of input"),
+    ("domain D {\n  concept A { label", "2:20: expected STRING, found end of input"),
+    ('domain D { "end of input" }',
+     "1:12: expected 'concept', 'service' or 'sla', found 'end of input'"),
+], ids=["punct", "kind", "string-token"])
+def test_end_of_input_is_worded_one_way(source, message):
+    with pytest.raises(ParseError) as info:
+        dom.parse_domain(source)
+    assert str(info.value) == message
+
+
+def test_process_missing_its_closing_brace_reports_end_of_input():
+    with pytest.raises(ParseError) as info:
+        proc.parse_process("process P uses D {\n  start -> end\n",
+                           dom.parse_domain("domain D { }"))
+    assert str(info.value) == "3:1: expected '}', found end of input"
