@@ -255,23 +255,35 @@ def validate_domain(d: Domain) -> List[Diagnostic]:
 
 
 def _cycles(d: Domain, deps: Dict[str, List[str]], what: str) -> List[Diagnostic]:
+    """One diagnostic per back edge of a depth-first walk over ``deps``.
+
+    The walk keeps its own stack, so a chain deeper than Python's recursion
+    limit is walked like any other.
+    """
     out: List[Diagnostic] = []
-    state: Dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(name: str, trail: List[str]) -> None:
-        if state.get(name) == 1:
-            return
-        if state.get(name) == 0:
-            cycle = trail[trail.index(name):] + [name]
-            out.append(diag.error(f"{what}: " + " -> ".join(cycle)))
-            return
-        state[name] = 0
-        for dep in deps[name]:
-            visit(dep, trail + [name])
-        state[name] = 1
-
+    done: set = set()
+    trail: List[str] = []  # the names being visited, outermost first
+    at: Dict[str, int] = {}  # name -> its index in trail
     for c in d.concepts:
-        visit(c.name, [])
+        if c.name in done:
+            continue
+        at[c.name] = 0
+        trail.append(c.name)
+        pending = [iter(deps[c.name])]
+        while pending:
+            dep = next(pending[-1], None)
+            if dep is None:
+                pending.pop()
+                name = trail.pop()
+                del at[name]
+                done.add(name)
+            elif dep in at:
+                cycle = trail[at[dep]:] + [dep]
+                out.append(diag.error(f"{what}: " + " -> ".join(cycle)))
+            elif dep not in done:
+                at[dep] = len(trail)
+                trail.append(dep)
+                pending.append(iter(deps[dep]))
     return out
 
 

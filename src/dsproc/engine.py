@@ -9,20 +9,28 @@ config) triple always yields a byte-identical event log.
 
 Log format: JSON Lines. The first line is a header
 ``{"log_version": 1, "seed": ..., "rng": "python-mt19937"}``; each
-following line is one event record with a stable field order. For
-``gatewayTaken`` records ``element_id`` names the sequence flow that was
-taken.
+following line is one event record. For ``gatewayTaken`` records
+``element_id`` names the sequence flow that was taken.
+
+Each record line is exactly the bytes ``json.dumps`` gives for an object
+of the record's fields in ``_FIELD_ORDER``, with every ``None`` field
+omitted: ``", "`` and ``": "`` separators, ASCII-only string escapes,
+``repr`` for ints and finite floats, and ``Infinity``/``-Infinity``/
+``NaN`` for the others. :meth:`EventRecord.to_json_line` writes that line
+without building the object.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .bpmn import BpmnElement, BpmnModel, SequenceFlow
 from .deploy import DeploymentManifest
@@ -39,6 +47,23 @@ _FIELD_TYPES = {"seq": int, "ts_ms": _NUMBER, "kind": str, "process": str, "inst
                 "status": str, "duration_ms": _NUMBER}
 _FIELD_ORDER = tuple(_FIELD_TYPES)
 _REQUIRED = frozenset(_FIELD_ORDER[:5])
+# every exact-type tuple a decoded record may have; json.loads yields exact
+# int/float/str/bool, so this is the isinstance check with bool excluded
+_VALID_TYPES = frozenset(itertools.product(*(
+    (types if isinstance(types, tuple) else (types,))
+    + (() if name in _REQUIRED else (type(None),))
+    for name, types in _FIELD_TYPES.items())))
+
+
+def _json_number(value: Union[int, float]) -> str:
+    text = repr(value)
+    return text if text not in ("inf", "-inf", "nan") else json.dumps(value)
+
+
+# (getter, ', "name": ' prefix, encoder) of each optional field, in log order
+_OPTIONAL_FIELDS = tuple(
+    (attrgetter(name), f', "{name}": ', _json_str if types is str else _json_number)
+    for name, types in _FIELD_TYPES.items() if name not in _REQUIRED)
 
 
 class SimulationError(DsprocError):
@@ -145,13 +170,17 @@ class EventRecord:
     duration_ms: Optional[float] = None
 
     def to_json_line(self) -> str:
-        doc = {}
-        for name in _FIELD_ORDER:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            doc[name] = value
-        return json.dumps(doc)
+        """The record's log line; see the module docstring for its bytes."""
+        parts = [f'{{"seq": {self.seq!r}, "ts_ms": {_json_number(self.ts_ms)}, '
+                 f'"kind": {_json_str(self.kind)}, "process": {_json_str(self.process)}, '
+                 f'"instance": {self.instance!r}']
+        for get, prefix, encode in _OPTIONAL_FIELDS:
+            value = get(self)
+            if value is not None:
+                parts.append(prefix)
+                parts.append(encode(value))
+        parts.append("}")
+        return "".join(parts)
 
 
 def log_header(cfg: SimulationConfig) -> str:
@@ -176,30 +205,36 @@ def decode_line(line: str) -> Union[dict, EventRecord]:
         if doc["log_version"] != LOG_VERSION:
             raise DsprocError(f"unsupported log version {doc['log_version']!r}")
         return doc
-    values = []
-    for name, types in _FIELD_TYPES.items():
-        value = doc.get(name)
-        if value is None:
-            if name in _REQUIRED:
-                raise DsprocError(f"malformed record: {name!r} missing")
-        elif value.__class__ is bool or not isinstance(value, types):
-            raise DsprocError(f"malformed record: {name!r} has the wrong type")
-        values.append(value)
+    values = list(map(doc.get, _FIELD_ORDER))
+    if tuple(map(type, values)) not in _VALID_TYPES:
+        for (name, types), value in zip(_FIELD_TYPES.items(), values):
+            if value is None:
+                if name in _REQUIRED:
+                    raise DsprocError(f"malformed record: {name!r} missing")
+            elif value.__class__ is bool or not isinstance(value, types):
+                raise DsprocError(f"malformed record: {name!r} has the wrong type")
     return EventRecord(*values)
 
 
 def render_log(records: List[EventRecord], cfg: SimulationConfig) -> str:
     lines = [log_header(cfg)]
     lines.extend(r.to_json_line() for r in records)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without a second copy of the log
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # execution graph
 
 
+# element kinds the simulator routes a token through; every other kind runs as an activity
+_CONTROL_KINDS = frozenset({"startEvent", "endEvent", "exclusiveGateway", "parallelGateway",
+                            "subProcess"})
+
+
 class _Level:
     def __init__(self, elements: List[BpmnElement], flows: List[SequenceFlow], where: str):
+        self.where = where
         self.elements: Dict[str, BpmnElement] = {e.id: e for e in elements}
         self.outgoing: Dict[str, List[SequenceFlow]] = {}
         self.incoming_count: Dict[str, int] = {}
@@ -234,6 +269,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     cfg.validate()
     levels = _build_levels(model)
     _check_branch_probs(levels, cfg)
+    _check_exits(levels, cfg)
     rows = {r.uid: r for r in manifest.rows}
     rng = random.Random(cfg.seed)
     process = model.process_id
@@ -437,3 +473,60 @@ def _check_branch_probs(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationCo
                 raise SimulationError(
                     f"branch probabilities for {elem.id!r} miss flows: "
                     + ", ".join(sorted(missing)))
+
+
+def _check_exits(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig) -> None:
+    """Reject a level where a token can be trapped in a loop.
+
+    Every element that the start reaches through flows of nonzero
+    probability must reach, the same way, a terminal: an end event, an
+    element with no outgoing flow, or an activity that can fault (a
+    subprocess can fault when an activity inside it can).
+    """
+    def can_fault(e: BpmnElement) -> bool:
+        return (e.kind not in _CONTROL_KINDS
+                and cfg.fault_probs.get(e.concept_uid or e.id, 0.0) > 0.0)
+
+    # every level with an activity that can fault, and each level around it
+    faulting = {path[:i] for path, level in levels.items()
+                if any(map(can_fault, level.elements.values()))
+                for i in range(1, len(path) + 1)}
+    for path, level in levels.items():
+        nexts: Dict[str, List[str]] = {}
+        before: Dict[str, List[str]] = {}
+        exits = set()
+        for eid, elem in level.elements.items():
+            flows = level.outgoing.get(eid, [])
+            probs = cfg.branch_probs.get(eid) if elem.kind == "exclusiveGateway" else None
+            if probs is not None and len(flows) > 1:
+                flows = [f for f in flows if probs[f.id] > 0.0]
+            nexts[eid] = [f.target for f in flows]
+            for f in flows:
+                before.setdefault(f.target, []).append(eid)
+                if f.target not in level.elements:  # fails at run time with its own error
+                    exits.add(f.target)
+            if not flows or elem.kind == "endEvent" or can_fault(elem) \
+                    or elem.kind == "subProcess" and path + (eid,) in faulting:
+                exits.add(eid)
+        trapped = _closure({level.start_id}, nexts) - _closure(exits, before)
+        if trapped:
+            # every successor of a trapped element is trapped: walk to the loop
+            eid, seen = next(e for e in level.elements if e in trapped), set()
+            while eid not in seen:
+                seen.add(eid)
+                eid = next(t for t in nexts[eid] if t in trapped)
+            raise SimulationError(
+                f"{level.where}: element {eid!r} is on a loop that no flow of nonzero "
+                "probability leaves for an end event, a dead end or a fault")
+
+
+def _closure(seeds: Set[str], edges: Dict[str, List[str]]) -> Set[str]:
+    """``seeds`` and every node reachable from them along ``edges``."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for t in edges.get(stack.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen

@@ -104,7 +104,9 @@ class ProbeBuilder:
     def _apply(self, r: EventRecord) -> None:
         if self._known_processes and r.process not in self._known_processes:
             raise DsprocError(f"line {self._line_no}: unknown process {r.process!r}")
-        pp = self.probes.processes.setdefault(r.process, ProcessProbe(r.process))
+        pp = self.probes.processes.get(r.process)
+        if pp is None:
+            pp = self.probes.processes[r.process] = ProcessProbe(r.process)
         if r.kind == "processStart":
             pp.instances[r.instance] = InstanceRecord(start_ts=r.ts_ms)
         elif r.kind == "processEnd":

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsproc import cli, deploy, engine, mappings
+from dsproc import bpmn, cli, deploy, engine, mappings
 from dsproc.diagnostics import DsprocError
 
 from conftest import FIXTURES
@@ -129,6 +129,36 @@ def _run(work, seed=None, out="events.jsonl"):
     if seed is not None:
         argv += ["--seed", str(seed)]
     return cli.main(argv)
+
+
+def test_run_rejects_a_loop_it_can_never_leave(tmp_path, capsys):
+    (tmp_path / "t.dsml").write_text(
+        'domain T { service sa { operation "a" } concept A { label "A" services [sa] } }',
+        encoding="utf-8")
+    (tmp_path / "p.dsproc").write_text(
+        'process P uses T {\n  node t: concept A\n  node g: exclusive\n  start -> t\n'
+        '  t -> g\n  g -> t when "loop"\n  g -> end when "exit"\n}\n', encoding="utf-8")
+    (tmp_path / "b.json").write_text(
+        '{"bindings": {"sa": {"endpoint": "sim://a", "profile": "p"}}}', encoding="utf-8")
+    assert cli.main(["gen", str(tmp_path / "p.dsproc"), "--domain", str(tmp_path / "t.dsml"),
+                     "--mappings", str(tmp_path / "m.json"), "-o", str(tmp_path / "p.bpmn")]) == 0
+    assert cli.main(["bind", "--domain", str(tmp_path / "t.dsml"),
+                     "--bindings", str(tmp_path / "b.json"), "--mappings", str(tmp_path / "m.json"),
+                     "--process", "P", "-o", str(tmp_path / "man.json")]) == 0
+    model = bpmn.parse_bpmn((tmp_path / "p.bpmn").read_text(encoding="utf-8"))
+    t = next(e for e in model.elements if e.name == "A")
+    g = next(e for e in model.elements if e.kind == "exclusiveGateway")
+    (tmp_path / "sim.json").write_text(json.dumps({
+        "profiles": {"p": {"kind": "fixed", "value": 1}},
+        "branch_probs": {g.id: {f.id: 1.0 if f.target == t.id else 0.0
+                                for f in model.flows if f.source == g.id}}}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["run", str(tmp_path / "p.bpmn"), "--manifest", str(tmp_path / "man.json"),
+                     "--sim", str(tmp_path / "sim.json"), "-o", str(tmp_path / "ev.jsonl")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: P: element {t.id!r} is on a loop that no flow of nonzero probability "
+        "leaves for an end event, a dead end or a fault\n")
+    assert not (tmp_path / "ev.jsonl").exists()
 
 
 def test_full_pipeline_and_determinism(work):

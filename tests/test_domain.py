@@ -214,3 +214,38 @@ def test_propagate_sla_change_is_local(order_domain_text, order_pipeline):
     assert diff == payment_uids
     for uid in payment_uids:
         assert after[uid].threshold_ms() == 30 * 60 * 1000
+
+
+def test_cycle_messages_follow_the_walk_order():
+    d = dom.Domain(
+        name="D",
+        concepts=(
+            dom.DSConcept("A", "a", service_refs=("s",), depends_on=("B",)),
+            dom.DSConcept("B", "b", service_refs=("s",), depends_on=("C", "B")),
+            dom.DSConcept("C", "c", service_refs=("s",), depends_on=("A",)),
+            dom.DSConcept("E", "e", service_refs=("s",), depends_on=("C",)),
+        ),
+        services=(dom.DSService("s", "op"),),
+    )
+    assert [x.message for x in dom.validate_domain(d)] == [
+        "dependency cycle: A -> B -> C -> A", "dependency cycle: B -> B"]
+
+
+def _chain(n, ring):
+    """A domain of ``n`` concepts where each depends on the next; with
+    ``ring`` the last depends on the first."""
+    return dom.Domain(name="D", concepts=tuple(
+        dom.DSConcept(f"C{i}", "c", service_refs=("s",),
+                      depends_on=(f"C{(i + 1) % n}",) if ring or i < n - 1 else ())
+        for i in range(n)), services=(dom.DSService("s", "op"),))
+
+
+def test_dependency_chain_deeper_than_the_recursion_limit_is_valid():
+    chain = _chain(1200, ring=False)
+    assert dom.parse_domain(dom.serialize_domain(chain)) == chain
+
+
+def test_dependency_ring_deeper_than_the_recursion_limit_is_one_cycle():
+    names = [f"C{i}" for i in range(1200)]
+    assert [x.message for x in dom.validate_domain(_chain(1200, ring=True))] == [
+        "dependency cycle: " + " -> ".join(names + ["C0"])]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsproc import deploy, engine
+from dsproc.diagnostics import DsprocError
 
 from conftest import compile_sources, fixed_bindings, fixed_config, log_lines
 
@@ -337,3 +338,153 @@ def test_config_json_round_trip(tmp_path):
     assert cfg.instance_count == 4
     assert cfg.profiles["p"].kind == "uniform"
     assert cfg.fault_probs == {"u1": 0.5}
+
+
+_LOOP = """process P uses T {
+  node a: concept A
+  node g: exclusive
+  start -> a
+  a -> g
+  g -> a when "again"
+  g -> end when "done"
+}"""
+
+_LOOP_DOMAIN = """
+domain T {
+  service sa { operation "a" }
+  concept A { label "A" services [sa] }
+  concept Outer {
+    label "outer"
+    subprocess {
+      node x: concept A
+      node h: exclusive
+      start -> x
+      x -> h
+      h -> x when "again"
+      h -> end when "done"
+    }
+  }
+}
+"""
+
+_LOOP_OUTER = """process P uses T {
+  node o: concept Outer
+  node g: exclusive
+  start -> o
+  o -> g
+  g -> o when "again"
+  g -> end when "done"
+}"""
+
+
+def _loop_probs(elements, flows, again):
+    """The loop body, and branch probabilities that send a token back to it
+    with probability ``again``."""
+    gw = next(e for e in elements if e.kind == "exclusiveGateway")
+    body = next(e for e in elements if e.kind in ("serviceTask", "subProcess"))
+    return body, {gw.id: {f.id: again if f.target == body.id else 1.0 - again
+                          for f in flows if f.source == gw.id}}
+
+
+def test_loop_inside_a_subprocess_is_rejected_at_its_level():
+    p = compile_sources(_LOOP_DOMAIN, _LOOP_OUTER)
+    manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
+    outer, probs = _loop_probs(p.generated.elements, p.generated.flows, 0.5)
+    x, inner = _loop_probs(outer.inner_elements, outer.inner_flows, 1.0)
+    cfg = fixed_config(branch_probs={**probs, **inner})
+    with pytest.raises(engine.SimulationError, match=rf"^P/{outer.id}: element {x.id!r} is on"):
+        engine.simulate(p.generated, manifest, cfg)
+
+
+@pytest.mark.parametrize("again, fault", [(0.5, False), (1.0, True)],
+                         ids=["nonzero-exit", "fault-exit"])
+def test_loop_with_a_way_out_runs(again, fault):
+    p = compile_sources(_DOMAIN, _LOOP)
+    manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
+    a, probs = _loop_probs(p.generated.elements, p.generated.flows, again)
+    cfg = fixed_config(instances=20, branch_probs=probs,
+                       fault_probs={a.concept_uid: 0.3} if fault else {})
+    records = engine.simulate(p.generated, manifest, cfg)
+    assert sum(1 for r in records if r.kind == "processEnd") == 20
+
+
+def test_loop_left_by_a_fault_inside_a_subprocess_runs():
+    p = compile_sources(_LOOP_DOMAIN, _LOOP_OUTER)
+    manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
+    outer, probs = _loop_probs(p.generated.elements, p.generated.flows, 1.0)
+    x, inner = _loop_probs(outer.inner_elements, outer.inner_flows, 0.0)
+    cfg = fixed_config(instances=20, branch_probs={**probs, **inner},
+                       fault_probs={x.concept_uid: 0.3})
+    records = engine.simulate(p.generated, manifest, cfg)
+    ends = [r for r in records if r.kind == "processEnd"]
+    assert len(ends) == 20 and all(r.status == "fault" for r in ends)
+
+
+# ---------------------------------------------------------------------------
+# log codec: to_json_line is json.dumps of the non-None fields in log order,
+# and decode_line takes a line back to its record
+
+_chars = st.characters(exclude_categories=["Cs"]) | st.sampled_from(
+    '"\\/\x00\x08\t\n\x1f\x7f\x80é€😀')
+_text = st.text(_chars)
+# lone surrogates too; json.loads would join an escaped pair into one character
+_any_text = st.text(_chars | st.characters(categories=["Cs"]))
+_int = st.integers(-2**63, 2**63)
+_number = _int | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _record(text, number):
+    def optional(values):
+        return st.none() | values
+    return st.builds(engine.EventRecord, _int, number, text, text, _int,
+                     optional(text), optional(text), optional(text), optional(text),
+                     optional(text), optional(number))
+
+
+@given(_record(_any_text, _number))
+def test_log_line_is_json_dumps_of_the_set_fields(record):
+    doc = {name: getattr(record, name) for name in engine._FIELD_ORDER
+           if getattr(record, name) is not None}
+    assert record.to_json_line() == json.dumps(doc)
+
+
+@given(_record(_text, _int | st.floats(allow_nan=False, allow_infinity=False)))
+def test_log_line_decodes_to_its_record(record):
+    assert engine.decode_line(record.to_json_line()) == record
+
+
+_VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "instance": 1}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"instance": True}, "'instance' has the wrong type"),
+    ({"seq": True}, "'seq' has the wrong type"),
+    ({"seq": 1.0}, "'seq' has the wrong type"),
+    ({"ts_ms": "5"}, "'ts_ms' has the wrong type"),
+    ({"kind": None}, "'kind' missing"),
+    ({"status": 1}, "'status' has the wrong type"),
+    ({"duration_ms": False}, "'duration_ms' has the wrong type"),
+    # the first bad field in log order is the one reported
+    ({"seq": True, "kind": None}, "'seq' has the wrong type"),
+    ({"process": None, "instance": "1"}, "'process' missing"),
+], ids=["bool-instance", "bool-seq", "float-seq", "string-ts", "null-kind", "int-status",
+        "bool-duration", "first-of-two", "missing-before-wrong"])
+def test_decode_line_rejects_a_bad_field(edit, message):
+    with pytest.raises(DsprocError) as exc:
+        engine.decode_line(json.dumps({**_VALID, **edit}))
+    assert str(exc.value) == f"malformed record: {message}"
+
+
+def test_decode_line_rejects_a_missing_field():
+    doc = dict(_VALID)
+    del doc["kind"]
+    with pytest.raises(DsprocError) as exc:
+        engine.decode_line(json.dumps(doc))
+    assert str(exc.value) == "malformed record: 'kind' missing"
+
+
+def test_decode_line_accepts_int_times_and_ignores_unknown_keys():
+    record = engine.decode_line(json.dumps(
+        {**_VALID, "ts_ms": 7, "duration_ms": 3, "extra": [1], "kind": "activityEnd"}))
+    assert record == engine.EventRecord(1, 7, "activityEnd", "P", 1, duration_ms=3)
+    assert type(record.ts_ms) is int and type(record.duration_ms) is int
