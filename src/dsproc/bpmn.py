@@ -21,7 +21,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .diagnostics import DsprocError, ParseError
+from .diagnostics import ParseError
 from .pivot import CommonModel
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
@@ -54,7 +54,6 @@ class BpmnElement:
     concept_name: Optional[str] = None
     inner_elements: List["BpmnElement"] = field(default_factory=list)
     inner_flows: List[SequenceFlow] = field(default_factory=list)
-    attrs: Dict[str, str] = field(default_factory=dict)  # preserved extras
 
 
 @dataclass
@@ -77,10 +76,8 @@ def walk_elements(model) -> Iterator[BpmnElement]:
 def generate_bpmn(m: CommonModel, domain_name: str) -> BpmnModel:
     """Deterministically lower a pivot model to BPMN."""
     elements, flows = _lower_level(m, domain_name)
-    model = BpmnModel(process_id=_ncname(m.name), elements=elements,
-                      flows=flows, domain=domain_name)
-    _check_uid_uniqueness(model)
-    return model
+    return BpmnModel(process_id=_ncname(m.name), elements=elements,
+                     flows=flows, domain=domain_name)
 
 
 def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], List[SequenceFlow]]:
@@ -126,16 +123,6 @@ def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], L
     return elements, flows
 
 
-def _check_uid_uniqueness(model: BpmnModel) -> None:
-    seen = set()
-    for e in walk_elements(model):
-        if e.concept_uid is None:
-            continue
-        if e.concept_uid in seen:
-            raise DsprocError(f"duplicate concept uid {e.concept_uid!r}")
-        seen.add(e.concept_uid)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -157,12 +144,9 @@ def _emit_level(out: List[str], elements: List[BpmnElement],
                 flows: List[SequenceFlow], domain: Optional[str], indent: int) -> None:
     pad = "  " * (indent + 1)
     for e in elements:
-        attrs = [f'id="{_att(e.id)}"']
+        head = f'{pad}<bpmn:{e.kind} id="{_att(e.id)}"'
         if e.name:
-            attrs.append(f'name="{_att(e.name)}"')
-        for key in sorted(e.attrs):
-            attrs.append(f'{key}="{_att(e.attrs[key])}"')
-        head = f"{pad}<bpmn:{e.kind} " + " ".join(attrs)
+            head += f' name="{_att(e.name)}"'
         has_ext = e.concept_uid is not None
         has_children = has_ext or e.inner_elements or e.inner_flows
         if not has_children:
@@ -205,10 +189,13 @@ def _txt(value: str) -> str:
 
 
 def parse_bpmn(xml_text: str) -> BpmnModel:
-    """Parse BPMN XML, keeping enrichment elements without concept refs.
+    """Parse the first process of a BPMN XML document into a model.
 
-    Unknown flow-element kinds are preserved opaquely (tag and attributes)
-    so an edited file survives a parse/serialize round trip.
+    Every flow element is kept, enrichment without a concept ref included;
+    an element of a kind dsproc does not generate keeps its tag as ``kind``.
+    Attributes other than ``id`` and ``name``, documentation and anything
+    outside the process are not read: the model is for simulation and
+    reconciliation, not for writing the file back.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -265,8 +252,6 @@ def _parse_level(node) -> Tuple[List[BpmnElement], List[SequenceFlow], Optional[
                    "documentation"):
             continue
         el = BpmnElement(id=child.get("id", ""), kind=tag, name=child.get("name", ""))
-        el.attrs = {k: v for k, v in child.attrib.items()
-                    if k not in ("id", "name") and not k.startswith("{")}
         for sub in child:
             if _local(sub.tag) == "extensionElements":
                 for ext in sub:

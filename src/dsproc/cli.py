@@ -2,7 +2,7 @@
 
 Every command is a pure file transformation: identical inputs produce
 identical outputs. Exit codes: 0 success, 1 diagnostics or errors,
-2 broken concept mappings (sync).
+2 broken concept mappings or model nodes missing from the edited file (sync).
 """
 
 from __future__ import annotations
@@ -54,21 +54,26 @@ def _load_store(path: str, d: dom.Domain) -> mappings.MappingStore:
             raise DsprocError(
                 f"{path} belongs to domain {store.domain!r}, not {d.name!r}")
         return store
-    return mappings.new_store(d.name)
+    return mappings.MappingStore(domain=d.name)
 
 
 def _generate(proc_path: str, domain_path: str, mappings_path: str
-              ) -> Tuple[bpmn.BpmnModel, mappings.MappingStore]:
+              ) -> Tuple[bpmn.BpmnModel, mappings.MappingStore, mappings.ActivityMappings]:
+    """Generate a process's BPMN model into its mapping store.
+
+    Returns the model, the updated store and the store's AM as loaded.
+    """
     d = _load_domain(domain_path)
     model = _load_process(proc_path, d)
     store = _load_store(mappings_path, d)
+    loaded_am = store.am
     registry = store.registry()
     common = pivot.to_common(model, d, registry)
     generated = bpmn.generate_bpmn(common, d.name)
-    am = mappings.build_am([common])
+    am = mappings.build_am(common)
     store.cm = mappings.build_cm(d)
     store.update_process(model.name, am, registry)
-    return generated, store
+    return generated, store, loaded_am
 
 
 def cmd_check(args) -> int:
@@ -92,25 +97,30 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    generated, store = _generate(args.process, args.domain, args.mappings)
+    generated, store, _ = _generate(args.process, args.domain, args.mappings)
     _write(args.output, bpmn.serialize_bpmn(generated))
     mappings.save_store(store, args.mappings)
     return EXIT_OK
 
 
 def cmd_sync(args) -> int:
-    generated, store = _generate(args.process, args.domain, args.mappings)
-    edited = bpmn.parse_bpmn(_read(args.edited))
-    result = mappings.merge_enriched(generated, edited, store.am)
-    _write(args.output, bpmn.serialize_bpmn(result.merged))
+    generated, store, loaded_am = _generate(args.process, args.domain, args.mappings)
+    text = _read(args.edited)
+    edited = bpmn.parse_bpmn(text)
+    result = mappings.merge_enriched(generated, edited, loaded_am)
+    _write(args.output, text)
     for element_id in result.technical_additions:
         print(f"technical addition: {element_id}")
-    if result.broken:
-        for uid in result.broken:
-            print(f"broken mapping: uid {uid} was removed from the edited model",
-                  file=sys.stderr)
-        return EXIT_BROKEN
-    return EXIT_OK
+    for uid in result.broken:
+        print(f"broken mapping: uid {uid} was removed from the edited model", file=sys.stderr)
+    # activities the model gained since the edited file was generated
+    edited_uids = {e.concept_uid for e in bpmn.walk_elements(edited)}
+    path_of = {uid: path for path, uid in store.uids.items()}
+    added = [uid for uid in store.am if uid not in loaded_am and uid not in edited_uids]
+    for uid in added:
+        print(f"model addition: uid {uid} ({path_of[uid]}) is missing from the edited model",
+              file=sys.stderr)
+    return EXIT_BROKEN if result.broken or added else EXIT_OK
 
 
 def cmd_bind(args) -> int:

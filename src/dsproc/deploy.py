@@ -82,7 +82,7 @@ def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
 
     rows: List[ManifestRow] = []
     missing: List[str] = []
-    for uid, entry in sorted(am.as_dict().items()):
+    for uid, entry in sorted(am.items()):
         if entry.process != process:
             continue
         concept = d.concept(entry.concept)

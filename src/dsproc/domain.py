@@ -94,7 +94,6 @@ def parse_domain(source: str) -> Domain:
     concepts: List[DSConcept] = []
     services: List[DSService] = []
     slas: List[Sla] = []
-    lines: Dict[str, int] = {}
 
     while not ts.at("}"):
         tok = ts.peek()
@@ -105,7 +104,6 @@ def parse_domain(source: str) -> Domain:
             operation = ts.expect_string().value
             ts.expect("}")
             services.append(DSService(svc_name, operation))
-            lines[f"service:{svc_name}"] = tok.line
         elif ts.accept("sla"):
             sla_name = ts.expect_ident().value
             ts.expect("{")
@@ -125,9 +123,8 @@ def parse_domain(source: str) -> Domain:
                                  sev_tok.line, sev_tok.column)
             ts.expect("}")
             slas.append(Sla(sla_name, metric_tok.value, threshold, unit_tok.value, sev_tok.value))
-            lines[f"sla:{sla_name}"] = tok.line
         elif ts.accept("concept"):
-            concepts.append(_parse_concept(ts, lines))
+            concepts.append(_parse_concept(ts))
         else:
             raise ParseError(f"expected 'concept', 'service' or 'sla', found {tok.describe()}",
                              tok.line, tok.column)
@@ -145,9 +142,8 @@ def parse_domain(source: str) -> Domain:
     return domain
 
 
-def _parse_concept(ts, lines: Dict[str, int]) -> DSConcept:
+def _parse_concept(ts) -> DSConcept:
     name_tok = ts.expect_ident()
-    lines[f"concept:{name_tok.value}"] = name_tok.line
     ts.expect("{")
     ts.expect("label")
     label = ts.expect_string().value
@@ -319,20 +315,20 @@ def serialize_domain(d: Domain) -> str:
 def propagate_sla(d: Domain, am) -> List[Tuple[str, Sla]]:
     """Fan an enterprise-wide SLA out to every mapped activity.
 
-    ``am`` is an :class:`~dsproc.mappings.ActivityMappings`. Each mapped
+    ``am`` is a :data:`~dsproc.mappings.ActivityMappings` dict. Each mapped
     activity whose concept carries an SLA reference yields one
     ``(activity_uid, Sla)`` entry; activities of SLA-less concepts are absent.
     """
     out: List[Tuple[str, Sla]] = []
-    for uid, concept_name in am.items():
-        concept = d.concept(concept_name)
+    for uid, entry in am.items():
+        concept = d.concept(entry.concept)
         if concept is None:
-            raise DsprocError(f"activity mapping references unknown concept {concept_name!r}")
+            raise DsprocError(f"activity mapping references unknown concept {entry.concept!r}")
         if concept.sla_ref is None:
             continue
         sla = d.sla(concept.sla_ref)
         if sla is None:
-            raise DsprocError(f"concept {concept_name!r} references undeclared SLA "
+            raise DsprocError(f"concept {entry.concept!r} references undeclared SLA "
                               f"{concept.sla_ref!r}")
         out.append((uid, sla))
     return out

@@ -268,7 +268,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
              cfg: SimulationConfig) -> List[EventRecord]:
     cfg.validate()
     levels = _build_levels(model)
-    _check_branch_probs(levels, cfg)
+    _check_probs(levels, cfg, model.process_id)
     _check_exits(levels, cfg)
     rows = {r.uid: r for r in manifest.rows}
     rng = random.Random(cfg.seed)
@@ -456,23 +456,33 @@ def _profile_for(name: Optional[str], cfg: SimulationConfig) -> DurationProfile:
     return profile
 
 
-def _check_branch_probs(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig) -> None:
-    for level in levels.values():
-        for elem in level.elements.values():
-            probs = cfg.branch_probs.get(elem.id)
-            if probs is None:
-                continue
-            flow_ids = {f.id for f in level.outgoing.get(elem.id, [])}
-            unknown = set(probs) - flow_ids
-            if unknown:
-                raise SimulationError(
-                    f"branch probabilities for {elem.id!r} name unknown flows: "
-                    + ", ".join(sorted(unknown)))
-            missing = flow_ids - set(probs)
-            if missing:
-                raise SimulationError(
-                    f"branch probabilities for {elem.id!r} miss flows: "
-                    + ", ".join(sorted(missing)))
+def _check_probs(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig,
+                 process: str) -> None:
+    """Reject a ``branch_probs`` or ``fault_probs`` entry that does not fit the model."""
+    gateways = {eid: level for level in levels.values()
+                for eid, e in level.elements.items() if e.kind == "exclusiveGateway"}
+    for gw, probs in cfg.branch_probs.items():
+        level = gateways.get(gw)
+        if level is None:
+            raise SimulationError(
+                f"field 'branch_probs.{gw}' names no exclusive gateway of process {process!r}")
+        flow_ids = {f.id for f in level.outgoing.get(gw, [])}
+        unknown = set(probs) - flow_ids
+        if unknown:
+            raise SimulationError(
+                f"branch probabilities for {gw!r} name unknown flows: "
+                + ", ".join(sorted(unknown)))
+        missing = flow_ids - set(probs)
+        if missing:
+            raise SimulationError(
+                f"branch probabilities for {gw!r} miss flows: " + ", ".join(sorted(missing)))
+    # an activity's fault probability is keyed as _run_activity looks it up
+    activities = {e.concept_uid or e.id for level in levels.values()
+                  for e in level.elements.values() if e.kind not in _CONTROL_KINDS}
+    for key in cfg.fault_probs:
+        if key not in activities:
+            raise SimulationError(
+                f"field 'fault_probs.{key}' names no activity of process {process!r}")
 
 
 def _check_exits(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig) -> None:

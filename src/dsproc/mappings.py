@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
                           load_json)
@@ -60,42 +60,8 @@ class AmEntry:
     element: str
 
 
-class ActivityMappings:
-    """The union of per-process activity -> concept maps, keyed by uid."""
-
-    def __init__(self, entries: Optional[Dict[str, AmEntry]] = None):
-        self._entries: Dict[str, AmEntry] = dict(entries or {})
-
-    def add(self, uid: str, entry: AmEntry) -> None:
-        existing = self._entries.get(uid)
-        if existing is not None and existing != entry:
-            raise MappingError(f"uid {uid!r} already mapped to concept "
-                               f"{existing.concept!r} (registry corruption?)")
-        self._entries[uid] = entry
-
-    def items(self) -> Iterator[Tuple[str, str]]:
-        return iter((uid, e.concept) for uid, e in self._entries.items())
-
-    def entry(self, uid: str) -> Optional[AmEntry]:
-        return self._entries.get(uid)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, uid: str) -> bool:
-        return uid in self._entries
-
-    def uids(self) -> List[str]:
-        return list(self._entries)
-
-    def processes(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for e in self._entries.values():
-            seen.setdefault(e.process, None)
-        return list(seen)
-
-    def as_dict(self) -> Dict[str, AmEntry]:
-        return dict(self._entries)
+# The union of per-process activity -> concept maps, keyed by uid
+ActivityMappings = Dict[str, AmEntry]
 
 
 def build_cm(d) -> Dict[str, List[str]]:
@@ -103,23 +69,17 @@ def build_cm(d) -> Dict[str, List[str]]:
     return {c.name: list(c.service_refs) for c in d.concepts if c.service_refs}
 
 
-def build_am(models: Iterable) -> ActivityMappings:
-    """Union the per-process activity maps of pivot models produced by ``to_common``.
+def build_am(model) -> ActivityMappings:
+    """The activity map of a pivot model produced by ``to_common``.
 
     Subprocess container elements are tagged with their concept too, but
     only leaf activities enter the map: monitoring needs leaf timings.
     """
-    am = ActivityMappings()
-    for model in models:
-        for element, owner in _walk_tagged(model):
-            concept = owner.concept_tags.get(element.uid)
-            if concept is None:
-                continue
-            if element.kind == "subprocess":
-                continue
-            if element.uid in am:
-                raise MappingError(f"uid {element.uid!r} appears in more than one model")
-            am.add(element.uid, AmEntry(concept, model.name, element.uid))
+    am: ActivityMappings = {}
+    for element, owner in _walk_tagged(model):
+        concept = owner.concept_tags.get(element.uid)
+        if concept is not None and element.kind != "subprocess":
+            am[element.uid] = AmEntry(concept, model.name, element.uid)
     return am
 
 
@@ -131,9 +91,7 @@ def _walk_tagged(model) -> Iterator:
             yield from _walk_tagged(element.inner)
 
 
-@dataclass
-class MergeResult:
-    merged: object  # BpmnModel
+class MergeResult(NamedTuple):
     technical_additions: List[str]
     broken: List[str]
 
@@ -141,10 +99,11 @@ class MergeResult:
 def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
     """Reconcile an externally edited BPMN file with its generated original.
 
-    The merged model keeps every edited element as-is (nothing is restored
-    silently). Elements present only in the edited file and carrying no
-    concept reference are reported as technical additions; mapped uids that
-    the edit removed are reported as broken.
+    ``am`` is the activity map the edited file was generated under, i.e. the
+    mapping store as loaded. Elements present only in the edited file and
+    carrying no concept reference are reported as technical additions;
+    uids of ``am`` that the model still has and the edit removed are
+    reported as broken.
     """
     from . import bpmn  # local import to avoid a module cycle
 
@@ -155,11 +114,7 @@ def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
     additions = [e.id for e in bpmn.walk_elements(edited)
                  if e.id not in gen_ids and e.concept_uid is None]
     broken = [uid for uid in gen_uids if uid in am and uid not in edited_uids]
-    return MergeResult(edited, additions, broken)
-
-
-def new_store(domain_name: str) -> "MappingStore":
-    return MappingStore(domain=domain_name)
+    return MergeResult(additions, broken)
 
 
 @dataclass
@@ -168,7 +123,7 @@ class MappingStore:
 
     domain: str
     cm: Dict[str, List[str]] = field(default_factory=dict)
-    am: ActivityMappings = field(default_factory=ActivityMappings)
+    am: ActivityMappings = field(default_factory=dict)
     uids: Dict[str, str] = field(default_factory=dict)
 
     def registry(self) -> UidRegistry:
@@ -177,11 +132,9 @@ class MappingStore:
     def update_process(self, process: str, am: ActivityMappings,
                        registry: UidRegistry) -> None:
         """Replace this process's AM entries and absorb new uid allocations."""
-        kept = {u: e for u, e in self.am.as_dict().items() if e.process != process}
-        for uid, entry in am.as_dict().items():
-            if entry.process == process:
-                kept[uid] = entry
-        self.am = ActivityMappings(kept)
+        kept = {u: e for u, e in self.am.items() if e.process != process}
+        kept.update((u, e) for u, e in am.items() if e.process == process)
+        self.am = kept
         self.uids = registry.entries
 
     def to_json(self) -> str:
@@ -190,7 +143,7 @@ class MappingStore:
             "cm": {k: self.cm[k] for k in sorted(self.cm)},
             "am": {
                 uid: {"concept": e.concept, "process": e.process, "element": e.element}
-                for uid, e in sorted(self.am.as_dict().items())
+                for uid, e in sorted(self.am.items())
             },
             "uids": {k: self.uids[k] for k in sorted(self.uids)},
         }
@@ -199,12 +152,12 @@ class MappingStore:
 
 def store_from_json(text: str) -> MappingStore:
     doc = json_check(json.loads(text), "object")
-    am = ActivityMappings({
+    am = {
         uid: AmEntry(json_field(e, "concept", "string", path),
                      json_field(e, "process", "string", path),
                      json_field(e, "element", "string", path))
         for uid, e, path in json_members(doc, "am", "object")
-    })
+    }
     cm = json_field(doc, "cm", "object", default={})
     return MappingStore(
         domain=json_field(doc, "domain", "string"),

@@ -79,8 +79,8 @@ class ProbeBuilder:
 
     def __init__(self, am: ActivityMappings, probes: Optional[ProbeSet] = None):
         self.probes = probes or ProbeSet()
-        self._concept_of = dict(am.items())
-        self._known_processes = set(am.processes())
+        self._concept_of = {uid: e.concept for uid, e in am.items()}
+        self._known_processes = {e.process for e in am.values()}
         self._line_no = 0
         self._header_seen = False
         for concept in self._concept_of.values():
@@ -188,7 +188,7 @@ def propagated_to_concepts(propagated: Iterable[Tuple[str, Sla]],
     """Reduce per-activity SLA propagation output to (concept, sla) pairs."""
     seen = {}
     for uid, sla in propagated:
-        entry = am.entry(uid)
+        entry = am.get(uid)
         if entry is None:
             raise DsprocError(f"propagated SLA names unmapped activity {uid!r}")
         seen[(entry.concept, sla.name)] = (entry.concept, sla)
@@ -270,8 +270,8 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     """Monitoring report keyed by the modelling-level node paths, not BPMN ids."""
     path_of = {uid: path for path, uid in store.uids.items()}
     uids_by_concept: Dict[str, List[str]] = defaultdict(list)
-    for uid, concept in store.am.items():
-        uids_by_concept[concept].append(uid)
+    for uid, entry in store.am.items():
+        uids_by_concept[entry.concept].append(uid)
 
     bpms = {concept: _stats([s.duration_ms for s in probe.bpms], _faults(probe.bpms))
             for concept, probe in probes.concepts.items()}

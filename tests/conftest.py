@@ -46,11 +46,11 @@ class Pipeline:
 def compile_pipeline(d: dom.Domain, model: proc.ProcessModel,
                      store: Optional[mappings.MappingStore] = None) -> Pipeline:
     """Run parse -> pivot -> BPMN -> mappings, mirroring the gen command."""
-    store = store or mappings.new_store(d.name)
+    store = store or mappings.MappingStore(domain=d.name)
     registry = store.registry()
     common = pivot.to_common(model, d, registry)
     generated = bpmn.generate_bpmn(common, d.name)
-    am = mappings.build_am([common])
+    am = mappings.build_am(common)
     store.cm = mappings.build_cm(d)
     store.update_process(model.name, am, registry)
     return Pipeline(d, model, common, generated, bpmn.serialize_bpmn(generated),

@@ -135,12 +135,12 @@ def test_c2_round_trip_uid_multiset():
         model = _random_process(rng, f"P{i}")
         registry = mappings.UidRegistry()
         common = pivot.to_common(model, _C2_DOMAIN, registry)
-        am = mappings.build_am([common])
+        am = mappings.build_am(common)
         xml = bpmn.serialize_bpmn(bpmn.generate_bpmn(common, "Rand"))
         parsed = bpmn.parse_bpmn(xml)
         recovered = Counter(e.concept_uid for e in bpmn.walk_elements(parsed)
                             if e.concept_uid is not None)
-        assert recovered == Counter(am.uids()), f"mismatch in model {i}"
+        assert recovered == Counter(list(am)), f"mismatch in model {i}"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"200 round trips took {elapsed:.2f}s"
     _report(f"C2 round-trip uid multiset over 200 random models ({elapsed:.2f}s)")
@@ -180,7 +180,7 @@ def test_c3_enrichment_sync(tmp_path, capsys):
     assert sync("added.bpmn") == 0
 
     # stripping one concept reference is flagged as broken, exit code 2
-    victim = store.am.uids()[0]
+    victim = list(store.am)[0]
     (tmp_path / "stripped.bpmn").write_text(
         xml.replace(f'<dsml:conceptRef uid="{victim}" ', "<skip "), encoding="utf-8")
     result = mappings.merge_enriched(
@@ -237,17 +237,15 @@ _C5_PROCESS = """process %s uses Logistics {
 
 def test_c5_sla_propagation_locality():
     d = dom.parse_domain(_C5_DOMAIN)
-    store = mappings.new_store(d.name)
-    registry = store.registry()
-    commons = []
+    registry = mappings.UidRegistry()
+    am = {}
     for name in ("Sales", "Returns", "Wholesale"):
         model = proc.parse_process(_C5_PROCESS % name, d)
-        commons.append(pivot.to_common(model, d, registry))
-    am = mappings.build_am(commons)
+        am.update(mappings.build_am(pivot.to_common(model, d, registry)))
 
     propagated = dom.propagate_sla(d, am)
     assert len(propagated) == 3  # one per process sharing the concept
-    shipping_uids = {uid for uid, c in am.items() if c == "Shipping"}
+    shipping_uids = {uid for uid, e in am.items() if e.concept == "Shipping"}
     assert {uid for uid, _ in propagated} == shipping_uids
     assert all(sla.threshold_ms() == 2 * 24 * 60 * 60 * 1000
                for _uid, sla in propagated)
@@ -331,8 +329,8 @@ def test_c6_simulator_determinism_and_semantics():
     }""")
     gw_uid = next(e.uid for e in choice.common.elements if e.kind == "exclusive")
     out = {f.target: f.id for f in choice.generated.flows if f.source == gw_uid}
-    a_uid = next(uid for uid, c in choice.am.items() if c == "A")
-    b_uid = next(uid for uid, c in choice.am.items() if c == "B")
+    a_uid = next(uid for uid, e in choice.am.items() if e.concept == "A")
+    b_uid = next(uid for uid, e in choice.am.items() if e.concept == "B")
     choice_manifest = deploy.bind_services(choice.domain, fixed_bindings(choice.domain),
                                            choice.am, "P")
     choice_cfg = fixed_config(instances=10000, seed=123, value=1.0, branch_probs={
@@ -365,7 +363,7 @@ def test_c7_monitoring_oracle_equivalence():
     }""")
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain, profile="u"),
                                     p.am, "P")
-    a_uid = next(uid for uid, c in p.am.items() if c == "A")
+    a_uid = next(uid for uid, e in p.am.items() if e.concept == "A")
     cfg = engine.SimulationConfig(
         instance_count=10000, seed=99,
         profiles={"u": engine.DurationProfile("uniform", low=5.0, high=500.0)},
@@ -385,7 +383,7 @@ def test_c7_monitoring_oracle_equivalence():
     metrics = report["concepts"]
 
     # brute-force oracle straight from the raw lines
-    concept_of = dict(p.store.am.items())
+    concept_of = {uid: e.concept for uid, e in p.store.am.items()}
     by_concept, technical = {}, []
     for line in lines[1:]:
         doc = json.loads(line)
@@ -441,8 +439,8 @@ def test_c7_monitoring_oracle_equivalence():
 
 
 def test_c8_alert_soundness_completeness():
-    from dsproc.mappings import ActivityMappings, AmEntry
-    am = ActivityMappings({"u1": AmEntry("C", "P", "u1")})
+    from dsproc.mappings import AmEntry
+    am = {"u1": AmEntry("C", "P", "u1")}
     header = '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}'
     lines = [header]
     durations = {1: 100.0, 2: 900.0, 3: 5000.0, 4: 100.0, 5: 100.0,
@@ -483,7 +481,7 @@ def test_c8_alert_soundness_completeness():
 
 def test_c9_cross_process_aggregation():
     d = dom.parse_domain(_C6_DOMAIN)
-    store = mappings.new_store(d.name)
+    store = mappings.MappingStore(domain=d.name)
     registry = store.registry()
     pipelines = []
     for name, extra in (("Intake", "a -> end"), ("Refund", "a -> b\n  b -> end")):
@@ -494,7 +492,7 @@ def test_c9_cross_process_aggregation():
             f"process {name} uses Sim {{\n  {nodes}  start -> a\n  {extra}\n}}", d)
         common = pivot.to_common(model, d, registry)
         generated = bpmn.generate_bpmn(common, d.name)
-        store.update_process(name, mappings.build_am([common]), registry)
+        store.update_process(name, mappings.build_am(common), registry)
         pipelines.append((name, generated))
     store.cm = mappings.build_cm(d)
 

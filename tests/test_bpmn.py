@@ -280,5 +280,5 @@ def test_name_attributes_carry_concept_labels(order_pipeline):
     names = {el.get("id"): el.get("name")
              for el in root.iter() if _local(el.tag) == "serviceTask"}
     d = order_pipeline.domain
-    for uid, concept in order_pipeline.am.items():
-        assert names[uid] == d.concept(concept).label
+    for uid, entry in order_pipeline.am.items():
+        assert names[uid] == d.concept(entry.concept).label

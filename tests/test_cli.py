@@ -96,6 +96,54 @@ def test_sync_broken_mapping_exits_two(work, capsys):
     assert "broken mapping: uid u3" in capsys.readouterr().err
 
 
+def test_sync_reports_a_node_the_model_added_not_a_removed_one(work, capsys):
+    assert _gen(work) == 0
+    source = work / "order_handling.dsproc"
+    source.write_text(source.read_text(encoding="utf-8")
+                      .replace("  node fulfill", "  node extra: concept RunOcr\n  node fulfill")
+                      .replace("  review -> approve", "  review -> extra\n  extra -> approve"),
+                      encoding="utf-8")
+    capsys.readouterr()
+    # the edited file is the one gen wrote before the model gained `extra`
+    assert _sync(work, work / "order.bpmn") == 2
+    assert capsys.readouterr() == (
+        "", "model addition: uid u19 (HandleOrder/extra) is missing from the edited model\n")
+
+
+_CAMUNDA_NS = "http://camunda.org/schema/1.0/bpmn"
+_BPMNDI_NS = "http://www.omg.org/spec/BPMN/20100524/DI"
+_DC_NS = "http://www.omg.org/spec/DD/20100524/DC"
+
+
+def test_sync_writes_an_enriched_file_unchanged_and_is_a_fixed_point(work, capsys):
+    assert _gen(work) == 0
+    xml = (work / "order.bpmn").read_text(encoding="utf-8")
+    enriched = work / "enriched.bpmn"
+    enriched.write_text(
+        xml.replace('xmlns:dsml="urn:dsml:1"',
+                    f'xmlns:dsml="urn:dsml:1" xmlns:camunda="{_CAMUNDA_NS}" '
+                    f'xmlns:bpmndi="{_BPMNDI_NS}" xmlns:dc="{_DC_NS}"')
+        .replace('<bpmn:serviceTask id="u3" name="Receive Web Order">',
+                 '<bpmn:serviceTask id="u3" name="Receive Web Order" camunda:asyncBefore="true">\n'
+                 '      <bpmn:documentation>Checked by the order desk.</bpmn:documentation>')
+        .replace("</bpmn:definitions>",
+                 '  <bpmndi:BPMNDiagram id="diagram">\n'
+                 '    <bpmndi:BPMNPlane id="plane" bpmnElement="HandleOrder">\n'
+                 '      <bpmndi:BPMNShape id="shape_u3" bpmnElement="u3">\n'
+                 '        <dc:Bounds x="100" y="80" width="100" height="80"/>\n'
+                 "      </bpmndi:BPMNShape>\n"
+                 "    </bpmndi:BPMNPlane>\n"
+                 "  </bpmndi:BPMNDiagram>\n"
+                 "</bpmn:definitions>"),
+        encoding="utf-8")
+    assert enriched.read_text(encoding="utf-8").count("camunda:asyncBefore") == 1
+    assert _sync(work, enriched, out="once.bpmn") == 0
+    assert (work / "once.bpmn").read_bytes() == enriched.read_bytes()
+    assert _sync(work, work / "once.bpmn", out="twice.bpmn") == 0
+    assert (work / "twice.bpmn").read_bytes() == enriched.read_bytes()
+    assert capsys.readouterr() == ("", "")
+
+
 def _bind(work, process="HandleOrder"):
     return cli.main([
         "bind",
@@ -159,6 +207,30 @@ def test_run_rejects_a_loop_it_can_never_leave(tmp_path, capsys):
         f"error: P: element {t.id!r} is on a loop that no flow of nonzero probability "
         "leaves for an end event, a dead end or a fault\n")
     assert not (tmp_path / "ev.jsonl").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("fault_probs", {"nope": 1.0},
+     "field 'fault_probs.nope' names no activity of process 'HandleOrder'"),
+    ("fault_probs", {"u2": 1.0},
+     "field 'fault_probs.u2' names no activity of process 'HandleOrder'"),
+    ("branch_probs", {"route": {"x": 1.0}},
+     "field 'branch_probs.route' names no exclusive gateway of process 'HandleOrder'"),
+    ("branch_probs", {"u3": {"f_u3_u8": 1.0}},
+     "field 'branch_probs.u3' names no exclusive gateway of process 'HandleOrder'"),
+], ids=["unknown-activity", "gateway-as-activity", "gateway-by-node-name",
+        "activity-as-gateway"])
+def test_run_rejects_probabilities_for_elements_that_do_not_exist(work, capsys, field, value,
+                                                                   message):
+    assert _gen(work) == 0
+    assert _bind(work) == 0
+    sim = json.loads((work / "sim.json").read_text(encoding="utf-8"))
+    sim[field] = value
+    (work / "sim.json").write_text(json.dumps(sim), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(work) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (work / "events.jsonl").exists()
 
 
 def test_full_pipeline_and_determinism(work):

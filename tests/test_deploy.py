@@ -19,7 +19,7 @@ def _manifest(order_pipeline, bindings):
 
 def test_manifest_has_one_row_per_mapped_activity(order_pipeline, bindings):
     manifest = _manifest(order_pipeline, bindings)
-    assert sorted(r.uid for r in manifest.rows) == sorted(order_pipeline.am.uids())
+    assert sorted(r.uid for r in manifest.rows) == sorted(order_pipeline.am)
 
 
 def test_payment_activity_resolves_both_endpoints(order_pipeline, bindings):
@@ -38,7 +38,7 @@ def test_endpoint_chain_matches_domain_oracle(order_pipeline, bindings):
     manifest = _manifest(order_pipeline, bindings)
     d = order_pipeline.domain
     for r in manifest.rows:
-        concept = d.concept(order_pipeline.am.entry(r.uid).concept)
+        concept = d.concept(order_pipeline.am[r.uid].concept)
         assert r.services == list(concept.service_refs)
         assert [(e.service, e.endpoint) for e in r.endpoints] == \
             [(s, bindings[s].endpoint) for s in concept.service_refs]
@@ -78,7 +78,7 @@ def test_manifest_json_round_trip(order_pipeline, bindings):
     assert deploy.emit_manifest(again) == text
     doc = json.loads(text)
     assert doc["process"] == "HandleOrder"
-    assert set(doc["activities"]) == set(order_pipeline.am.uids())
+    assert set(doc["activities"]) == set(order_pipeline.am)
 
 
 def test_manifest_file_round_trip(tmp_path, order_pipeline, bindings):

@@ -184,10 +184,10 @@ def test_round_trip_property(d):
 
 
 def test_propagate_sla_empty_when_no_slas():
-    from dsproc.mappings import ActivityMappings, AmEntry
+    from dsproc.mappings import AmEntry
     d = dom.Domain("D", concepts=(dom.DSConcept("A", "a", service_refs=("s",)),),
                    services=(dom.DSService("s", "op"),))
-    am = ActivityMappings({"u1": AmEntry("A", "P", "u1")})
+    am = {"u1": AmEntry("A", "P", "u1")}
     assert dom.propagate_sla(d, am) == []
 
 
@@ -196,8 +196,8 @@ def test_propagate_sla_size_matches_sla_carrying_mappings(order_pipeline):
     am = order_pipeline.am
     out = dom.propagate_sla(d, am)
     expected = sum(
-        1 for _uid, concept in am.items()
-        if d.concept(concept).sla_ref is not None)
+        1 for e in am.values()
+        if d.concept(e.concept).sla_ref is not None)
     assert len(out) == expected
     assert expected > 0
 
@@ -208,7 +208,7 @@ def test_propagate_sla_change_is_local(order_domain_text, order_pipeline):
         "max_mean_duration 1 h", "max_mean_duration 30 min"))
     after = dict(dom.propagate_sla(changed, order_pipeline.am))
     assert set(before) == set(after)
-    payment_uids = {uid for uid, c in order_pipeline.am.items() if c == "HandlePayment"}
+    payment_uids = {uid for uid, e in order_pipeline.am.items() if e.concept == "HandlePayment"}
     # independent set comparison of the two outputs
     diff = {uid for uid in before if before[uid] != after[uid]}
     assert diff == payment_uids

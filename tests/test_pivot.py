@@ -59,7 +59,7 @@ def test_uids_unique_across_processes(order_domain, order_process):
           start -> a
           a -> end
         }""", order_domain)
-    store = mappings.new_store(order_domain.name)
+    store = mappings.MappingStore(domain=order_domain.name)
     registry = store.registry()
     c1 = pivot.to_common(order_process, order_domain, registry)
     c2 = pivot.to_common(other, order_domain, registry)
