@@ -8,24 +8,21 @@ identical outputs. Exit codes: 0 success, 1 diagnostics or errors,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import bpmn, deploy, domain as dom, engine, mappings, monitor, pivot, process as proc
-from .diagnostics import DsprocError, ParseError, load_json
+from .diagnostics import DsprocError, ParseError, load_input, reading
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BROKEN = 2
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _fail(message: str) -> int:
@@ -33,22 +30,19 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _load_domain(path: str) -> dom.Domain:
-    try:
-        return dom.parse_domain(_read(path))
-    except ParseError as exc:
-        raise DsprocError(f"{path}:{exc}") from None
-
-
-def _load_process(path: str, d: dom.Domain) -> proc.ProcessModel:
-    try:
-        return proc.parse_process(_read(path), d)
-    except ParseError as exc:
-        raise DsprocError(f"{path}:{exc}") from None
+def _load(path: str, parse, validate):
+    """The model ``parse`` reads from ``path``; the first error ``validate``
+    finds in it is raised, located in ``path``."""
+    model = load_input(path, parse)
+    with reading(path):
+        for diagnostic in validate(model):
+            if diagnostic.severity == "error":
+                raise ParseError(diagnostic.message, diagnostic.line, diagnostic.column)
+    return model
 
 
 def _load_store(path: str, d: dom.Domain) -> mappings.MappingStore:
-    if Path(path).exists():
+    if os.path.exists(path):
         store = mappings.load_store(path)
         if store.domain != d.name:
             raise DsprocError(
@@ -63,8 +57,9 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
 
     Returns the model, the updated store and the store's AM as loaded.
     """
-    d = _load_domain(domain_path)
-    model = _load_process(proc_path, d)
+    d = _load(domain_path, dom.parse_domain, dom.validate_domain)
+    model = _load(proc_path, lambda text: proc.parse_process(text, d),
+                  lambda m: proc.validate_process(m, d))
     store = _load_store(mappings_path, d)
     loaded_am = store.am
     registry = store.registry()
@@ -76,23 +71,26 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
     return generated, store, loaded_am
 
 
-def cmd_check(args) -> int:
+def _print_diagnostics(path: str, diagnostics) -> int:
+    """Print every diagnostic of the input at ``path``; exit 1 if any is an error."""
     status = EXIT_OK
-    d = _load_domain(args.domain)
-    for diagnostic in dom.validate_domain(d):
-        print(f"{args.domain}: {diagnostic}")
+    for diagnostic in diagnostics:
+        print(f"{path}: {diagnostic}")
         if diagnostic.severity == "error":
             status = EXIT_ERROR
+    return status
+
+
+def cmd_check(args) -> int:
+    d = load_input(args.domain, dom.parse_domain)
+    status = _print_diagnostics(args.domain, dom.validate_domain(d))
     for path in args.processes:
         try:
-            model = _load_process(path, d)
+            model = load_input(path, lambda text: proc.parse_process(text, d))
         except (DsprocError, OSError) as exc:
             status = _fail(str(exc))
             continue
-        for diagnostic in proc.validate_process(model, d):
-            print(f"{path}: {diagnostic}")
-            if diagnostic.severity == "error":
-                status = EXIT_ERROR
+        status = max(status, _print_diagnostics(path, proc.validate_process(model, d)))
     return status
 
 
@@ -105,26 +103,22 @@ def cmd_gen(args) -> int:
 
 def cmd_sync(args) -> int:
     generated, store, loaded_am = _generate(args.process, args.domain, args.mappings)
-    text = _read(args.edited)
-    edited = bpmn.parse_bpmn(text)
+    text, edited = load_input(args.edited, lambda text: (text, bpmn.parse_bpmn(text)))
     result = mappings.merge_enriched(generated, edited, loaded_am)
     _write(args.output, text)
     for element_id in result.technical_additions:
         print(f"technical addition: {element_id}")
     for uid in result.broken:
         print(f"broken mapping: uid {uid} was removed from the edited model", file=sys.stderr)
-    # activities the model gained since the edited file was generated
-    edited_uids = {e.concept_uid for e in bpmn.walk_elements(edited)}
     path_of = {uid: path for path, uid in store.uids.items()}
-    added = [uid for uid in store.am if uid not in loaded_am and uid not in edited_uids]
-    for uid in added:
+    for uid in result.added:
         print(f"model addition: uid {uid} ({path_of[uid]}) is missing from the edited model",
               file=sys.stderr)
-    return EXIT_BROKEN if result.broken or added else EXIT_OK
+    return EXIT_BROKEN if result.broken or result.added else EXIT_OK
 
 
 def cmd_bind(args) -> int:
-    d = _load_domain(args.domain)
+    d = _load(args.domain, dom.parse_domain, dom.validate_domain)
     store = mappings.load_store(args.mappings)
     table = deploy.load_bindings(args.bindings)
     known = sorted({path.split("/", 1)[0] for path in store.uids})
@@ -135,9 +129,9 @@ def cmd_bind(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = bpmn.parse_bpmn(_read(args.bpmn))
+    model = load_input(args.bpmn, bpmn.parse_bpmn)
     manifest = deploy.load_manifest(args.manifest)
-    cfg = load_json(args.sim, engine.SimulationConfig.from_json) if args.sim \
+    cfg = load_input(args.sim, engine.SimulationConfig.from_json) if args.sim \
         else engine.SimulationConfig()
     if args.instances is not None:
         cfg.instance_count = args.instances
@@ -150,9 +144,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    d = _load_domain(args.domain)
+    d = _load(args.domain, dom.parse_domain, dom.validate_domain)
     store = mappings.load_store(args.mappings)
-    with open(args.events, "r", encoding="utf-8") as fh:
+    with reading(args.events), open(args.events, "r", encoding="utf-8") as fh:
         probes = monitor.ingest(fh, store.am)
     propagated = dom.propagate_sla(d, store.am)
     monitor.register_sla(

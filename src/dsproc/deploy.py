@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
-                          load_json)
+                          load_input)
 from .domain import Domain
 from .mappings import ActivityMappings
 
@@ -42,7 +42,7 @@ def bindings_from_json(text: str) -> BindingTable:
 
 
 def load_bindings(path) -> BindingTable:
-    return load_json(path, bindings_from_json)
+    return load_input(path, bindings_from_json)
 
 
 @dataclass(frozen=True)
@@ -144,4 +144,4 @@ def parse_manifest(text: str) -> DeploymentManifest:
 
 
 def load_manifest(path) -> DeploymentManifest:
-    return load_json(path, parse_manifest)
+    return load_input(path, parse_manifest)

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Iterator, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
+
+
+def _loc(line: int, column: Optional[int]) -> str:
+    """``line:column``, or ``line`` alone when the column is unknown."""
+    return f"{line}:{column}" if column is not None else str(line)
 
 
 @dataclass(frozen=True)
@@ -18,8 +24,7 @@ class Diagnostic:
 
     def __str__(self) -> str:
         if self.line is not None:
-            loc = f"{self.line}:{self.column}" if self.column is not None else str(self.line)
-            return f"{self.severity} at {loc}: {self.message}"
+            return f"{self.severity} at {_loc(self.line, self.column)}: {self.message}"
         return f"{self.severity}: {self.message}"
 
 
@@ -35,16 +40,12 @@ def info(message: str, line: Optional[int] = None, column: Optional[int] = None)
     return Diagnostic("info", message, line, column)
 
 
-def errors_of(diags: Iterable[Diagnostic]) -> List[Diagnostic]:
-    return [d for d in diags if d.severity == "error"]
-
-
 class DsprocError(Exception):
     """Base class for all toolchain errors."""
 
 
 class ParseError(DsprocError):
-    """Raised when DSL or XML input cannot be turned into a valid model."""
+    """An error in DSL or XML input, located by line and column when they are known."""
 
     def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
         self.line = line
@@ -54,21 +55,33 @@ class ParseError(DsprocError):
     def __str__(self) -> str:
         base = super().__str__()
         if self.line is not None:
-            loc = f"{self.line}:{self.column}" if self.column is not None else str(self.line)
-            return f"{loc}: {base}"
+            return f"{_loc(self.line, self.column)}: {base}"
         return base
 
 
-def load_json(path, parse: Callable[[str], T]) -> T:
-    """Read ``path`` and ``parse`` its text; any error it raises names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+@contextmanager
+def reading(path) -> Iterator[None]:
+    """Turn every input error raised inside the block into a
+    :class:`DsprocError` that names ``path``: text that is not UTF-8,
+    malformed JSON, and any :class:`DsprocError` as ``<path>:<line>:<col>: …``
+    when it is located, ``<path>: …`` otherwise."""
     try:
-        return parse(text)
+        yield
+    except UnicodeDecodeError as exc:
+        raise DsprocError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise DsprocError(f"{path}: malformed JSON: {exc}") from None
     except DsprocError as exc:
-        raise DsprocError(f"{path}: {exc}") from None
+        sep = ":" if getattr(exc, "line", None) is not None else ": "
+        raise DsprocError(f"{path}{sep}{exc}") from None
+
+
+def load_input(path, parse: Callable[[str], T]) -> T:
+    """``parse`` the text of the UTF-8 file ``path``; any input error names the file."""
+    with reading(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return parse(text)
 
 
 # JSON input shapes: the Python types json.loads gives each kind of value

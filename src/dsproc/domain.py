@@ -83,9 +83,9 @@ class Domain:
 
 
 def parse_domain(source: str) -> Domain:
-    """Parse a ``.dsml`` file and enforce all domain invariants.
+    """Parse a ``.dsml`` file; :func:`validate_domain` checks its invariants.
 
-    Raises :class:`ParseError` carrying line/column on the first problem.
+    Raises :class:`ParseError` carrying line/column on the first syntax error.
     """
     ts = stream(source)
     ts.expect("domain")
@@ -133,13 +133,7 @@ def parse_domain(source: str) -> Domain:
         tok = ts.peek()
         raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
 
-    domain = Domain(name, tuple(concepts), tuple(services), tuple(slas))
-    problems = diag.errors_of(validate_domain(domain))
-    if problems:
-        first = problems[0]
-        line = first.line if first.line is not None else None
-        raise ParseError(first.message, line, first.column)
-    return domain
+    return Domain(name, tuple(concepts), tuple(services), tuple(slas))
 
 
 def _parse_concept(ts) -> DSConcept:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
-                          load_json)
+                          load_input)
 
 
 class MappingError(DsprocError):
@@ -94,6 +94,7 @@ def _walk_tagged(model) -> Iterator:
 class MergeResult(NamedTuple):
     technical_additions: List[str]
     broken: List[str]
+    added: List[str]
 
 
 def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
@@ -101,20 +102,26 @@ def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
 
     ``am`` is the activity map the edited file was generated under, i.e. the
     mapping store as loaded. Elements present only in the edited file and
-    carrying no concept reference are reported as technical additions;
-    uids of ``am`` that the model still has and the edit removed are
-    reported as broken.
+    carrying no concept reference are reported as technical additions.
+    Of the generated activities the edit lacks, those in ``am`` were removed
+    by the edit and are reported as broken; the others are new to the model
+    since the edited file was generated and are reported as added.
     """
     from . import bpmn  # local import to avoid a module cycle
 
-    gen_ids = {e.id for e in bpmn.walk_elements(generated)}
-    gen_uids = [e.concept_uid for e in bpmn.walk_elements(generated) if e.concept_uid]
-    edited_uids = {e.concept_uid for e in bpmn.walk_elements(edited) if e.concept_uid}
+    gen_elements = list(bpmn.walk_elements(generated))
+    edited_elements = list(bpmn.walk_elements(edited))
+    gen_ids = {e.id for e in gen_elements}
+    edited_uids = {e.concept_uid for e in edited_elements if e.concept_uid}
 
-    additions = [e.id for e in bpmn.walk_elements(edited)
+    additions = [e.id for e in edited_elements
                  if e.id not in gen_ids and e.concept_uid is None]
-    broken = [uid for uid in gen_uids if uid in am and uid not in edited_uids]
-    return MergeResult(additions, broken)
+    lacking = [e for e in gen_elements if e.concept_uid and e.concept_uid not in edited_uids]
+    broken = [e.concept_uid for e in lacking if e.concept_uid in am]
+    # a subprocess container is no activity, so it is never in am
+    added = [e.concept_uid for e in lacking
+             if e.concept_uid not in am and e.kind != "subProcess"]
+    return MergeResult(additions, broken, added)
 
 
 @dataclass
@@ -168,7 +175,7 @@ def store_from_json(text: str) -> MappingStore:
 
 
 def load_store(path) -> MappingStore:
-    return load_json(path, store_from_json)
+    return load_input(path, store_from_json)
 
 
 def save_store(store: MappingStore, path) -> None:

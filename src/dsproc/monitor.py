@@ -5,8 +5,8 @@ completions of every activity mapped to the concept, across all processes)
 and the SOA layer (service invocations made by those activities). Events
 whose element has no concept mapping land in a per-process technical
 bucket, so enrichment-time additions are measured but never surface under
-a concept. Ingestion works the same whether a log is replayed in one batch
-or fed line by line.
+a concept. Ingestion reads a log one line at a time, so a log file is
+never read whole.
 
 The report gives each concept its count, faults, total, mean, min, max,
 nearest-rank p95 and share of all activity time, with a count, total and
@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagnostics import DsprocError
 from .domain import Sla
-from .engine import EventRecord, decode_line
+from .engine import decode_line
 from .mappings import ActivityMappings, MappingStore
 
 _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
@@ -74,39 +74,37 @@ class ProbeSet:
     processes: Dict[str, ProcessProbe] = field(default_factory=dict)
 
 
-class ProbeBuilder:
-    """Incremental log consumer; batch ingest is just a loop over this."""
+def ingest(lines: Iterable[str], am: ActivityMappings,
+           probes: Optional[ProbeSet] = None) -> ProbeSet:
+    """Replay an event log (header line included) into a probe set.
 
-    def __init__(self, am: ActivityMappings, probes: Optional[ProbeSet] = None):
-        self.probes = probes or ProbeSet()
-        self._concept_of = {uid: e.concept for uid, e in am.items()}
-        self._known_processes = {e.process for e in am.values()}
-        self._line_no = 0
-        self._header_seen = False
-        for concept in self._concept_of.values():
-            self.probes.concepts.setdefault(concept, ConceptProbe(concept))
-
-    def feed(self, line: str) -> None:
-        self._line_no += 1
+    ``lines`` may be any iterable, an open file included; it is read once,
+    line by line. Pass an existing ``probes`` to aggregate several logs,
+    e.g. the same concept used by two processes accumulates into one probe.
+    """
+    probes = probes or ProbeSet()
+    concept_of = {uid: e.concept for uid, e in am.items()}
+    known_processes = {e.process for e in am.values()}
+    for concept in concept_of.values():
+        probes.concepts.setdefault(concept, ConceptProbe(concept))
+    header_seen = False
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
-            return
+            continue
         try:
-            record = decode_line(line)
+            r = decode_line(line)
         except DsprocError as exc:
-            raise DsprocError(f"line {self._line_no}: {exc}") from None
-        if isinstance(record, dict):
-            self._header_seen = True
-            return
-        if not self._header_seen:
-            raise DsprocError(f"line {self._line_no}: log header missing")
-        self._apply(record)
-
-    def _apply(self, r: EventRecord) -> None:
-        if self._known_processes and r.process not in self._known_processes:
-            raise DsprocError(f"line {self._line_no}: unknown process {r.process!r}")
-        pp = self.probes.processes.get(r.process)
+            raise DsprocError(f"line {line_no}: {exc}") from None
+        if isinstance(r, dict):
+            header_seen = True
+            continue
+        if not header_seen:
+            raise DsprocError(f"line {line_no}: log header missing")
+        if known_processes and r.process not in known_processes:
+            raise DsprocError(f"line {line_no}: unknown process {r.process!r}")
+        pp = probes.processes.get(r.process)
         if pp is None:
-            pp = self.probes.processes[r.process] = ProcessProbe(r.process)
+            pp = probes.processes[r.process] = ProcessProbe(r.process)
         if r.kind == "processStart":
             pp.instances[r.instance] = InstanceRecord(start_ts=r.ts_ms)
         elif r.kind == "processEnd":
@@ -116,31 +114,19 @@ class ProbeBuilder:
         elif r.kind == "activityEnd":
             sample = Sample(r.duration_ms or 0.0, r.status or "ok", r.instance,
                             r.ts_ms, r.element_uid)
-            concept = self._concept_of.get(r.element_uid)
+            concept = concept_of.get(r.element_uid)
             if concept is None:
                 pp.technical.append(sample)
             else:
-                self.probes.concepts[concept].bpms.append(sample)
+                probes.concepts[concept].bpms.append(sample)
         elif r.kind == "serviceInvoke":
-            concept = self._concept_of.get(r.element_uid)
+            concept = concept_of.get(r.element_uid)
             if concept is not None:
-                self.probes.concepts[concept].soa.append(Sample(
+                probes.concepts[concept].soa.append(Sample(
                     r.duration_ms or 0.0, r.status or "ok", r.instance, r.ts_ms,
                     r.element_uid, r.service))
         # activityStart / gatewayTaken carry no aggregated measure
-
-
-def ingest(lines: Iterable[str], am: ActivityMappings,
-           probes: Optional[ProbeSet] = None) -> ProbeSet:
-    """Replay a complete event log (header line included) into a probe set.
-
-    Pass an existing ``probes`` to aggregate several logs, e.g. the same
-    concept used by two processes accumulates into one probe.
-    """
-    builder = ProbeBuilder(am, probes)
-    for line in lines:
-        builder.feed(line)
-    return builder.probes
+    return probes
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,10 @@ def parse_body(ts: TokenStream) -> ProcessBody:
 
 
 def parse_process(source: str, domain: "Domain") -> ProcessModel:
-    """Parse and fully validate a process definition against its domain.
+    """Parse a process definition that uses ``domain``; :func:`validate_process`
+    checks it against the domain.
 
-    Raises :class:`ParseError` on the first error-severity problem.
+    Raises :class:`ParseError` carrying line/column on the first syntax error.
     """
     ts = stream(source)
     ts.expect("process")
@@ -142,23 +143,14 @@ def parse_process(source: str, domain: "Domain") -> ProcessModel:
     if not ts.at_eof():
         tok = ts.peek()
         raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
-    model = ProcessModel(name, domain.name, body)
-    problems = diag.errors_of(validate_process(model, domain))
-    if problems:
-        first = problems[0]
-        raise ParseError(first.message, first.line, first.column)
-    return model
+    return ProcessModel(name, domain.name, body)
 
 
 def validate_body(body: ProcessBody, domain: Optional["Domain"], where: str = "") -> List[Diagnostic]:
     """Structural diagnostics for one process body (used for subprocess bodies too)."""
     out: List[Diagnostic] = []
     prefix = f"{where}: " if where else ""
-    ids = {}
-    for n in body.nodes:
-        if n.id in ids:
-            out.append(diag.error(f"{prefix}duplicate node id {n.id!r}", n.line))
-        ids[n.id] = n
+    ids = {n.id: n for n in body.nodes}  # parse_body rejects a duplicate id
 
     starts = [n for n in body.nodes if n.kind == "start"]
     ends = [n for n in body.nodes if n.kind == "end"]
@@ -223,7 +215,7 @@ def validate_body(body: ProcessBody, domain: Optional["Domain"], where: str = ""
                         f"{prefix}node {n.id!r} lies on no path to an end node", n.line))
 
     for n in body.nodes:
-        if n.kind != "end" and n.id in ids and not outgoing.get(n.id):
+        if n.kind != "end" and not outgoing.get(n.id):
             out.append(diag.error(f"{prefix}node {n.id!r} has no outgoing flow", n.line))
         if n.is_gateway and len(outgoing.get(n.id, ())) == 1 and len(incoming.get(n.id, ())) == 1:
             out.append(diag.warning(f"{prefix}degenerate gateway {n.id!r} (one in, one out)", n.line))

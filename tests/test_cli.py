@@ -42,6 +42,53 @@ def test_check_reports_domain_error(work, capsys):
     assert cli.main(["check", str(bad)]) == 1
 
 
+# four domain errors; the process has two unknown concepts, and each of its
+# nodes is unreachable and has no outgoing flow
+_BAD_DOMAIN = """domain D {
+  concept A { label "a" services [s1] }
+  concept A { label "a" services [s2] sla fast }
+}
+"""
+_BAD_PROCESS = """process P uses D {
+  start -> end
+  node b: concept Zzz
+  node c: concept Yyy
+}
+"""
+
+
+def test_check_lists_every_diagnostic_of_the_domain_and_each_process(tmp_path, capsys):
+    d, p = tmp_path / "d.dsml", tmp_path / "p.dsproc"
+    d.write_text(_BAD_DOMAIN, encoding="utf-8")
+    p.write_text(_BAD_PROCESS, encoding="utf-8")
+    assert cli.main(["check", str(d), str(p)]) == 1
+    assert capsys.readouterr() == (
+        f"{d}: error: duplicate concept name 'A'\n"
+        f"{d}: error: concept 'A' references undeclared service 's1'\n"
+        f"{d}: error: concept 'A' references undeclared service 's2'\n"
+        f"{d}: error: concept 'A' references undeclared SLA 'fast'\n"
+        f"{p}: error at 3: unknown concept 'Zzz'\n"
+        f"{p}: error at 4: unknown concept 'Yyy'\n"
+        f"{p}: error at 3: node 'b' is unreachable from start\n"
+        f"{p}: error at 4: node 'c' is unreachable from start\n"
+        f"{p}: error at 3: node 'b' has no outgoing flow\n"
+        f"{p}: error at 4: node 'c' has no outgoing flow\n", "")
+
+
+def test_gen_stops_at_the_first_error_and_locates_it(work, capsys):
+    bad_domain, bad_process = work / "d.dsml", work / "p.dsproc"
+    bad_domain.write_text(_BAD_DOMAIN, encoding="utf-8")
+    bad_process.write_text(_BAD_PROCESS.replace("uses D", "uses OrderHandling"),
+                           encoding="utf-8")
+    argv = ["gen", str(work / "order_handling.dsproc"), "--domain", str(bad_domain),
+            "--mappings", str(work / "mappings.json"), "-o", str(work / "out.bpmn")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad_domain}: duplicate concept name 'A'\n"
+    argv[1], argv[3] = str(bad_process), str(work / "order_handling.dsml")
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad_process}:3: unknown concept 'Zzz'\n"
+
+
 def test_gen_writes_bpmn_and_mappings(work):
     assert _gen(work) == 0
     xml = (work / "order.bpmn").read_text(encoding="utf-8")
@@ -298,7 +345,7 @@ def test_monitor_malformed_record_exits_one_without_traceback(work, record):
          "--domain", str(work / "order_handling.dsml")],
         capture_output=True, text=True)
     assert result.returncode == 1
-    assert "line 2: malformed record" in result.stderr
+    assert f"error: {work / 'events.jsonl'}: line 2: malformed record" in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -308,6 +355,16 @@ def test_module_entry_point(work):
          str(work / "order_handling.dsml")],
         capture_output=True, text=True)
     assert result.returncode == 0
+
+
+def test_importing_the_cli_does_not_import_pathlib():
+    # -I -S: no site-packages, no PYTHONPATH, so only the stdlib and dsproc load
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         "import sys; sys.path.insert(0, 'src'); import dsproc.cli; "
+         "print('pathlib' in sys.modules)"],
+        capture_output=True, text=True, cwd=FIXTURES.resolve().parent.parent)
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def test_missing_file_is_an_error_not_a_traceback(work, capsys):
@@ -340,6 +397,52 @@ def test_malformed_json_input_names_the_file(work, capsys, bad, command):
     (work / bad).write_text("{bad", encoding="utf-8")
     assert command(work) == 1
     assert capsys.readouterr().err.startswith(f"error: {work / bad}: malformed JSON: ")
+
+
+def test_run_names_a_malformed_bpmn_file(work, capsys):
+    assert _gen(work) == 0
+    assert _bind(work) == 0
+    (work / "order.bpmn").write_text("<bad", encoding="utf-8")
+    assert _run(work) == 1
+    assert capsys.readouterr().err.startswith(f"error: {work / 'order.bpmn'}: malformed XML: ")
+
+
+def _latin1_domain(work):
+    path = work / "order_handling.dsml"
+    path.write_bytes(path.read_bytes().replace(b"domain OrderHandling {",
+                                               b'domain OrderHandling {\n  # Pr\xfcfung'))
+    return path, ["check", str(path)]
+
+
+def _latin1_edited(work):
+    assert _gen(work) == 0
+    xml = (work / "order.bpmn").read_text(encoding="utf-8")
+    path = work / "edited.bpmn"
+    path.write_bytes(xml.replace('encoding="UTF-8"', 'encoding="ISO-8859-1"')
+                     .replace('name="Receive Web Order"', 'name="Prüfung"')
+                     .encode("iso-8859-1"))
+    return path, ["sync", str(work / "order_handling.dsproc"),
+                  "--domain", str(work / "order_handling.dsml"),
+                  "--mappings", str(work / "mappings.json"),
+                  "--edited", str(path), "-o", str(work / "merged.bpmn")]
+
+
+def _latin1_log(work):
+    assert _gen(work) == 0
+    path = work / "events.jsonl"
+    path.write_bytes(b'{"log_version": 1, "seed": 0, "rng": "python-mt19937"}\n'
+                     b'{"process": "Pr\xfcfung"}\n')
+    return path, ["monitor", str(path), "--mappings", str(work / "mappings.json"),
+                  "--domain", str(work / "order_handling.dsml")]
+
+
+@pytest.mark.parametrize("make", [_latin1_domain, _latin1_edited, _latin1_log],
+                         ids=["check-domain", "sync-edited", "monitor-log"])
+def test_input_that_is_not_utf8_is_named_without_traceback(work, capsys, make):
+    path, argv = make(work)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text: invalid start byte\n")
 
 
 def _monitor(work):

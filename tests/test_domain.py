@@ -42,6 +42,10 @@ def test_parse_error_carries_location():
     assert exc.value.line == 2
 
 
+def _first_error(d):
+    return next(x for x in dom.validate_domain(d) if x.severity == "error")
+
+
 def test_duplicate_concept_rejected():
     src = """
         domain D {
@@ -50,13 +54,12 @@ def test_duplicate_concept_rejected():
           concept A { label "a again" services [s] }
         }
     """
-    with pytest.raises(ParseError, match="duplicate concept"):
-        dom.parse_domain(src)
+    assert re.search("duplicate concept", _first_error(dom.parse_domain(src)).message)
 
 
 def test_unresolved_service_rejected():
-    with pytest.raises(ParseError, match="undeclared service"):
-        dom.parse_domain('domain D { concept A { label "a" services [nope] } }')
+    d = dom.parse_domain('domain D { concept A { label "a" services [nope] } }')
+    assert re.search("undeclared service", _first_error(d).message)
 
 
 def test_dependency_cycle_rejected():
@@ -67,8 +70,7 @@ def test_dependency_cycle_rejected():
           concept B { label "b" services [s] depends_on [A] }
         }
     """
-    with pytest.raises(ParseError, match="cycle"):
-        dom.parse_domain(src)
+    assert re.search("cycle", _first_error(dom.parse_domain(src)).message)
 
 
 def _oracle_has_cycle(edges):

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsproc import bpmn, mappings
+from dsproc import process as proc
 from dsproc.mappings import AmEntry, MappingError, UidRegistry, build_cm, merge_enriched
+
+from conftest import compile_pipeline
 
 
 def test_cm_maps_payment_concept_to_both_services(order_domain):
@@ -95,6 +98,25 @@ def test_merge_reports_technical_addition(order_pipeline):
                             order_pipeline.am)
     assert result.technical_additions == ["A9"]
     assert result.broken == []
+
+
+def test_merge_reports_the_activities_the_model_added_but_not_their_container(
+        order_domain, order_process_text):
+    # the file was generated before `fulfill`, a subprocess concept, joined the model
+    before = (order_process_text.replace("  node fulfill: concept ProcessShippingCost\n", "")
+              .replace("approve -> fulfill", "approve -> end")
+              .replace("  fulfill -> end\n", ""))
+    old = compile_pipeline(order_domain, proc.parse_process(before, order_domain))
+    loaded_am = dict(old.store.am)
+    new = compile_pipeline(order_domain, proc.parse_process(order_process_text, order_domain),
+                           old.store)
+    result = merge_enriched(new.generated, bpmn.parse_bpmn(old.xml), loaded_am)
+    container = [e for e in bpmn.walk_elements(new.generated) if e.kind == "subProcess"]
+    assert len(container) == 1
+    assert result.added == [e.concept_uid for e in container[0].inner_elements
+                            if e.concept_uid]
+    assert result.added and set(result.added) == set(new.store.am) - set(loaded_am)
+    assert (result.technical_additions, result.broken) == ([], [])
 
 
 def test_merge_reports_broken_uid(order_pipeline):

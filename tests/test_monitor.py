@@ -104,10 +104,8 @@ def test_streaming_equals_batch(order_pipeline):
     lines = _simulated_log(order_pipeline, instances=50)
     store = order_pipeline.store
     batch = monitor.ingest(lines, store.am)
-    builder = monitor.ProbeBuilder(store.am)
-    for line in lines:
-        builder.feed(line)
-    assert monitor.build_report(builder.probes, store) == monitor.build_report(batch, store)
+    streamed = monitor.ingest((line for line in lines), store.am)
+    assert monitor.build_report(streamed, store) == monitor.build_report(batch, store)
 
 
 def test_missing_header_reports_line_number():
