@@ -17,12 +17,13 @@ condition label ``exception``; the inserted gateway has no concept uid.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
-
 from .diagnostics import ParseError
-from .pivot import CommonModel
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterator
+
+    from .pivot import CommonModel
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 DSML_NS = "urn:dsml:1"
@@ -37,31 +38,44 @@ _KIND_FROM_COMMON = {
 }
 
 
-@dataclass
 class SequenceFlow:
-    id: str
-    source: str
-    target: str
-    condition: Optional[str] = None
+    __slots__ = ("id", "source", "target", "condition")
+
+    def __init__(self, id: str, source: str, target: str, condition: str | None = None):
+        self.id = id
+        self.source = source
+        self.target = target
+        self.condition = condition
 
 
-@dataclass
 class BpmnElement:
-    id: str
-    kind: str
-    name: str = ""
-    concept_uid: Optional[str] = None
-    concept_name: Optional[str] = None
-    inner_elements: List["BpmnElement"] = field(default_factory=list)
-    inner_flows: List[SequenceFlow] = field(default_factory=list)
+    """A flow element; a subprocess holds its own elements and flows."""
+
+    __slots__ = ("id", "kind", "name", "concept_uid", "concept_name",
+                 "inner_elements", "inner_flows")
+
+    def __init__(self, id: str, kind: str, name: str = "", concept_uid: str | None = None,
+                 concept_name: str | None = None,
+                 inner_elements: list[BpmnElement] | None = None,
+                 inner_flows: list[SequenceFlow] | None = None):
+        self.id = id
+        self.kind = kind
+        self.name = name
+        self.concept_uid = concept_uid
+        self.concept_name = concept_name
+        self.inner_elements = [] if inner_elements is None else inner_elements
+        self.inner_flows = [] if inner_flows is None else inner_flows
 
 
-@dataclass
 class BpmnModel:
-    process_id: str
-    elements: List[BpmnElement] = field(default_factory=list)
-    flows: List[SequenceFlow] = field(default_factory=list)
-    domain: Optional[str] = None
+    __slots__ = ("process_id", "elements", "flows", "domain")
+
+    def __init__(self, process_id: str, elements: list[BpmnElement] | None = None,
+                 flows: list[SequenceFlow] | None = None, domain: str | None = None):
+        self.process_id = process_id
+        self.elements = [] if elements is None else elements
+        self.flows = [] if flows is None else flows
+        self.domain = domain
 
 
 def walk_elements(model) -> Iterator[BpmnElement]:
@@ -80,16 +94,17 @@ def generate_bpmn(m: CommonModel, domain_name: str) -> BpmnModel:
                      flows=flows, domain=domain_name)
 
 
-def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], List[SequenceFlow]]:
+def _lower_level(m: CommonModel, domain_name: str
+                 ) -> tuple[list[BpmnElement], list[SequenceFlow]]:
     # exceptional-flow lowering: each non-gateway source of an exceptional
     # flow gets one routing gateway, emitted straight after the source
     kind_of = {ce.uid: ce.kind for ce in m.elements}
-    inserted: Dict[str, str] = {}
+    inserted: dict[str, str] = {}
     for f in m.flows:
         if f.exceptional and kind_of[f.source] != "exclusive" and f.source not in inserted:
             inserted[f.source] = f"{f.source}_exc"
 
-    elements: List[BpmnElement] = []
+    elements: list[BpmnElement] = []
     for ce in m.elements:
         kind = _KIND_FROM_COMMON[ce.kind]
         el = BpmnElement(id=ce.uid, kind=kind, name=ce.label)
@@ -104,13 +119,13 @@ def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], L
         if gw_id is not None:
             elements.append(BpmnElement(id=gw_id, kind="exclusiveGateway"))
 
-    final: List[Tuple[str, str, Optional[str]]] = [
+    final: list[tuple[str, str, str | None]] = [
         (src, gw_id, None) for src, gw_id in inserted.items()]
     for f in m.flows:
         cond = "exception" if f.exceptional and f.condition is None else f.condition
         final.append((inserted.get(f.source, f.source), f.target, cond))
 
-    flows: List[SequenceFlow] = []
+    flows: list[SequenceFlow] = []
     used_ids = set()
     for src, tgt, cond in final:
         fid = f"f_{src}_{tgt}"
@@ -128,7 +143,7 @@ def _lower_level(m: CommonModel, domain_name: str) -> Tuple[List[BpmnElement], L
 
 
 def serialize_bpmn(model: BpmnModel) -> str:
-    out: List[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
+    out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
         f'<bpmn:definitions xmlns:bpmn="{BPMN_NS}" xmlns:dsml="{DSML_NS}" '
         f'id="defs_{model.process_id}" targetNamespace="{DSML_NS}">'
@@ -140,8 +155,8 @@ def serialize_bpmn(model: BpmnModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_level(out: List[str], elements: List[BpmnElement],
-                flows: List[SequenceFlow], domain: Optional[str], indent: int) -> None:
+def _emit_level(out: list[str], elements: list[BpmnElement],
+                flows: list[SequenceFlow], domain: str | None, indent: int) -> None:
     pad = "  " * (indent + 1)
     for e in elements:
         head = f'{pad}<bpmn:{e.kind} id="{_att(e.id)}"'
@@ -197,6 +212,8 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
     outside the process are not read: the model is for simulation and
     reconciliation, not for writing the file back.
     """
+    import xml.etree.ElementTree as ET  # here, so that generating BPMN does not load it
+
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -233,10 +250,10 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
     return model
 
 
-def _parse_level(node) -> Tuple[List[BpmnElement], List[SequenceFlow], Optional[str]]:
-    elements: List[BpmnElement] = []
-    flows: List[SequenceFlow] = []
-    domain: Optional[str] = None
+def _parse_level(node) -> tuple[list[BpmnElement], list[SequenceFlow], str | None]:
+    elements: list[BpmnElement] = []
+    flows: list[SequenceFlow] = []
+    domain: str | None = None
     for child in node:
         tag = _local(child.tag)
         if tag == "sequenceFlow":

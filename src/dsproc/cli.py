@@ -3,6 +3,9 @@
 Every command is a pure file transformation: identical inputs produce
 identical outputs. Exit codes: 0 success, 1 diagnostics or errors,
 2 broken concept mappings or model nodes missing from the edited file (sync).
+
+Each ``cmd_*`` function imports the modules it runs, so a command starts
+without loading, or compiling, the modules of the others.
 """
 
 from __future__ import annotations
@@ -10,10 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
 
-from . import bpmn, deploy, domain as dom, engine, mappings, monitor, pivot, process as proc
 from .diagnostics import DsprocError, ParseError, load_input, reading
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from .bpmn import BpmnModel
+    from .domain import Domain
+    from .mappings import ActivityMappings, MappingStore
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,7 +48,8 @@ def _load(path: str, parse, validate):
     return model
 
 
-def _load_store(path: str, d: dom.Domain) -> mappings.MappingStore:
+def _load_store(path: str, d: Domain) -> MappingStore:
+    from . import mappings
     if os.path.exists(path):
         store = mappings.load_store(path)
         if store.domain != d.name:
@@ -52,11 +60,12 @@ def _load_store(path: str, d: dom.Domain) -> mappings.MappingStore:
 
 
 def _generate(proc_path: str, domain_path: str, mappings_path: str
-              ) -> Tuple[bpmn.BpmnModel, mappings.MappingStore, mappings.ActivityMappings]:
+              ) -> tuple[BpmnModel, MappingStore, ActivityMappings]:
     """Generate a process's BPMN model into its mapping store.
 
     Returns the model, the updated store and the store's AM as loaded.
     """
+    from . import bpmn, domain as dom, mappings, pivot, process as proc
     d = _load(domain_path, dom.parse_domain, dom.validate_domain)
     model = _load(proc_path, lambda text: proc.parse_process(text, d),
                   lambda m: proc.validate_process(m, d))
@@ -82,6 +91,7 @@ def _print_diagnostics(path: str, diagnostics) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import domain as dom, process as proc
     d = load_input(args.domain, dom.parse_domain)
     status = _print_diagnostics(args.domain, dom.validate_domain(d))
     for path in args.processes:
@@ -95,6 +105,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import bpmn, mappings
     generated, store, _ = _generate(args.process, args.domain, args.mappings)
     _write(args.output, bpmn.serialize_bpmn(generated))
     mappings.save_store(store, args.mappings)
@@ -102,6 +113,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sync(args) -> int:
+    from . import bpmn, mappings
     generated, store, loaded_am = _generate(args.process, args.domain, args.mappings)
     text, edited = load_input(args.edited, lambda text: (text, bpmn.parse_bpmn(text)))
     result = mappings.merge_enriched(generated, edited, loaded_am)
@@ -118,6 +130,7 @@ def cmd_sync(args) -> int:
 
 
 def cmd_bind(args) -> int:
+    from . import deploy, domain as dom, mappings
     d = _load(args.domain, dom.parse_domain, dom.validate_domain)
     store = mappings.load_store(args.mappings)
     table = deploy.load_bindings(args.bindings)
@@ -129,6 +142,7 @@ def cmd_bind(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import bpmn, deploy, engine
     model = load_input(args.bpmn, bpmn.parse_bpmn)
     manifest = deploy.load_manifest(args.manifest)
     cfg = load_input(args.sim, engine.SimulationConfig.from_json) if args.sim \
@@ -144,6 +158,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    from . import domain as dom, mappings, monitor
     d = _load(args.domain, dom.parse_domain, dom.validate_domain)
     store = mappings.load_store(args.mappings)
     with reading(args.events), open(args.events, "r", encoding="utf-8") as fh:
@@ -221,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Run one command; any toolchain or file error becomes ``error: …`` and exit 1."""
     args = build_parser().parse_args(argv)
     try:

@@ -10,28 +10,26 @@ endpoints chain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import namedtuple
 
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
                           load_input)
-from .domain import Domain
-from .mappings import ActivityMappings
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from .domain import Domain
+    from .mappings import ActivityMappings
 
 
 class BindingError(DsprocError):
-    def __init__(self, message: str, missing: Optional[List[str]] = None):
+    def __init__(self, message: str, missing: list[str] | None = None):
         super().__init__(message)
         self.missing = missing or []
 
 
-@dataclass(frozen=True)
-class Binding:
-    endpoint: str
-    profile: Optional[str] = None
+Binding = namedtuple("Binding", "endpoint profile", defaults=(None,))
 
-
-BindingTable = Dict[str, Binding]
+BindingTable = dict[str, Binding]
 
 
 def bindings_from_json(text: str) -> BindingTable:
@@ -45,30 +43,15 @@ def load_bindings(path) -> BindingTable:
     return load_input(path, bindings_from_json)
 
 
-@dataclass(frozen=True)
-class EndpointRef:
-    service: str
-    endpoint: str
-    profile: Optional[str] = None
-
-
-@dataclass
-class ManifestRow:
-    uid: str
-    element: str
-    concept: str
-    services: List[str]
-    endpoints: List[EndpointRef]
-
-
-@dataclass
-class DeploymentManifest:
-    process: str
-    rows: List[ManifestRow] = field(default_factory=list)
+EndpointRef = namedtuple("EndpointRef", "service endpoint profile", defaults=(None,))
+# one mapped activity: its abstract ``services`` and their ``endpoints``
+ManifestRow = namedtuple("ManifestRow", "uid element concept services endpoints")
+# ``rows`` are ordered by uid
+DeploymentManifest = namedtuple("DeploymentManifest", "process rows", defaults=((),))
 
 
 def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
-                  process: str, known_processes: Optional[List[str]] = None) -> DeploymentManifest:
+                  process: str, known_processes: list[str] | None = None) -> DeploymentManifest:
     """Resolve every mapped activity of ``process`` to concrete endpoints.
 
     ``known_processes`` (when given) distinguishes a process with no mapped
@@ -80,15 +63,15 @@ def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
         if d.service(name) is None:
             raise BindingError(f"binding for unknown service {name!r}")
 
-    rows: List[ManifestRow] = []
-    missing: List[str] = []
+    rows: list[ManifestRow] = []
+    missing: list[str] = []
     for uid, entry in sorted(am.items()):
         if entry.process != process:
             continue
         concept = d.concept(entry.concept)
         if concept is None:
             raise BindingError(f"mapped concept {entry.concept!r} missing from domain")
-        endpoints: List[EndpointRef] = []
+        endpoints: list[EndpointRef] = []
         for svc in concept.service_refs:
             binding = table.get(svc)
             if binding is None:

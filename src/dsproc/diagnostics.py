@@ -3,24 +3,25 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Tuple, TypeVar
 
-T = TypeVar("T")
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Callable, Iterator
+    from typing import Any, TypeVar
+
+    T = TypeVar("T")
 
 
-def _loc(line: int, column: Optional[int]) -> str:
+def _loc(line: int, column: int | None) -> str:
     """``line:column``, or ``line`` alone when the column is unknown."""
     return f"{line}:{column}" if column is not None else str(line)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    message: str
-    line: Optional[int] = None
-    column: Optional[int] = None
+class Diagnostic(namedtuple("Diagnostic", "severity message line column",
+                            defaults=(None, None))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.line is not None:
@@ -28,15 +29,15 @@ class Diagnostic:
         return f"{self.severity}: {self.message}"
 
 
-def error(message: str, line: Optional[int] = None, column: Optional[int] = None) -> Diagnostic:
+def error(message: str, line: int | None = None, column: int | None = None) -> Diagnostic:
     return Diagnostic("error", message, line, column)
 
 
-def warning(message: str, line: Optional[int] = None, column: Optional[int] = None) -> Diagnostic:
+def warning(message: str, line: int | None = None, column: int | None = None) -> Diagnostic:
     return Diagnostic("warning", message, line, column)
 
 
-def info(message: str, line: Optional[int] = None, column: Optional[int] = None) -> Diagnostic:
+def info(message: str, line: int | None = None, column: int | None = None) -> Diagnostic:
     return Diagnostic("info", message, line, column)
 
 
@@ -47,7 +48,7 @@ class DsprocError(Exception):
 class ParseError(DsprocError):
     """An error in DSL or XML input, located by line and column when they are known."""
 
-    def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
         super().__init__(message)
@@ -124,7 +125,7 @@ def json_field(obj: dict, key: str, kind: str, where: str = "", default=_REQUIRE
 
 
 def json_members(obj: dict, key: str, kind: str,
-                 where: str = "") -> Iterator[Tuple[str, Any, str]]:
+                 where: str = "") -> Iterator[tuple[str, Any, str]]:
     """``(name, value, path)`` of each member of the optional object field ``key``,
     each value checked to be a ``kind``."""
     path = _at(where, key)
@@ -132,7 +133,7 @@ def json_members(obj: dict, key: str, kind: str,
         yield name, json_check(value, kind, path, name), f"{path}.{name}"
 
 
-def json_elements(obj: dict, key: str, kind: str, where: str = "") -> List[Any]:
+def json_elements(obj: dict, key: str, kind: str, where: str = "") -> list[Any]:
     """The required array field ``key``, each element checked to be a ``kind``."""
     path = _at(where, key)
     return [json_check(item, kind, path, i)

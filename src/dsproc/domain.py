@@ -8,33 +8,43 @@ which case it expands to several activities at generation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import namedtuple
 
 from . import diagnostics as diag
 from . import process as proc
-from .diagnostics import Diagnostic, DsprocError, ParseError
+from .diagnostics import DsprocError, ParseError
 from .lexer import escape, stream
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from .diagnostics import Diagnostic
 
 SLA_METRICS = ("max_duration", "max_mean_duration", "max_fault_rate")
 TIME_UNITS = {"ms": 1.0, "s": 1000.0, "min": 60_000.0, "h": 3_600_000.0, "d": 86_400_000.0}
 SLA_UNITS = tuple(TIME_UNITS) + ("ratio",)
 SLA_SEVERITIES = ("info", "warning", "critical")
 
-
-@dataclass(frozen=True)
-class DSService:
-    name: str
-    operation: str
+# DSService, Sla and DSConcept carry the ``line`` they are declared on; it
+# takes no part in ==, hash or repr, so a domain equals its re-parsed text.
 
 
-@dataclass(frozen=True)
-class Sla:
-    name: str
-    metric: str
-    threshold: float
-    unit: str
-    severity: str
+class DSService(namedtuple("DSService", "name operation")):
+    line = None
+
+    def __new__(cls, name: str, operation: str, line: int | None = None) -> DSService:
+        service = tuple.__new__(cls, (name, operation))
+        service.line = line
+        return service
+
+
+class Sla(namedtuple("Sla", "name metric threshold unit severity")):
+    line = None
+
+    def __new__(cls, name: str, metric: str, threshold: float, unit: str, severity: str,
+                line: int | None = None) -> Sla:
+        sla = tuple.__new__(cls, (name, metric, threshold, unit, severity))
+        sla.line = line
+        return sla
 
     def threshold_ms(self) -> float:
         """Threshold converted to milliseconds (duration metrics only)."""
@@ -43,43 +53,46 @@ class Sla:
         return self.threshold * TIME_UNITS[self.unit]
 
 
-@dataclass(frozen=True)
-class DSConcept:
-    name: str
-    label: str
-    version: int = 1
-    service_refs: Tuple[str, ...] = ()
-    sla_ref: Optional[str] = None
-    depends_on: Tuple[str, ...] = ()
-    subprocess: Optional[proc.ProcessBody] = None
+class DSConcept(namedtuple("DSConcept", "name label version service_refs sla_ref "
+                                        "depends_on subprocess")):
+    line = None
+
+    def __new__(cls, name: str, label: str, version: int = 1,
+                service_refs: tuple[str, ...] = (), sla_ref: str | None = None,
+                depends_on: tuple[str, ...] = (), subprocess: proc.ProcessBody | None = None,
+                line: int | None = None) -> DSConcept:
+        concept = tuple.__new__(cls, (name, label, version, service_refs, sla_ref,
+                                      depends_on, subprocess))
+        concept.line = line
+        return concept
 
 
-@dataclass(frozen=True)
-class Domain:
-    name: str
-    concepts: Tuple[DSConcept, ...] = ()
-    services: Tuple[DSService, ...] = ()
-    slas: Tuple[Sla, ...] = ()
-
-    def __post_init__(self):
+class Domain(namedtuple("Domain", "name concepts services slas")):
+    def __new__(cls, name: str, concepts: tuple[DSConcept, ...] = (),
+                services: tuple[DSService, ...] = (), slas: tuple[Sla, ...] = ()) -> Domain:
+        d = tuple.__new__(cls, (name, concepts, services, slas))
         # name -> item indexes, which are not fields: ==, hash and repr see
         # only the tuples. The first declaration of a name wins, as a scan
         # would find it; validate_domain reports the later ones.
-        for attr, items in (("_concepts", self.concepts), ("_services", self.services),
-                            ("_slas", self.slas)):
-            index: Dict[str, object] = {}
-            for item in items:
-                index.setdefault(item.name, item)
-            object.__setattr__(self, attr, index)
+        d._concepts, d._services, d._slas = (
+            _first_by_name(concepts), _first_by_name(services), _first_by_name(slas))
+        return d
 
-    def concept(self, name: str) -> Optional[DSConcept]:
+    def concept(self, name: str) -> DSConcept | None:
         return self._concepts.get(name)
 
-    def service(self, name: str) -> Optional[DSService]:
+    def service(self, name: str) -> DSService | None:
         return self._services.get(name)
 
-    def sla(self, name: str) -> Optional[Sla]:
+    def sla(self, name: str) -> Sla | None:
         return self._slas.get(name)
+
+
+def _first_by_name(items) -> dict:
+    index = {}
+    for item in items:
+        index.setdefault(item.name, item)
+    return index
 
 
 def parse_domain(source: str) -> Domain:
@@ -91,21 +104,21 @@ def parse_domain(source: str) -> Domain:
     ts.expect("domain")
     name = ts.expect_ident().value
     ts.expect("{")
-    concepts: List[DSConcept] = []
-    services: List[DSService] = []
-    slas: List[Sla] = []
+    concepts: list[DSConcept] = []
+    services: list[DSService] = []
+    slas: list[Sla] = []
 
     while not ts.at("}"):
         tok = ts.peek()
         if ts.accept("service"):
-            svc_name = ts.expect_ident().value
+            svc_tok = ts.expect_ident()
             ts.expect("{")
             ts.expect("operation")
             operation = ts.expect_string().value
             ts.expect("}")
-            services.append(DSService(svc_name, operation))
+            services.append(DSService(svc_tok.value, operation, svc_tok.line))
         elif ts.accept("sla"):
-            sla_name = ts.expect_ident().value
+            sla_tok = ts.expect_ident()
             ts.expect("{")
             metric_tok = ts.expect_ident()
             if metric_tok.value not in SLA_METRICS:
@@ -122,7 +135,8 @@ def parse_domain(source: str) -> Domain:
                 raise ParseError(f"unknown SLA severity {sev_tok.value!r}",
                                  sev_tok.line, sev_tok.column)
             ts.expect("}")
-            slas.append(Sla(sla_name, metric_tok.value, threshold, unit_tok.value, sev_tok.value))
+            slas.append(Sla(sla_tok.value, metric_tok.value, threshold, unit_tok.value,
+                            sev_tok.value, sla_tok.line))
         elif ts.accept("concept"):
             concepts.append(_parse_concept(ts))
         else:
@@ -142,9 +156,9 @@ def _parse_concept(ts) -> DSConcept:
     ts.expect("label")
     label = ts.expect_string().value
     version = 1
-    service_refs: Tuple[str, ...] = ()
+    service_refs: tuple[str, ...] = ()
     sla_ref = None
-    depends_on: Tuple[str, ...] = ()
+    depends_on: tuple[str, ...] = ()
     subprocess = None
     seen = set()
     while not ts.at("}"):
@@ -171,10 +185,11 @@ def _parse_concept(ts) -> DSConcept:
         else:
             raise ParseError(f"unknown concept clause {key!r}", key_tok.line, key_tok.column)
     ts.expect("}")
-    return DSConcept(name_tok.value, label, version, service_refs, sla_ref, depends_on, subprocess)
+    return DSConcept(name_tok.value, label, version, service_refs, sla_ref, depends_on,
+                     subprocess, name_tok.line)
 
 
-def _ident_list(ts) -> Tuple[str, ...]:
+def _ident_list(ts) -> tuple[str, ...]:
     ts.expect("[")
     items = [ts.expect_ident().value]
     while ts.accept(","):
@@ -183,46 +198,54 @@ def _ident_list(ts) -> Tuple[str, ...]:
     return tuple(items)
 
 
-def validate_domain(d: Domain) -> List[Diagnostic]:
-    """Invariant check over a structurally complete domain; empty means valid."""
-    out: List[Diagnostic] = []
+def validate_domain(d: Domain) -> list[Diagnostic]:
+    """Invariant check over a structurally complete domain; empty means valid.
+
+    A diagnostic about one declaration carries the line it is declared on.
+    """
+    out: list[Diagnostic] = []
     seen_c: set = set()
     for c in d.concepts:
         if c.name in seen_c:
-            out.append(diag.error(f"duplicate concept name {c.name!r}"))
+            out.append(diag.error(f"duplicate concept name {c.name!r}", c.line))
         seen_c.add(c.name)
     seen_s: set = set()
     for s in d.services:
         if s.name in seen_s:
-            out.append(diag.error(f"duplicate service name {s.name!r}"))
+            out.append(diag.error(f"duplicate service name {s.name!r}", s.line))
         seen_s.add(s.name)
     seen_sla: set = set()
     for s in d.slas:
         if s.name in seen_sla:
-            out.append(diag.error(f"duplicate SLA name {s.name!r}"))
+            out.append(diag.error(f"duplicate SLA name {s.name!r}", s.line))
         seen_sla.add(s.name)
         if s.threshold < 0:
-            out.append(diag.error(f"SLA {s.name!r} threshold must be >= 0"))
+            out.append(diag.error(f"SLA {s.name!r} threshold must be >= 0", s.line))
         if s.metric == "max_fault_rate":
             if s.unit != "ratio":
-                out.append(diag.error(f"SLA {s.name!r}: fault-rate threshold needs unit 'ratio'"))
+                out.append(diag.error(
+                    f"SLA {s.name!r}: fault-rate threshold needs unit 'ratio'", s.line))
             elif s.threshold > 1:
-                out.append(diag.error(f"SLA {s.name!r}: fault-rate threshold must be <= 1"))
+                out.append(diag.error(
+                    f"SLA {s.name!r}: fault-rate threshold must be <= 1", s.line))
         elif s.unit == "ratio":
-            out.append(diag.error(f"SLA {s.name!r}: duration metric needs a time unit"))
+            out.append(diag.error(f"SLA {s.name!r}: duration metric needs a time unit", s.line))
 
     for c in d.concepts:
         for ref in c.service_refs:
             if ref not in seen_s:
-                out.append(diag.error(f"concept {c.name!r} references undeclared service {ref!r}"))
+                out.append(diag.error(
+                    f"concept {c.name!r} references undeclared service {ref!r}", c.line))
         if c.sla_ref is not None and c.sla_ref not in seen_sla:
-            out.append(diag.error(f"concept {c.name!r} references undeclared SLA {c.sla_ref!r}"))
+            out.append(diag.error(
+                f"concept {c.name!r} references undeclared SLA {c.sla_ref!r}", c.line))
         for dep in c.depends_on:
             if dep not in seen_c:
-                out.append(diag.error(f"concept {c.name!r} depends on unknown concept {dep!r}"))
+                out.append(diag.error(
+                    f"concept {c.name!r} depends on unknown concept {dep!r}", c.line))
         if not c.service_refs and c.subprocess is None:
             out.append(diag.error(
-                f"concept {c.name!r} needs either services or a subprocess body"))
+                f"concept {c.name!r} needs either services or a subprocess body", c.line))
         if c.subprocess is not None:
             inner = [x for x in proc.validate_body(c.subprocess, None, f"concept {c.name}")
                      if x.severity == "error"]
@@ -244,16 +267,16 @@ def validate_domain(d: Domain) -> List[Diagnostic]:
     return out
 
 
-def _cycles(d: Domain, deps: Dict[str, List[str]], what: str) -> List[Diagnostic]:
+def _cycles(d: Domain, deps: dict[str, list[str]], what: str) -> list[Diagnostic]:
     """One diagnostic per back edge of a depth-first walk over ``deps``.
 
     The walk keeps its own stack, so a chain deeper than Python's recursion
     limit is walked like any other.
     """
-    out: List[Diagnostic] = []
+    out: list[Diagnostic] = []
     done: set = set()
-    trail: List[str] = []  # the names being visited, outermost first
-    at: Dict[str, int] = {}  # name -> its index in trail
+    trail: list[str] = []  # the names being visited, outermost first
+    at: dict[str, int] = {}  # name -> its index in trail
     for c in d.concepts:
         if c.name in done:
             continue
@@ -306,14 +329,14 @@ def serialize_domain(d: Domain) -> str:
     return "\n".join(lines) + "\n"
 
 
-def propagate_sla(d: Domain, am) -> List[Tuple[str, Sla]]:
+def propagate_sla(d: Domain, am) -> list[tuple[str, Sla]]:
     """Fan an enterprise-wide SLA out to every mapped activity.
 
     ``am`` is a :data:`~dsproc.mappings.ActivityMappings` dict. Each mapped
     activity whose concept carries an SLA reference yields one
     ``(activity_uid, Sla)`` entry; activities of SLA-less concepts are absent.
     """
-    out: List[Tuple[str, Sla]] = []
+    out: list[tuple[str, Sla]] = []
     for uid, entry in am.items():
         concept = d.concept(entry.concept)
         if concept is None:

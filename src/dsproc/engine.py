@@ -27,14 +27,16 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .bpmn import BpmnElement, BpmnModel, SequenceFlow
-from .deploy import DeploymentManifest
 from .diagnostics import DsprocError, json_check, json_field, json_members
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from .bpmn import BpmnElement, BpmnModel, SequenceFlow
+    from .deploy import DeploymentManifest
 
 RNG_ID = "python-mt19937"
 LOG_VERSION = 1
@@ -55,11 +57,12 @@ _VALID_TYPES = frozenset(itertools.product(*(
     for name, types in _FIELD_TYPES.items())))
 
 
-def _json_number(value: Union[int, float]) -> str:
+def _json_number(value: int | float) -> str:
     text = repr(value)
     return text if text not in ("inf", "-inf", "nan") else json.dumps(value)
 
 
+_fields_of = attrgetter(*_FIELD_ORDER)  # a record's fields as a tuple, in log order
 # (getter, ', "name": ' prefix, encoder) of each optional field, in log order
 _OPTIONAL_FIELDS = tuple(
     (attrgetter(name), f', "{name}": ', _json_str if types is str else _json_number)
@@ -70,16 +73,14 @@ class SimulationError(DsprocError):
     pass
 
 
-@dataclass(frozen=True)
-class DurationProfile:
-    kind: str  # fixed | uniform | normal
-    value: float = 0.0
-    low: float = 0.0
-    high: float = 0.0
-    mean: float = 0.0
-    stddev: float = 0.0
+class DurationProfile(namedtuple("DurationProfile", "kind value low high mean stddev",
+                                 defaults=(0.0, 0.0, 0.0, 0.0, 0.0))):
+    """``kind`` is fixed, uniform or normal; each reads its own numbers."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DurationProfile:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("fixed", "uniform", "normal"):
             raise SimulationError(f"unknown profile kind {self.kind!r}")
         if self.kind == "fixed" and self.value < 0:
@@ -88,6 +89,7 @@ class DurationProfile:
             raise SimulationError("uniform profile requires 0 <= low <= high")
         if self.kind == "normal" and (self.stddev < 0 or self.mean < 0):
             raise SimulationError("normal profile requires mean >= 0 and stddev >= 0")
+        return self
 
     def sample(self, rng: random.Random) -> float:
         if self.kind == "fixed":
@@ -110,14 +112,21 @@ class DurationProfile:
                    stddev=number("stddev"))
 
 
-@dataclass
 class SimulationConfig:
-    instance_count: int = 1
-    seed: int = 0
-    profiles: Dict[str, DurationProfile] = field(default_factory=dict)
-    branch_probs: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    fault_probs: Dict[str, float] = field(default_factory=dict)
-    default_profile: Optional[str] = None
+    __slots__ = ("instance_count", "seed", "profiles", "branch_probs", "fault_probs",
+                 "default_profile")
+
+    def __init__(self, instance_count: int = 1, seed: int = 0,
+                 profiles: dict[str, DurationProfile] | None = None,
+                 branch_probs: dict[str, dict[str, float]] | None = None,
+                 fault_probs: dict[str, float] | None = None,
+                 default_profile: str | None = None):
+        self.instance_count = instance_count
+        self.seed = seed
+        self.profiles = {} if profiles is None else profiles
+        self.branch_probs = {} if branch_probs is None else branch_probs
+        self.fault_probs = {} if fault_probs is None else fault_probs
+        self.default_profile = default_profile
 
     def validate(self) -> None:
         if self.instance_count < 1:
@@ -155,19 +164,37 @@ class SimulationConfig:
         return cfg
 
 
-@dataclass(slots=True)
 class EventRecord:
-    seq: int
-    ts_ms: float
-    kind: str
-    process: str
-    instance: int
-    element_uid: Optional[str] = None
-    element_id: Optional[str] = None
-    concept: Optional[str] = None
-    service: Optional[str] = None
-    status: Optional[str] = None
-    duration_ms: Optional[float] = None
+    """One event of the log; a field that does not apply is None."""
+
+    __slots__ = _FIELD_ORDER
+
+    def __init__(self, seq: int, ts_ms: float, kind: str, process: str, instance: int,
+                 element_uid: str | None = None, element_id: str | None = None,
+                 concept: str | None = None, service: str | None = None,
+                 status: str | None = None, duration_ms: float | None = None):
+        self.seq = seq
+        self.ts_ms = ts_ms
+        self.kind = kind
+        self.process = process
+        self.instance = instance
+        self.element_uid = element_uid
+        self.element_id = element_id
+        self.concept = concept
+        self.service = service
+        self.status = status
+        self.duration_ms = duration_ms
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not EventRecord:
+            return NotImplemented
+        return _fields_of(self) == _fields_of(other)
+
+    __hash__ = None  # a record's seq is set after it is built
+
+    def __repr__(self) -> str:
+        return "EventRecord(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(_FIELD_ORDER, _fields_of(self))) + ")"
 
     def to_json_line(self) -> str:
         """The record's log line; see the module docstring for its bytes."""
@@ -187,7 +214,7 @@ def log_header(cfg: SimulationConfig) -> str:
     return json.dumps({"log_version": LOG_VERSION, "seed": cfg.seed, "rng": RNG_ID})
 
 
-def decode_line(line: str) -> Union[dict, EventRecord]:
+def decode_line(line: str) -> dict | EventRecord:
     """Decode one log line with a single ``json.loads``.
 
     Returns the header as a dict and any other line as an
@@ -216,7 +243,7 @@ def decode_line(line: str) -> Union[dict, EventRecord]:
     return EventRecord(*values)
 
 
-def render_log(records: List[EventRecord], cfg: SimulationConfig) -> str:
+def render_log(records: list[EventRecord], cfg: SimulationConfig) -> str:
     lines = [log_header(cfg)]
     lines.extend(r.to_json_line() for r in records)
     lines.append("")  # the trailing newline, without a second copy of the log
@@ -233,11 +260,11 @@ _CONTROL_KINDS = frozenset({"startEvent", "endEvent", "exclusiveGateway", "paral
 
 
 class _Level:
-    def __init__(self, elements: List[BpmnElement], flows: List[SequenceFlow], where: str):
+    def __init__(self, elements: list[BpmnElement], flows: list[SequenceFlow], where: str):
         self.where = where
-        self.elements: Dict[str, BpmnElement] = {e.id: e for e in elements}
-        self.outgoing: Dict[str, List[SequenceFlow]] = {}
-        self.incoming_count: Dict[str, int] = {}
+        self.elements: dict[str, BpmnElement] = {e.id: e for e in elements}
+        self.outgoing: dict[str, list[SequenceFlow]] = {}
+        self.incoming_count: dict[str, int] = {}
         for f in flows:
             self.outgoing.setdefault(f.source, []).append(f)
             self.incoming_count[f.target] = self.incoming_count.get(f.target, 0) + 1
@@ -247,10 +274,10 @@ class _Level:
         self.start_id = starts[0].id
 
 
-def _build_levels(model: BpmnModel) -> Dict[Tuple[str, ...], _Level]:
-    levels: Dict[Tuple[str, ...], _Level] = {}
+def _build_levels(model: BpmnModel) -> dict[tuple[str, ...], _Level]:
+    levels: dict[tuple[str, ...], _Level] = {}
 
-    def build(elements, flows, path: Tuple[str, ...], where: str):
+    def build(elements, flows, path: tuple[str, ...], where: str):
         levels[path] = _Level(elements, flows, where)
         for e in elements:
             if e.kind == "subProcess":
@@ -265,7 +292,7 @@ def _build_levels(model: BpmnModel) -> Dict[Tuple[str, ...], _Level]:
 
 
 def simulate(model: BpmnModel, manifest: DeploymentManifest,
-             cfg: SimulationConfig) -> List[EventRecord]:
+             cfg: SimulationConfig) -> list[EventRecord]:
     cfg.validate()
     levels = _build_levels(model)
     _check_probs(levels, cfg, model.process_id)
@@ -274,27 +301,27 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     rng = random.Random(cfg.seed)
     process = model.process_id
 
-    records: List[EventRecord] = []
-    last_ts: Dict[int, float] = {}
-    ended: Dict[int, bool] = {}
-    faulted: Dict[int, bool] = {}
-    ctx_active: Dict[Tuple[int, Tuple[str, ...]], int] = {}
-    ctx_fault: Dict[Tuple[int, Tuple[str, ...]], bool] = {}
-    join_arrivals: Dict[Tuple[int, Tuple[str, ...], str], int] = {}
+    records: list[EventRecord] = []
+    last_ts: dict[int, float] = {}
+    ended: dict[int, bool] = {}
+    faulted: dict[int, bool] = {}
+    ctx_active: dict[tuple[int, tuple[str, ...]], int] = {}
+    ctx_fault: dict[tuple[int, tuple[str, ...]], bool] = {}
+    join_arrivals: dict[tuple[int, tuple[str, ...], str], int] = {}
 
     def emit(ts: float, kind: str, instance: int, **fields) -> None:
         records.append(EventRecord(0, ts, kind, process, instance, **fields))
         last_ts[instance] = max(last_ts.get(instance, 0.0), ts)
 
-    heap: List[Tuple[float, int, int, Tuple[str, ...], str, str]] = []
+    heap: list[tuple[float, int, int, tuple[str, ...], str, str]] = []
     counter = 0
 
-    def schedule(ts: float, inst: int, path: Tuple[str, ...], elem_id: str, action: str) -> None:
+    def schedule(ts: float, inst: int, path: tuple[str, ...], elem_id: str, action: str) -> None:
         nonlocal counter
         heapq.heappush(heap, (ts, counter, inst, path, elem_id, action))
         counter += 1
 
-    def absorb(inst: int, path: Tuple[str, ...], ts: float, fault: bool) -> None:
+    def absorb(inst: int, path: tuple[str, ...], ts: float, fault: bool) -> None:
         key = (inst, path)
         ctx_active[key] -= 1
         if fault:
@@ -318,7 +345,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         else:
             move(inst, parent, path[-1], ts)
 
-    def move(inst: int, path: Tuple[str, ...], elem_id: str, ts: float) -> None:
+    def move(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
         level = levels[path]
         flows = level.outgoing.get(elem_id, [])
         if not flows:
@@ -330,7 +357,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         for f in flows:
             schedule(ts, inst, path, f.target, "enter")
 
-    def enter(inst: int, path: Tuple[str, ...], elem_id: str, ts: float) -> None:
+    def enter(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
         level = levels[path]
         elem = level.elements.get(elem_id)
         if elem is None:
@@ -366,7 +393,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         else:
             _run_activity(inst, path, elem, ts)
 
-    def _run_activity(inst: int, path: Tuple[str, ...], elem: BpmnElement, ts: float) -> None:
+    def _run_activity(inst: int, path: tuple[str, ...], elem: BpmnElement, ts: float) -> None:
         row = rows.get(elem.concept_uid) if elem.concept_uid else None
         emit(ts, "activityStart", inst, element_uid=elem.concept_uid,
              element_id=elem.id, concept=row.concept if row else None)
@@ -429,7 +456,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     return records
 
 
-def _choose(flows: List[SequenceFlow], probs: Optional[Dict[str, float]],
+def _choose(flows: list[SequenceFlow], probs: dict[str, float] | None,
             rng: random.Random) -> SequenceFlow:
     if len(flows) == 1:
         return flows[0]
@@ -445,7 +472,7 @@ def _choose(flows: List[SequenceFlow], probs: Optional[Dict[str, float]],
     return flows[-1]
 
 
-def _profile_for(name: Optional[str], cfg: SimulationConfig) -> DurationProfile:
+def _profile_for(name: str | None, cfg: SimulationConfig) -> DurationProfile:
     if name is None:
         name = cfg.default_profile
     if name is None:
@@ -456,7 +483,7 @@ def _profile_for(name: Optional[str], cfg: SimulationConfig) -> DurationProfile:
     return profile
 
 
-def _check_probs(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig,
+def _check_probs(levels: dict[tuple[str, ...], _Level], cfg: SimulationConfig,
                  process: str) -> None:
     """Reject a ``branch_probs`` or ``fault_probs`` entry that does not fit the model."""
     gateways = {eid: level for level in levels.values()
@@ -485,7 +512,7 @@ def _check_probs(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig,
                 f"field 'fault_probs.{key}' names no activity of process {process!r}")
 
 
-def _check_exits(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig) -> None:
+def _check_exits(levels: dict[tuple[str, ...], _Level], cfg: SimulationConfig) -> None:
     """Reject a level where a token can be trapped in a loop.
 
     Every element that the start reaches through flows of nonzero
@@ -502,8 +529,8 @@ def _check_exits(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig) -
                 if any(map(can_fault, level.elements.values()))
                 for i in range(1, len(path) + 1)}
     for path, level in levels.items():
-        nexts: Dict[str, List[str]] = {}
-        before: Dict[str, List[str]] = {}
+        nexts: dict[str, list[str]] = {}
+        before: dict[str, list[str]] = {}
         exits = set()
         for eid, elem in level.elements.items():
             flows = level.outgoing.get(eid, [])
@@ -530,7 +557,7 @@ def _check_exits(levels: Dict[Tuple[str, ...], _Level], cfg: SimulationConfig) -
                 "probability leaves for an end event, a dead end or a fault")
 
 
-def _closure(seeds: Set[str], edges: Dict[str, List[str]]) -> Set[str]:
+def _closure(seeds: set[str], edges: dict[str, list[str]]) -> set[str]:
     """``seeds`` and every node reachable from them along ``edges``."""
     seen = set(seeds)
     stack = list(seeds)

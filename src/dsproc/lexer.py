@@ -7,7 +7,7 @@ strings, numbers, a handful of punctuation tokens and ``#`` line comments.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional
+from collections import namedtuple
 
 from .diagnostics import ParseError
 
@@ -30,19 +30,18 @@ _TOKEN = re.compile(r"""
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT | STRING | NUMBER | PUNCT | EOF
-    value: str
-    line: int
-    column: int
+class Token(namedtuple("Token", "kind value line column")):
+    """``kind`` is IDENT, STRING, NUMBER, PUNCT or EOF."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         """The token as an error message's ``found …`` names it."""
         return "end of input" if self.kind == "EOF" else repr(self.value)
 
 
-def tokenize(source: str) -> List[Token]:
-    tokens: List[Token] = []
+def tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
     lines = source.split("\n")
     for line, text in enumerate(lines, 1):
         for m in _TOKEN.finditer(text):
@@ -70,7 +69,7 @@ def escape(text: str) -> str:
 class TokenStream:
     """Cursor over a token list with the usual expect/accept helpers."""
 
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
 
@@ -87,7 +86,7 @@ class TokenStream:
         tok = self.peek()
         return tok.kind in ("PUNCT", "IDENT") and tok.value == value
 
-    def accept(self, value: str) -> Optional[Token]:
+    def accept(self, value: str) -> Token | None:
         if self.at(value):
             return self.next()
         return None

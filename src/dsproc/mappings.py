@@ -10,11 +10,14 @@ The whole mapping state round-trips through ``mappings.json``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from collections import namedtuple
 
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
                           load_input)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterator
 
 
 class MappingError(DsprocError):
@@ -24,8 +27,8 @@ class MappingError(DsprocError):
 class UidRegistry:
     """Injective path -> uid map; persisted entries are never reassigned."""
 
-    def __init__(self, entries: Optional[Dict[str, str]] = None):
-        self._entries: Dict[str, str] = dict(entries or {})
+    def __init__(self, entries: dict[str, str] | None = None):
+        self._entries: dict[str, str] = dict(entries or {})
         self._taken = set(self._entries.values())
         if len(self._taken) != len(self._entries):
             raise MappingError("uid registry is not injective")
@@ -49,22 +52,17 @@ class UidRegistry:
         return uid
 
     @property
-    def entries(self) -> Dict[str, str]:
+    def entries(self) -> dict[str, str]:
         return dict(self._entries)
 
 
-@dataclass(frozen=True)
-class AmEntry:
-    concept: str
-    process: str
-    element: str
-
+AmEntry = namedtuple("AmEntry", "concept process element")
 
 # The union of per-process activity -> concept maps, keyed by uid
-ActivityMappings = Dict[str, AmEntry]
+ActivityMappings = dict[str, AmEntry]
 
 
-def build_cm(d) -> Dict[str, List[str]]:
+def build_cm(d) -> dict[str, list[str]]:
     """Concept mappings: each concept with services, mapped to its service list."""
     return {c.name: list(c.service_refs) for c in d.concepts if c.service_refs}
 
@@ -91,10 +89,7 @@ def _walk_tagged(model) -> Iterator:
             yield from _walk_tagged(element.inner)
 
 
-class MergeResult(NamedTuple):
-    technical_additions: List[str]
-    broken: List[str]
-    added: List[str]
+MergeResult = namedtuple("MergeResult", "technical_additions broken added")
 
 
 def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
@@ -124,14 +119,17 @@ def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
     return MergeResult(additions, broken, added)
 
 
-@dataclass
 class MappingStore:
     """Everything ``mappings.json`` holds: CM, AM and the uid registry."""
 
-    domain: str
-    cm: Dict[str, List[str]] = field(default_factory=dict)
-    am: ActivityMappings = field(default_factory=dict)
-    uids: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("domain", "cm", "am", "uids")
+
+    def __init__(self, domain: str, cm: dict[str, list[str]] | None = None,
+                 am: ActivityMappings | None = None, uids: dict[str, str] | None = None):
+        self.domain = domain
+        self.cm = {} if cm is None else cm
+        self.am = {} if am is None else am
+        self.uids = {} if uids is None else uids
 
     def registry(self) -> UidRegistry:
         return UidRegistry(self.uids)

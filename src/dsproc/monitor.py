@@ -19,63 +19,79 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from collections import defaultdict, namedtuple
 
 from .diagnostics import DsprocError
-from .domain import Sla
 from .engine import decode_line
-from .mappings import ActivityMappings, MappingStore
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterable
+
+    from .domain import Sla
+    from .mappings import ActivityMappings, MappingStore
 
 _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
-
-class Sample(NamedTuple):
-    duration_ms: float
-    status: str
-    instance: int
-    ts_ms: float
-    uid: Optional[str]
-    service: Optional[str] = None
+# one activity completion (``service`` None) or service invocation
+Sample = namedtuple("Sample", "duration_ms status instance ts_ms uid service",
+                    defaults=(None,))
 
 
-@dataclass
 class ConceptProbe:
-    concept: str
-    bpms: List[Sample] = field(default_factory=list)
-    soa: List[Sample] = field(default_factory=list)
-    slas: Dict[str, Sla] = field(default_factory=dict)
+    """The BPMS samples (activity completions) and SOA samples (service
+    invocations) of one concept, and the SLAs registered on it."""
+
+    __slots__ = ("concept", "bpms", "soa", "slas")
+
+    def __init__(self, concept: str):
+        self.concept = concept
+        self.bpms: list[Sample] = []
+        self.soa: list[Sample] = []
+        self.slas: dict[str, Sla] = {}
 
 
-@dataclass
 class InstanceRecord:
-    start_ts: float
-    end_ts: Optional[float] = None
-    status: Optional[str] = None
+    __slots__ = ("start_ts", "end_ts", "status")
+
+    def __init__(self, start_ts: float, end_ts: float | None = None,
+                 status: str | None = None):
+        self.start_ts = start_ts
+        self.end_ts = end_ts
+        self.status = status
 
     @property
-    def duration_ms(self) -> Optional[float]:
+    def duration_ms(self) -> float | None:
         if self.end_ts is None:
             return None
         return self.end_ts - self.start_ts
 
 
-@dataclass
 class ProcessProbe:
-    process: str
-    instances: Dict[int, InstanceRecord] = field(default_factory=dict)
-    technical: List[Sample] = field(default_factory=list)
+    """A process's instances, keyed by (log, instance number) because every
+    log numbers its instances from 1, and its technical bucket."""
+
+    __slots__ = ("process", "instances", "technical")
+
+    def __init__(self, process: str):
+        self.process = process
+        self.instances: dict[tuple[int, int], InstanceRecord] = {}
+        self.technical: list[Sample] = []
 
 
-@dataclass
 class ProbeSet:
-    concepts: Dict[str, ConceptProbe] = field(default_factory=dict)
-    processes: Dict[str, ProcessProbe] = field(default_factory=dict)
+    """Every probe of the logs ingested so far; ``logs`` counts their headers."""
+
+    __slots__ = ("concepts", "processes", "logs")
+
+    def __init__(self):
+        self.concepts: dict[str, ConceptProbe] = {}
+        self.processes: dict[str, ProcessProbe] = {}
+        self.logs = 0
 
 
 def ingest(lines: Iterable[str], am: ActivityMappings,
-           probes: Optional[ProbeSet] = None) -> ProbeSet:
+           probes: ProbeSet | None = None) -> ProbeSet:
     """Replay an event log (header line included) into a probe set.
 
     ``lines`` may be any iterable, an open file included; it is read once,
@@ -97,6 +113,7 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
             raise DsprocError(f"line {line_no}: {exc}") from None
         if isinstance(r, dict):
             header_seen = True
+            probes.logs += 1
             continue
         if not header_seen:
             raise DsprocError(f"line {line_no}: log header missing")
@@ -106,9 +123,9 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
         if pp is None:
             pp = probes.processes[r.process] = ProcessProbe(r.process)
         if r.kind == "processStart":
-            pp.instances[r.instance] = InstanceRecord(start_ts=r.ts_ms)
+            pp.instances[probes.logs, r.instance] = InstanceRecord(start_ts=r.ts_ms)
         elif r.kind == "processEnd":
-            rec = pp.instances.setdefault(r.instance, InstanceRecord(start_ts=0.0))
+            rec = pp.instances.setdefault((probes.logs, r.instance), InstanceRecord(start_ts=0.0))
             rec.end_ts = r.ts_ms
             rec.status = r.status or "ok"
         elif r.kind == "activityEnd":
@@ -133,7 +150,7 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
 # statistics
 
 
-def _stats(durations: List[float], faults: int = 0) -> dict:
+def _stats(durations: list[float], faults: int = 0) -> dict:
     """Count, faults and total of ``durations``; when there are any, also
     their mean, min, max and nearest-rank p95.
 
@@ -159,7 +176,7 @@ def _faults(samples: Iterable) -> int:
 # SLA registration and alerts
 
 
-def register_sla(probes: ProbeSet, pairs: Iterable[Tuple[str, Sla]]) -> ProbeSet:
+def register_sla(probes: ProbeSet, pairs: Iterable[tuple[str, Sla]]) -> ProbeSet:
     """Attach SLAs to concept probes; re-registration is idempotent."""
     for subject, sla in pairs:
         probe = probes.concepts.get(subject)
@@ -169,8 +186,8 @@ def register_sla(probes: ProbeSet, pairs: Iterable[Tuple[str, Sla]]) -> ProbeSet
     return probes
 
 
-def propagated_to_concepts(propagated: Iterable[Tuple[str, Sla]],
-                           am: ActivityMappings) -> List[Tuple[str, Sla]]:
+def propagated_to_concepts(propagated: Iterable[tuple[str, Sla]],
+                           am: ActivityMappings) -> list[tuple[str, Sla]]:
     """Reduce per-activity SLA propagation output to (concept, sla) pairs."""
     seen = {}
     for uid, sla in propagated:
@@ -181,17 +198,12 @@ def propagated_to_concepts(propagated: Iterable[Tuple[str, Sla]],
     return list(seen.values())
 
 
-@dataclass
-class Alert:
-    sla: str
-    subject: str
-    metric: str
-    observed: float
-    threshold: float
-    severity: str
-    first_ts: Optional[float]
-    last_ts: Optional[float]
-    instances: List[int]
+class Alert(namedtuple("Alert", "sla subject metric observed threshold severity "
+                               "first_ts last_ts instances")):
+    """An SLA violation: ``observed`` against ``threshold``, between the
+    violating samples' ``first_ts`` and ``last_ts``, in ``instances``."""
+
+    __slots__ = ()
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -202,8 +214,8 @@ class Alert:
         })
 
 
-def evaluate_alerts(probes: ProbeSet) -> List[Alert]:
-    alerts: List[Alert] = []
+def evaluate_alerts(probes: ProbeSet) -> list[Alert]:
+    alerts: list[Alert] = []
     for concept in probes.concepts:
         probe = probes.concepts[concept]
         for sla in probe.slas.values():
@@ -214,7 +226,7 @@ def evaluate_alerts(probes: ProbeSet) -> List[Alert]:
     return alerts
 
 
-def _check_sla(probe: ConceptProbe, sla: Sla) -> Optional[Alert]:
+def _check_sla(probe: ConceptProbe, sla: Sla) -> Alert | None:
     samples = probe.bpms
     if not samples:
         return None
@@ -255,7 +267,7 @@ def _check_sla(probe: ConceptProbe, sla: Sla) -> Optional[Alert]:
 def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     """Monitoring report keyed by the modelling-level node paths, not BPMN ids."""
     path_of = {uid: path for path, uid in store.uids.items()}
-    uids_by_concept: Dict[str, List[str]] = defaultdict(list)
+    uids_by_concept: dict[str, list[str]] = defaultdict(list)
     for uid, entry in store.am.items():
         uids_by_concept[entry.concept].append(uid)
 
@@ -271,7 +283,7 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     def pct(total: float) -> float:
         return (total / denom * 100.0) if denom > 0 else 0.0
 
-    def brief(durations: List[float]) -> dict:
+    def brief(durations: list[float]) -> dict:
         stats = _stats(durations)
         return {key: stats[key] for key in ("count", "total_ms", "mean_ms") if key in stats}
 

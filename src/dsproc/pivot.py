@@ -9,13 +9,16 @@ generation of the same process yields identical models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import namedtuple
+from types import MappingProxyType
 
 from .diagnostics import DsprocError
-from .domain import Domain
-from .mappings import UidRegistry
-from .process import ProcessBody, ProcessModel
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from .domain import Domain
+    from .mappings import UidRegistry
+    from .process import ProcessBody, ProcessModel
 
 # element kinds
 ACTIVITY = "activity"
@@ -25,29 +28,14 @@ PARALLEL = "parallel"
 START = "start"
 END = "end"
 
-
-@dataclass(frozen=True)
-class CommonFlow:
-    source: str  # uid
-    target: str  # uid
-    condition: Optional[str] = None
-    exceptional: bool = False
-
-
-@dataclass(frozen=True)
-class CommonElement:
-    uid: str
-    kind: str
-    label: str = ""
-    inner: Optional["CommonModel"] = None  # kind == subprocess only
-
-
-@dataclass(frozen=True)
-class CommonModel:
-    name: str
-    elements: Tuple[CommonElement, ...] = ()
-    flows: Tuple[CommonFlow, ...] = ()
-    concept_tags: Dict[str, str] = field(default_factory=dict)
+# ``source`` and ``target`` are uids
+CommonFlow = namedtuple("CommonFlow", "source target condition exceptional",
+                        defaults=(None, False))
+# ``inner`` is the lowered body of a subprocess element, None for any other kind
+CommonElement = namedtuple("CommonElement", "uid kind label inner", defaults=("", None))
+# ``concept_tags`` maps the uid of each concept-derived element to its concept
+CommonModel = namedtuple("CommonModel", "name elements flows concept_tags",
+                         defaults=((), (), MappingProxyType({})))
 
 
 def to_common(p: ProcessModel, d: Domain, registry: UidRegistry) -> CommonModel:
@@ -63,9 +51,9 @@ def to_common(p: ProcessModel, d: Domain, registry: UidRegistry) -> CommonModel:
 
 def _lower_body(body: ProcessBody, d: Domain, registry: UidRegistry,
                 name: str, path: str) -> CommonModel:
-    elements: List[CommonElement] = []
-    tags: Dict[str, str] = {}
-    uid_of: Dict[str, str] = {}
+    elements: list[CommonElement] = []
+    tags: dict[str, str] = {}
+    uid_of: dict[str, str] = {}
 
     for node in body.nodes:
         node_path = f"{path}/{node.id}"

@@ -12,54 +12,60 @@ second parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from collections import namedtuple
 
 from . import diagnostics as diag
-from .diagnostics import Diagnostic, ParseError
-from .lexer import TokenStream, escape, stream
+from .diagnostics import ParseError
+from .lexer import escape, stream
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
+    from .diagnostics import Diagnostic
     from .domain import Domain
+    from .lexer import TokenStream
 
 NODE_KINDS = ("start", "end", "concept", "exclusive", "parallel")
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: str
-    concept: Optional[str] = None  # set iff kind == "concept"
-    line: Optional[int] = field(default=None, compare=False)
+class Node(namedtuple("Node", "id kind concept")):
+    """A node of a process body; ``concept`` is set iff ``kind == "concept"``.
+
+    ``line``, where the node is declared, takes no part in ==, hash or repr.
+    """
+
+    line = None
+
+    def __new__(cls, id: str, kind: str, concept: str | None = None,
+                line: int | None = None) -> Node:
+        node = tuple.__new__(cls, (id, kind, concept))
+        node.line = line
+        return node
 
     @property
     def is_gateway(self) -> bool:
         return self.kind in ("exclusive", "parallel")
 
 
-@dataclass(frozen=True)
-class Flow:
-    source: str
-    target: str
-    condition: Optional[str] = None
-    exceptional: bool = False
-    line: Optional[int] = field(default=None, compare=False)
+class Flow(namedtuple("Flow", "source target condition exceptional")):
+    """A flow between two nodes; ``line`` takes no part in ==, hash or repr."""
+
+    line = None
+
+    def __new__(cls, source: str, target: str, condition: str | None = None,
+                exceptional: bool = False, line: int | None = None) -> Flow:
+        flow = tuple.__new__(cls, (source, target, condition, exceptional))
+        flow.line = line
+        return flow
 
 
-@dataclass(frozen=True)
-class ProcessBody:
-    nodes: Tuple[Node, ...] = ()
-    flows: Tuple[Flow, ...] = ()
+class ProcessBody(namedtuple("ProcessBody", "nodes flows", defaults=((), ()))):
+    __slots__ = ()
 
-    def concept_refs(self) -> List[Node]:
+    def concept_refs(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "concept"]
 
 
-@dataclass(frozen=True)
-class ProcessModel:
-    name: str
-    domain_ref: str
-    body: ProcessBody
+ProcessModel = namedtuple("ProcessModel", "name domain_ref body")
 
 
 def parse_body(ts: TokenStream) -> ProcessBody:
@@ -68,16 +74,10 @@ def parse_body(ts: TokenStream) -> ProcessBody:
     Only syntactic and local structural checks happen here; concept
     resolution and graph checks are the job of :func:`validate_body`.
     """
-    nodes: List[Node] = []
-    flows: List[Flow] = []
-    declared = {}
+    nodes: list[Node] = []
+    flows: list[Flow] = []
+    declared = set()
     end_used = False
-
-    def declare(node: Node) -> None:
-        if node.id in declared:
-            raise ParseError(f"duplicate node id {node.id!r}", node.line)
-        declared[node.id] = node
-        nodes.append(node)
 
     while not ts.at("}") and not ts.at_eof():
         tok = ts.peek()
@@ -88,17 +88,21 @@ def parse_body(ts: TokenStream) -> ProcessBody:
                     f"{name_tok.value!r} is an implicit node and cannot be redeclared",
                     name_tok.line, name_tok.column,
                 )
+            if name_tok.value in declared:
+                raise ParseError(f"duplicate node id {name_tok.value!r}",
+                                 name_tok.line, name_tok.column)
             ts.expect(":")
             kind_tok = ts.expect_ident()
             if kind_tok.value == "concept":
                 concept_tok = ts.expect_ident()
-                declare(Node(name_tok.value, "concept", concept_tok.value, name_tok.line))
+                nodes.append(Node(name_tok.value, "concept", concept_tok.value, name_tok.line))
             elif kind_tok.value in ("exclusive", "parallel"):
-                declare(Node(name_tok.value, kind_tok.value, line=name_tok.line))
+                nodes.append(Node(name_tok.value, kind_tok.value, line=name_tok.line))
             else:
                 raise ParseError(
                     f"unknown node kind {kind_tok.value!r}", kind_tok.line, kind_tok.column
                 )
+            declared.add(name_tok.value)
             continue
         # flow statement: endpoint -> endpoint (when STRING)? (exceptional)?
         src_tok = ts.expect_ident()
@@ -114,14 +118,14 @@ def parse_body(ts: TokenStream) -> ProcessBody:
             end_used = True
         flows.append(Flow(src_tok.value, tgt_tok.value, condition, exceptional, tok.line))
 
-    all_nodes: List[Node] = [Node("start", "start")]
+    all_nodes: list[Node] = [Node("start", "start")]
     all_nodes.extend(nodes)
     if end_used:
         all_nodes.append(Node("end", "end"))
     return ProcessBody(tuple(all_nodes), tuple(flows))
 
 
-def parse_process(source: str, domain: "Domain") -> ProcessModel:
+def parse_process(source: str, domain: Domain) -> ProcessModel:
     """Parse a process definition that uses ``domain``; :func:`validate_process`
     checks it against the domain.
 
@@ -146,9 +150,9 @@ def parse_process(source: str, domain: "Domain") -> ProcessModel:
     return ProcessModel(name, domain.name, body)
 
 
-def validate_body(body: ProcessBody, domain: Optional["Domain"], where: str = "") -> List[Diagnostic]:
+def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> list[Diagnostic]:
     """Structural diagnostics for one process body (used for subprocess bodies too)."""
-    out: List[Diagnostic] = []
+    out: list[Diagnostic] = []
     prefix = f"{where}: " if where else ""
     ids = {n.id: n for n in body.nodes}  # parse_body rejects a duplicate id
 
@@ -228,7 +232,7 @@ def validate_body(body: ProcessBody, domain: Optional["Domain"], where: str = ""
     return out
 
 
-def validate_process(model: ProcessModel, domain: "Domain") -> List[Diagnostic]:
+def validate_process(model: ProcessModel, domain: Domain) -> list[Diagnostic]:
     """Diagnostics for a parsed process; :func:`parse_process` already matched its domain."""
     return validate_body(model.body, domain)
 

@@ -63,16 +63,24 @@ def test_check_lists_every_diagnostic_of_the_domain_and_each_process(tmp_path, c
     p.write_text(_BAD_PROCESS, encoding="utf-8")
     assert cli.main(["check", str(d), str(p)]) == 1
     assert capsys.readouterr() == (
-        f"{d}: error: duplicate concept name 'A'\n"
-        f"{d}: error: concept 'A' references undeclared service 's1'\n"
-        f"{d}: error: concept 'A' references undeclared service 's2'\n"
-        f"{d}: error: concept 'A' references undeclared SLA 'fast'\n"
+        f"{d}: error at 3: duplicate concept name 'A'\n"
+        f"{d}: error at 2: concept 'A' references undeclared service 's1'\n"
+        f"{d}: error at 3: concept 'A' references undeclared service 's2'\n"
+        f"{d}: error at 3: concept 'A' references undeclared SLA 'fast'\n"
         f"{p}: error at 3: unknown concept 'Zzz'\n"
         f"{p}: error at 4: unknown concept 'Yyy'\n"
         f"{p}: error at 3: node 'b' is unreachable from start\n"
         f"{p}: error at 4: node 'c' is unreachable from start\n"
         f"{p}: error at 3: node 'b' has no outgoing flow\n"
         f"{p}: error at 4: node 'c' has no outgoing flow\n", "")
+
+
+def test_check_locates_a_duplicate_node_id_by_line_and_column(work, capsys):
+    dup = work / "dup.dsproc"
+    dup.write_text("process HandleOrder uses OrderHandling {\n  node a: parallel\n"
+                   "  node a: exclusive\n}\n", encoding="utf-8")
+    assert cli.main(["check", str(work / "order_handling.dsml"), str(dup)]) == 1
+    assert capsys.readouterr() == ("", f"error: {dup}:3:8: duplicate node id 'a'\n")
 
 
 def test_gen_stops_at_the_first_error_and_locates_it(work, capsys):
@@ -83,7 +91,7 @@ def test_gen_stops_at_the_first_error_and_locates_it(work, capsys):
     argv = ["gen", str(work / "order_handling.dsproc"), "--domain", str(bad_domain),
             "--mappings", str(work / "mappings.json"), "-o", str(work / "out.bpmn")]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == f"error: {bad_domain}: duplicate concept name 'A'\n"
+    assert capsys.readouterr().err == f"error: {bad_domain}:3: duplicate concept name 'A'\n"
     argv[1], argv[3] = str(bad_process), str(work / "order_handling.dsml")
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {bad_process}:3: unknown concept 'Zzz'\n"
@@ -357,14 +365,59 @@ def test_module_entry_point(work):
     assert result.returncode == 0
 
 
-def test_importing_the_cli_does_not_import_pathlib():
-    # -I -S: no site-packages, no PYTHONPATH, so only the stdlib and dsproc load
+def _modules_loaded_by(argv):
+    """The exit code of ``cli.main(argv)`` in a fresh ``python -I -S`` process
+    (no site-packages, no PYTHONPATH), and the modules loaded by then; an
+    empty ``argv`` only imports the cli."""
+    script = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import dsproc.cli; "
+              "code = dsproc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+              "print(code, *sorted(sys.modules))")
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c",
-         "import sys; sys.path.insert(0, 'src'); import dsproc.cli; "
-         "print('pathlib' in sys.modules)"],
-        capture_output=True, text=True, cwd=FIXTURES.resolve().parent.parent)
-    assert (result.returncode, result.stdout) == (0, "False\n")
+        [sys.executable, "-I", "-S", "-c", script, str(FIXTURES.resolve().parent.parent / "src"),
+         *argv], capture_output=True, encoding="utf-8")
+    assert result.stderr == ""
+    code, *modules = result.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+# no command may load these, and none loads a module of another command
+_BANNED = {"dataclasses", "typing", "inspect", "pathlib"}
+_NOT_RUN = {
+    "check": {"dsproc.engine", "dsproc.bpmn", "xml.etree"},
+    "gen": {"dsproc.engine", "dsproc.deploy", "dsproc.monitor", "xml.etree"},
+    "bind": {"dsproc.engine", "dsproc.bpmn", "xml.etree"},
+    "run": {"dsproc.domain", "dsproc.process", "dsproc.lexer", "dsproc.pivot"},
+    "monitor": {"xml.etree"},
+}
+
+
+def test_importing_the_cli_does_not_import_pathlib():
+    code, modules = _modules_loaded_by([])
+    assert code == 0
+    assert not modules & _BANNED
+    assert {m for m in modules if m.startswith("dsproc")} == {
+        "dsproc", "dsproc.cli", "dsproc.diagnostics"}
+
+
+@pytest.mark.parametrize("command", ["check", "gen", "sync", "bind", "run", "monitor"])
+def test_each_command_loads_only_the_modules_it_runs(work, command):
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    dsml, dsproc = str(work / "order_handling.dsml"), str(work / "order_handling.dsproc")
+    store = ["--domain", dsml, "--mappings", str(work / "mappings.json")]
+    argv = {
+        "check": ["check", dsml, dsproc],
+        "gen": ["gen", dsproc, *store, "-o", str(work / "again.bpmn")],
+        "sync": ["sync", dsproc, *store, "--edited", str(work / "order.bpmn"),
+                 "-o", str(work / "merged.bpmn")],
+        "bind": ["bind", *store, "--bindings", str(work / "bindings.json"),
+                 "--process", "HandleOrder", "-o", str(work / "again.json")],
+        "run": ["run", str(work / "order.bpmn"), "--manifest", str(work / "manifest.json"),
+                "--sim", str(work / "sim.json"), "-o", str(work / "again.jsonl")],
+        "monitor": ["monitor", str(work / "events.jsonl"), *store],
+    }[command]
+    code, modules = _modules_loaded_by(argv)
+    assert code == 0
+    assert not modules & (_BANNED | _NOT_RUN.get(command, set()))
 
 
 def test_missing_file_is_an_error_not_a_traceback(work, capsys):

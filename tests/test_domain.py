@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -133,14 +132,25 @@ def test_repeated_names_resolve_to_the_first_declaration():
         "duplicate concept name 'A'", "duplicate service name 's'", "duplicate SLA name 'L'"]
 
 
-def test_lookup_indexes_are_not_dataclass_fields(order_domain):
+def test_lookup_indexes_take_no_part_in_equality_or_hash(order_domain):
     d = dom.Domain(order_domain.name, order_domain.concepts, order_domain.services,
                    order_domain.slas)
-    assert [f.name for f in dataclasses.fields(d)] == ["name", "concepts", "services", "slas"]
+    # with its indexes emptied, d still compares, hashes and prints as the tuples say
+    d._concepts, d._services, d._slas = {}, {}, {}
+    assert d.concept(d.concepts[0].name) is None
     assert d == order_domain and hash(d) == hash(order_domain)
     assert repr(d) == (f"Domain(name={d.name!r}, concepts={d.concepts!r}, "
                        f"services={d.services!r}, slas={d.slas!r})")
     assert d != dom.Domain(d.name, d.concepts[1:], d.services, d.slas)
+
+
+def test_declaration_lines_take_no_part_in_equality_or_hash(order_domain, order_domain_text):
+    again = dom.parse_domain("\n" * 100 + order_domain_text)
+    for before, after in zip(order_domain.concepts + order_domain.services + order_domain.slas,
+                             again.concepts + again.services + again.slas):
+        assert after.line == before.line + 100
+        assert after == before and hash(after) == hash(before) and repr(after) == repr(before)
+    assert again == order_domain and hash(again) == hash(order_domain)
 
 
 def test_fixture_round_trip(order_domain):

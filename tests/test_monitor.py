@@ -181,6 +181,19 @@ def test_aggregation_across_logs():
     assert set(probes.processes) == {"P", "Q"}
 
 
+def test_logs_of_one_process_keep_every_instance():
+    # each log numbers its instances from 1, so instances are told apart by log
+    store = _single_concept_world()
+    first = _activity_lines([10.0] * 10)
+    second = _activity_lines([30.0] * 9 + [50.0], statuses=["ok"] * 9 + ["fault"])
+    for probes in (monitor.ingest(first + second, store.am),
+                   monitor.ingest(second, store.am, monitor.ingest(first, store.am))):
+        report = monitor.build_report(probes, store)
+        process = report["processes"]["P"]
+        assert (process["instances"], process["faults"], process["mean_ms"]) == (20, 1, 21.0)
+        assert "process P: instances=20 faults=1 " in monitor.render_report_text(report)
+
+
 def test_soa_layer_collects_service_invocations():
     store = _single_concept_world()
     lines = [
