@@ -13,7 +13,7 @@ import json
 from collections import namedtuple
 
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
-                          load_input)
+                          load_input, parse_json)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,7 +33,7 @@ BindingTable = dict[str, Binding]
 
 
 def bindings_from_json(text: str) -> BindingTable:
-    doc = json_check(json.loads(text), "object")
+    doc = json_check(parse_json(text), "object")
     return {name: Binding(json_field(entry, "endpoint", "string", path),
                           json_field(entry, "profile", "string", path, None))
             for name, entry, path in json_members(doc, "bindings", "object")}
@@ -108,7 +108,7 @@ def emit_manifest(m: DeploymentManifest) -> str:
 
 
 def parse_manifest(text: str) -> DeploymentManifest:
-    doc = json_check(json.loads(text), "object")
+    doc = json_check(parse_json(text), "object")
     process = json_field(doc, "process", "string")
     rows = []
     for uid, entry, path in json_members(doc, "activities", "object"):

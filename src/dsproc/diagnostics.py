@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import namedtuple
 from contextlib import contextmanager
 
@@ -60,18 +61,37 @@ class ParseError(DsprocError):
         return base
 
 
+class JSONError(DsprocError):
+    """Text that is not JSON, or JSON that Python cannot hold; ``reason`` says why."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(f"malformed JSON: {reason}")
+
+
+def parse_json(text: str) -> Any:
+    """``json.loads(text)``; every way it can fail on text raises :class:`JSONError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JSONError(str(exc)) from None
+    except ValueError:  # not a JSONDecodeError: int() of a number with too many digits
+        raise JSONError(f"an integer has more than {sys.get_int_max_str_digits()} digits"
+                        ) from None
+    except RecursionError:
+        raise JSONError("arrays or objects nested too deeply") from None
+
+
 @contextmanager
 def reading(path) -> Iterator[None]:
     """Turn every input error raised inside the block into a
-    :class:`DsprocError` that names ``path``: text that is not UTF-8,
-    malformed JSON, and any :class:`DsprocError` as ``<path>:<line>:<col>: …``
+    :class:`DsprocError` that names ``path``: text that is not UTF-8, and any
+    :class:`DsprocError` (malformed JSON included) as ``<path>:<line>:<col>: …``
     when it is located, ``<path>: …`` otherwise."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise DsprocError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise DsprocError(f"{path}: malformed JSON: {exc}") from None
     except DsprocError as exc:
         sep = ":" if getattr(exc, "line", None) is not None else ": "
         raise DsprocError(f"{path}{sep}{exc}") from None

@@ -16,8 +16,15 @@ Each record line is exactly the bytes ``json.dumps`` gives for an object
 of the record's fields in ``_FIELD_ORDER``, with every ``None`` field
 omitted: ``", "`` and ``": "`` separators, ASCII-only string escapes,
 ``repr`` for ints and finite floats, and ``Infinity``/``-Infinity``/
-``NaN`` for the others. :meth:`EventRecord.to_json_line` writes that line
-without building the object.
+``NaN`` for the others. :func:`render_log` writes those lines without
+building the objects.
+
+Reading contract: :func:`decode_values` reads a line in the canonical form,
+the line :func:`render_log` writes when no string needs an escape, with
+one compiled pattern (``_CANONICAL``), and every other line with
+``json.loads`` and its checks. On a line in the canonical form both give
+the same values, because ``json.loads`` converts a number's text with the
+same ``int`` or ``float``.
 """
 
 from __future__ import annotations
@@ -27,14 +34,17 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 
-from .diagnostics import DsprocError, json_check, json_field, json_members
+from .diagnostics import DsprocError, JSONError, json_check, json_field, json_members, parse_json
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterable
+
     from .bpmn import BpmnElement, BpmnModel, SequenceFlow
     from .deploy import DeploymentManifest
 
@@ -55,18 +65,28 @@ _VALID_TYPES = frozenset(itertools.product(*(
     (types if isinstance(types, tuple) else (types,))
     + (() if name in _REQUIRED else (type(None),))
     for name, types in _FIELD_TYPES.items())))
+_fields_of = attrgetter(*_FIELD_ORDER)  # a record's fields as a tuple, in log order
+
+# The canonical form of a record line. Strings hold no backslash and no
+# control character. Numbers follow the JSON grammar with bounded digit
+# counts: a float's repr has at most 16 integer, 20 fraction and 3 exponent
+# digits, and an int of at most 20 digits is far below Python's limit on
+# int(text). A line outside these bounds is still read, by json.loads.
+_INT = r"-?(?:0|[1-9][0-9]{0,19})"
+_FLOAT = _INT + r"(?:\.[0-9]{1,20}(?:[eE][-+]?[0-9]{1,3})?|[eE][-+]?[0-9]{1,3})"
+_NUMBER_RE = f"(?:({_FLOAT})|({_INT}))"  # a float's text in one group, an int's in the next
+_STRING_RE = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL = re.compile(
+    f'{{"seq": ({_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
+    f'"process": {_STRING_RE}, "instance": ({_INT})'
+    + "".join(f'(?:, "{name}": {_STRING_RE})?' for name in _FIELD_ORDER[5:10])
+    + f'(?:, "duration_ms": {_NUMBER_RE})?}}\n?')
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _json_number(value: int | float) -> str:
     text = repr(value)
-    return text if text not in ("inf", "-inf", "nan") else json.dumps(value)
-
-
-_fields_of = attrgetter(*_FIELD_ORDER)  # a record's fields as a tuple, in log order
-# (getter, ', "name": ' prefix, encoder) of each optional field, in log order
-_OPTIONAL_FIELDS = tuple(
-    (attrgetter(name), f', "{name}": ', _json_str if types is str else _json_number)
-    for name, types in _FIELD_TYPES.items() if name not in _REQUIRED)
+    return _NON_FINITE.get(text, text)
 
 
 class SimulationError(DsprocError):
@@ -147,7 +167,7 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
-        doc = json_check(json.loads(text), "object")
+        doc = json_check(parse_json(text), "object")
         branch = json_field(doc, "branch_probs", "object", default={})
         cfg = cls(
             instance_count=json_field(doc, "instance_count", "integer", default=1),
@@ -196,43 +216,43 @@ class EventRecord:
         return "EventRecord(" + ", ".join(
             f"{name}={value!r}" for name, value in zip(_FIELD_ORDER, _fields_of(self))) + ")"
 
-    def to_json_line(self) -> str:
-        """The record's log line; see the module docstring for its bytes."""
-        parts = [f'{{"seq": {self.seq!r}, "ts_ms": {_json_number(self.ts_ms)}, '
-                 f'"kind": {_json_str(self.kind)}, "process": {_json_str(self.process)}, '
-                 f'"instance": {self.instance!r}']
-        for get, prefix, encode in _OPTIONAL_FIELDS:
-            value = get(self)
-            if value is not None:
-                parts.append(prefix)
-                parts.append(encode(value))
-        parts.append("}")
-        return "".join(parts)
-
 
 def log_header(cfg: SimulationConfig) -> str:
     return json.dumps({"log_version": LOG_VERSION, "seed": cfg.seed, "rng": RNG_ID})
 
 
-def decode_line(line: str) -> dict | EventRecord:
-    """Decode one log line with a single ``json.loads``.
+def decode_values(line: str) -> dict | tuple:
+    """Decode one log line: the header as a dict, any other line as the
+    values of its record's fields in log order (``None`` for an absent one).
 
-    Returns the header as a dict and any other line as an
-    :class:`EventRecord`. A line that is neither (not JSON, not an object,
-    a required field missing, a field of the wrong type, an unsupported
-    log version) raises :class:`DsprocError`.
+    A line that is neither (not JSON, not an object, a required field
+    missing, a field of the wrong type, an unsupported log version) raises
+    :class:`DsprocError`. See the module docstring for the two routes.
     """
+    match = _CANONICAL.fullmatch(line)
+    if match is None:
+        return _decode_json(line)
+    seq, ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
+        duration, duration_int = match.groups()
+    return (int(seq), float(ts) if ts is not None else int(ts_int), kind, process,
+            int(instance), uid, element_id, concept, service, status,
+            float(duration) if duration is not None
+            else None if duration_int is None else int(duration_int))
+
+
+def _decode_json(line: str) -> dict | tuple:
+    """:func:`decode_values` for any line, with a single ``json.loads``."""
     try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DsprocError(f"malformed record: {exc}") from None
+        doc = parse_json(line)
+    except JSONError as exc:
+        raise DsprocError(f"malformed record: {exc.reason}") from None
     if not isinstance(doc, dict):
         raise DsprocError("malformed record: not a JSON object")
     if "log_version" in doc:
         if doc["log_version"] != LOG_VERSION:
             raise DsprocError(f"unsupported log version {doc['log_version']!r}")
         return doc
-    values = list(map(doc.get, _FIELD_ORDER))
+    values = tuple(map(doc.get, _FIELD_ORDER))
     if tuple(map(type, values)) not in _VALID_TYPES:
         for (name, types), value in zip(_FIELD_TYPES.items(), values):
             if value is None:
@@ -240,13 +260,40 @@ def decode_line(line: str) -> dict | EventRecord:
                     raise DsprocError(f"malformed record: {name!r} missing")
             elif value.__class__ is bool or not isinstance(value, types):
                 raise DsprocError(f"malformed record: {name!r} has the wrong type")
-    return EventRecord(*values)
+    return values
 
 
-def render_log(records: list[EventRecord], cfg: SimulationConfig) -> str:
+def decode_line(line: str) -> dict | EventRecord:
+    """The header of a log line as a dict, any other line as an :class:`EventRecord`;
+    :func:`decode_values` with its errors."""
+    values = decode_values(line)
+    return values if values.__class__ is dict else EventRecord(*values)
+
+
+def render_log(records: Iterable[EventRecord], cfg: SimulationConfig) -> str:
+    """The log: its header, then one line per record; see the module
+    docstring for their bytes."""
     lines = [log_header(cfg)]
-    lines.extend(r.to_json_line() for r in records)
-    lines.append("")  # the trailing newline, without a second copy of the log
+    append = lines.append
+    # the fixed text of a line from ts_ms to instance, and from instance to
+    # duration_ms, for each combination of the fields it is made of
+    fragments: dict[tuple, tuple[str, str]] = {}
+    for seq, ts, kind, process, instance, uid, element_id, concept, service, status, \
+            duration in map(_fields_of, records):
+        key = (kind, process, uid, element_id, concept, service, status)
+        fragment = fragments.get(key)
+        if fragment is None:
+            fragment = fragments[key] = (
+                f', "kind": {_json_str(kind)}, "process": {_json_str(process)}, "instance": ',
+                "".join(f', "{name}": {_json_str(value)}'
+                        for name, value in zip(_FIELD_ORDER[5:10], key[2:]) if value is not None))
+        middle, tail = fragment
+        if duration is None:
+            append(f'{{"seq": {seq!r}, "ts_ms": {_json_number(ts)}{middle}{instance!r}{tail}}}')
+        else:
+            append(f'{{"seq": {seq!r}, "ts_ms": {_json_number(ts)}{middle}{instance!r}{tail}'
+                   f', "duration_ms": {_json_number(duration)}}}')
+    append("")  # the trailing newline, without a second copy of the log
     return "\n".join(lines)
 
 
@@ -302,16 +349,13 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     process = model.process_id
 
     records: list[EventRecord] = []
-    last_ts: dict[int, float] = {}
+    emit = records.append
+    activities: dict[BpmnElement, tuple] = {}  # each activity's _activity, from its first run
     ended: dict[int, bool] = {}
     faulted: dict[int, bool] = {}
     ctx_active: dict[tuple[int, tuple[str, ...]], int] = {}
     ctx_fault: dict[tuple[int, tuple[str, ...]], bool] = {}
     join_arrivals: dict[tuple[int, tuple[str, ...], str], int] = {}
-
-    def emit(ts: float, kind: str, instance: int, **fields) -> None:
-        records.append(EventRecord(0, ts, kind, process, instance, **fields))
-        last_ts[instance] = max(last_ts.get(instance, 0.0), ts)
 
     heap: list[tuple[float, int, int, tuple[str, ...], str, str]] = []
     counter = 0
@@ -333,8 +377,8 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             if not ended.get(inst):
                 ended[inst] = True
                 status = "fault" if faulted.get(inst) else "ok"
-                emit(ts, "processEnd", inst, element_id=process, status=status,
-                     duration_ms=ts)
+                emit(EventRecord(0, ts, "processEnd", process, inst, None, process, None, None,
+                                 status, ts))
             return
         # inner level drained: resume (or kill) the suspended outer token
         sub_fault = ctx_fault.pop(key, False)
@@ -372,7 +416,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
                 raise SimulationError(f"gateway {elem.id!r} has no outgoing flow")
             chosen = _choose(flows, cfg.branch_probs.get(elem.id), rng)
             if len(flows) > 1:
-                emit(ts, "gatewayTaken", inst, element_id=chosen.id)
+                emit(EventRecord(0, ts, "gatewayTaken", process, inst, None, chosen.id))
             schedule(ts, inst, path, chosen.target, "enter")
         elif elem.kind == "parallelGateway":
             incoming = level.incoming_count.get(elem.id, 0)
@@ -391,33 +435,30 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             ctx_fault.setdefault(key, False)
             schedule(ts, inst, inner, levels[inner].start_id, "enter")
         else:
-            _run_activity(inst, path, elem, ts)
+            run_activity(inst, path, elem, ts)
 
-    def _run_activity(inst: int, path: tuple[str, ...], elem: BpmnElement, ts: float) -> None:
-        row = rows.get(elem.concept_uid) if elem.concept_uid else None
-        emit(ts, "activityStart", inst, element_uid=elem.concept_uid,
-             element_id=elem.id, concept=row.concept if row else None)
+    def run_activity(inst: int, path: tuple[str, ...], elem: BpmnElement, ts: float) -> None:
+        activity = activities.get(elem)
+        if activity is None:
+            activity = activities[elem] = _activity(elem, rows, cfg)
+        uid, elem_id, concept, invokes, sample, fault_p = activity
+        emit(EventRecord(0, ts, "activityStart", process, inst, uid, elem_id, concept))
         total = 0.0
-        if row is not None and row.endpoints:
-            for ep in row.endpoints:
-                profile = _profile_for(ep.profile, cfg)
-                d = profile.sample(rng)
-                total += d
-                emit(ts + total, "serviceInvoke", inst, element_uid=elem.concept_uid,
-                     element_id=elem.id, concept=row.concept, service=ep.service,
-                     status="ok", duration_ms=d)
-        elif cfg.default_profile is not None:
-            total = cfg.profiles[cfg.default_profile].sample(rng)
-        fault_p = cfg.fault_probs.get(elem.concept_uid or elem.id, 0.0)
-        fault = fault_p > 0.0 and rng.random() < fault_p
-        emit(ts + total, "activityEnd", inst, element_uid=elem.concept_uid,
-             element_id=elem.id, concept=row.concept if row else None,
-             status="fault" if fault else "ok", duration_ms=total)
-        schedule(ts + total, inst, path, elem.id, "fault" if fault else "move")
+        for service, sample_invoke in invokes:
+            d = sample_invoke(rng)
+            total += d
+            emit(EventRecord(0, ts + total, "serviceInvoke", process, inst, uid, elem_id, concept,
+                             service, "ok", d))
+        if sample is not None:
+            total = sample(rng)
+        status = "fault" if fault_p > 0.0 and rng.random() < fault_p else "ok"
+        emit(EventRecord(0, ts + total, "activityEnd", process, inst, uid, elem_id, concept,
+                         None, status, total))
+        schedule(ts + total, inst, path, elem_id, "move" if status == "ok" else "fault")
 
     for inst in range(1, cfg.instance_count + 1):
         ctx_active[(inst, ())] = 1
-        emit(0.0, "processStart", inst, element_id=process, status="ok")
+        emit(EventRecord(0, 0.0, "processStart", process, inst, None, process, None, None, "ok"))
         schedule(0.0, inst, (), levels[()].start_id, "enter")
 
     while heap:
@@ -431,23 +472,22 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         else:  # fault
             absorb(inst, path, ts, fault=True)
 
-    stuck = []
-    for inst in range(1, cfg.instance_count + 1):
-        if ended.get(inst):
-            continue
-        if faulted.get(inst):
-            # sibling branches of a faulted instance may be parked at a join;
-            # close the instance at its last observed time
-            ended[inst] = True
-            ts = last_ts.get(inst, 0.0)
-            emit(ts, "processEnd", inst, element_id=process, status="fault",
-                 duration_ms=ts)
-        else:
-            stuck.append(inst)
+    unended = [inst for inst in range(1, cfg.instance_count + 1) if not ended.get(inst)]
+    stuck = [inst for inst in unended if not faulted.get(inst)]
     if stuck:
         raise SimulationError(
             "deadlock: join never satisfied for instance(s) "
             + ", ".join(str(i) for i in stuck))
+    if unended:
+        # sibling branches of a faulted instance may be parked at a join;
+        # close the instance at its last observed time
+        last_ts = dict.fromkeys(unended, 0.0)
+        for record in records:
+            if record.instance in last_ts and record.ts_ms > last_ts[record.instance]:
+                last_ts[record.instance] = record.ts_ms
+        for inst, ts in last_ts.items():
+            emit(EventRecord(0, ts, "processEnd", process, inst, None, process, None, None,
+                             "fault", ts))
 
     # the sort is stable, so events of one timestamp keep their emission order
     records.sort(key=attrgetter("ts_ms"))
@@ -470,6 +510,21 @@ def _choose(flows: list[SequenceFlow], probs: dict[str, float] | None,
         if r < acc:
             return f
     return flows[-1]
+
+
+def _activity(elem: BpmnElement, rows: dict, cfg: SimulationConfig) -> tuple:
+    """What each run of activity ``elem`` reads: its uid, id and concept;
+    the service and duration sampler of each endpoint; when it has none, the
+    default profile's sampler, or None; and its fault probability."""
+    uid = elem.concept_uid
+    row = rows.get(uid) if uid else None
+    invokes = tuple((ep.service, _profile_for(ep.profile, cfg).sample)
+                    for ep in (row.endpoints if row is not None else ()))
+    sample = None
+    if not invokes and cfg.default_profile is not None:
+        sample = cfg.profiles[cfg.default_profile].sample
+    return (uid, elem.id, row.concept if row else None, invokes, sample,
+            cfg.fault_probs.get(uid or elem.id, 0.0))
 
 
 def _profile_for(name: str | None, cfg: SimulationConfig) -> DurationProfile:

@@ -13,7 +13,7 @@ import json
 from collections import namedtuple
 
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
-                          load_input)
+                          load_input, parse_json)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,7 +156,7 @@ class MappingStore:
 
 
 def store_from_json(text: str) -> MappingStore:
-    doc = json_check(json.loads(text), "object")
+    doc = json_check(parse_json(text), "object")
     am = {
         uid: AmEntry(json_field(e, "concept", "string", path),
                      json_field(e, "process", "string", path),

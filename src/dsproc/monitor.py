@@ -22,7 +22,7 @@ import math
 from collections import defaultdict, namedtuple
 
 from .diagnostics import DsprocError
-from .engine import decode_line
+from .engine import decode_values
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,47 +101,50 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
     probes = probes or ProbeSet()
     concept_of = {uid: e.concept for uid, e in am.items()}
     known_processes = {e.process for e in am.values()}
+    concepts = probes.concepts
     for concept in concept_of.values():
-        probes.concepts.setdefault(concept, ConceptProbe(concept))
+        concepts.setdefault(concept, ConceptProbe(concept))
     header_seen = False
+    pp = None  # the probe of the last record's process
     for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
         try:
-            r = decode_line(line)
+            values = decode_values(line)
         except DsprocError as exc:
+            if not line.strip():
+                continue
             raise DsprocError(f"line {line_no}: {exc}") from None
-        if isinstance(r, dict):
+        if values.__class__ is dict:
             header_seen = True
             probes.logs += 1
             continue
         if not header_seen:
             raise DsprocError(f"line {line_no}: log header missing")
-        if known_processes and r.process not in known_processes:
-            raise DsprocError(f"line {line_no}: unknown process {r.process!r}")
-        pp = probes.processes.get(r.process)
-        if pp is None:
-            pp = probes.processes[r.process] = ProcessProbe(r.process)
-        if r.kind == "processStart":
-            pp.instances[probes.logs, r.instance] = InstanceRecord(start_ts=r.ts_ms)
-        elif r.kind == "processEnd":
-            rec = pp.instances.setdefault((probes.logs, r.instance), InstanceRecord(start_ts=0.0))
-            rec.end_ts = r.ts_ms
-            rec.status = r.status or "ok"
-        elif r.kind == "activityEnd":
-            sample = Sample(r.duration_ms or 0.0, r.status or "ok", r.instance,
-                            r.ts_ms, r.element_uid)
-            concept = concept_of.get(r.element_uid)
+        _seq, ts, kind, process, instance, uid, _element_id, _concept, service, status, \
+            duration = values
+        if pp is None or process != pp.process:
+            if known_processes and process not in known_processes:
+                raise DsprocError(f"line {line_no}: unknown process {process!r}")
+            pp = probes.processes.get(process)
+            if pp is None:
+                pp = probes.processes[process] = ProcessProbe(process)
+        if kind == "activityEnd":
+            sample = Sample(duration or 0.0, status or "ok", instance, ts, uid)
+            concept = concept_of.get(uid)
             if concept is None:
                 pp.technical.append(sample)
             else:
-                probes.concepts[concept].bpms.append(sample)
-        elif r.kind == "serviceInvoke":
-            concept = concept_of.get(r.element_uid)
+                concepts[concept].bpms.append(sample)
+        elif kind == "serviceInvoke":
+            concept = concept_of.get(uid)
             if concept is not None:
-                probes.concepts[concept].soa.append(Sample(
-                    r.duration_ms or 0.0, r.status or "ok", r.instance, r.ts_ms,
-                    r.element_uid, r.service))
+                concepts[concept].soa.append(
+                    Sample(duration or 0.0, status or "ok", instance, ts, uid, service))
+        elif kind == "processStart":
+            pp.instances[probes.logs, instance] = InstanceRecord(start_ts=ts)
+        elif kind == "processEnd":
+            rec = pp.instances.setdefault((probes.logs, instance), InstanceRecord(start_ts=0.0))
+            rec.end_ts = ts
+            rec.status = status or "ok"
         # activityStart / gatewayTaken carry no aggregated measure
     return probes
 

@@ -14,7 +14,8 @@ from collections import Counter
 
 import pytest
 
-from dsproc import bpmn, cli, deploy, domain as dom, engine, mappings, monitor, pivot
+from dsproc import bpmn, cli, deploy, diagnostics, domain as dom, engine, mappings, monitor
+from dsproc import pivot
 from dsproc import process as proc
 
 from conftest import (FIXTURES, compile_pipeline, compile_sources,
@@ -344,6 +345,36 @@ def test_c6_simulator_determinism_and_semantics():
     assert elapsed < 10.0, f"simulation criteria took {elapsed:.2f}s"
     _report(f"C6 simulator determinism & semantics (A share {share:.3f}, "
             f"{elapsed:.2f}s)")
+
+
+def test_c6_simulated_logs_take_the_canonical_route(order_pipeline):
+    """Every record line that simulate and render_log write, for the fixtures
+    and for random C2 models with sampled durations and faults, is in the
+    canonical form, so monitor reads dsproc's own logs by the pattern."""
+    sim = diagnostics.load_input(FIXTURES / "sim.json", engine.SimulationConfig.from_json)
+    manifest = deploy.bind_services(order_pipeline.domain,
+                                    deploy.load_bindings(FIXTURES / "bindings.json"),
+                                    order_pipeline.am, order_pipeline.model.name)
+    logs = [log_lines(engine.simulate(order_pipeline.generated, manifest, sim), sim)]
+    rng = random.Random(20261018)
+    table = {"s1": deploy.Binding("sim://one", "u"), "s2": deploy.Binding("sim://two", "n")}
+    for i in range(10):
+        model = _random_process(rng, f"P{i}")
+        common = pivot.to_common(model, _C2_DOMAIN, mappings.UidRegistry())
+        am = mappings.build_am(common)
+        cfg = engine.SimulationConfig(
+            instance_count=20, seed=i,
+            profiles={"u": engine.DurationProfile("uniform", low=0.0, high=2e-4),
+                      "n": engine.DurationProfile("normal", mean=3e-5, stddev=1e4)},
+            fault_probs={uid: 0.1 for uid in am})
+        generated = bpmn.generate_bpmn(common, "Rand")
+        manifest = deploy.bind_services(_C2_DOMAIN, table, am, model.name)
+        logs.append(log_lines(engine.simulate(generated, manifest, cfg), cfg))
+    for lines in logs:
+        for line in lines[1:]:
+            assert engine._CANONICAL.fullmatch(line), line
+            assert engine.decode_values(line) == engine._decode_json(line)
+    assert sum(map(len, logs)) > 2000
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,41 @@ def test_malformed_json_input_names_the_file(work, capsys, bad, command):
     assert capsys.readouterr().err.startswith(f"error: {work / bad}: malformed JSON: ")
 
 
+_LIMIT = sys.get_int_max_str_digits()
+# JSON that json.loads cannot hold: an integer past Python's digit limit for
+# int(text), and nesting past the recursion limit
+_HOSTILE = {
+    "long-int": ("1" * (_LIMIT + 1), f"an integer has more than {_LIMIT} digits"),
+    "deep": ("[" * 100_000, "arrays or objects nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", _HOSTILE)
+def test_hostile_json_in_the_log_is_a_located_error(work, capsys, case):
+    value, reason = _HOSTILE[case]
+    assert _gen(work) == 0
+    log = work / "events.jsonl"
+    log.write_text('{"log_version": 1, "seed": 0, "rng": "python-mt19937"}\n'
+                   f'{{"seq": {value}, "ts_ms": 0.0, "kind": "processStart", '
+                   '"process": "HandleOrder", "instance": 1}\n', encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["monitor", str(log), "--mappings", str(work / "mappings.json"),
+                     "--domain", str(work / "order_handling.dsml")]) == 1
+    assert capsys.readouterr() == ("", f"error: {log}: line 2: malformed record: {reason}\n")
+
+
+@pytest.mark.parametrize("case", _HOSTILE)
+def test_hostile_json_in_sim_is_a_located_error(work, capsys, case):
+    value, reason = _HOSTILE[case]
+    assert _gen(work) == 0
+    assert _bind(work) == 0
+    (work / "sim.json").write_text(f'{{"seed": {value}}}', encoding="utf-8")
+    capsys.readouterr()
+    assert _run(work) == 1
+    assert capsys.readouterr() == ("", f"error: {work / 'sim.json'}: malformed JSON: {reason}\n")
+    assert not (work / "events.jsonl").exists()
+
+
 def test_run_names_a_malformed_bpmn_file(work, capsys):
     assert _gen(work) == 0
     assert _bind(work) == 0

@@ -1,9 +1,10 @@
 import json
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dsproc import bpmn, deploy, engine
 from dsproc.diagnostics import DsprocError
@@ -435,8 +436,8 @@ def test_loop_left_by_a_fault_inside_a_subprocess_runs():
 
 
 # ---------------------------------------------------------------------------
-# log codec: to_json_line is json.dumps of the non-None fields in log order,
-# and decode_line takes a line back to its record
+# log codec: render_log writes json.dumps of each record's non-None fields in
+# log order, and decode_line takes a line back to its record
 
 _chars = st.characters(exclude_categories=["Cs"]) | st.sampled_from(
     '"\\/\x00\x08\t\n\x1f\x7f\x80é€😀')
@@ -447,24 +448,41 @@ _int = st.integers(-2**63, 2**63)
 _number = _int | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
 
 
-def _record(text, number):
+def _record(text, number, ints=_int):
     def optional(values):
         return st.none() | values
-    return st.builds(engine.EventRecord, _int, number, text, text, _int,
+    return st.builds(engine.EventRecord, ints, number, text, text, ints,
                      optional(text), optional(text), optional(text), optional(text),
                      optional(text), optional(number))
 
 
-@given(_record(_any_text, _number))
-def test_log_line_is_json_dumps_of_the_set_fields(record):
-    doc = {name: getattr(record, name) for name in engine._FIELD_ORDER
-           if getattr(record, name) is not None}
-    assert record.to_json_line() == json.dumps(doc)
+def _record_lines(records):
+    text = engine.render_log(records, engine.SimulationConfig())
+    assert text.endswith("\n")
+    return text.split("\n")[1:-1]
+
+
+def _doc(record):
+    return {name: getattr(record, name) for name in engine._FIELD_ORDER
+            if getattr(record, name) is not None}
+
+
+@given(st.lists(_record(_any_text, _number), min_size=1, max_size=4),
+       st.lists(st.tuples(_int, _number, _int, st.none() | _number), max_size=8))
+def test_log_line_is_json_dumps_of_the_set_fields(records, numbers):
+    # records with the strings of an earlier one and other numbers: their
+    # lines reuse the text render_log kept for those strings
+    for i, (seq, ts, instance, duration) in enumerate(numbers):
+        r = records[i % len(records)]
+        records.append(engine.EventRecord(seq, ts, r.kind, r.process, instance, r.element_uid,
+                                          r.element_id, r.concept, r.service, r.status,
+                                          duration))
+    assert _record_lines(records) == [json.dumps(_doc(r)) for r in records]
 
 
 @given(_record(_text, _int | st.floats(allow_nan=False, allow_infinity=False)))
 def test_log_line_decodes_to_its_record(record):
-    assert engine.decode_line(record.to_json_line()) == record
+    assert engine.decode_line(_record_lines([record])[0]) == record
 
 
 _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "instance": 1}
@@ -502,3 +520,117 @@ def test_decode_line_accepts_int_times_and_ignores_unknown_keys():
         {**_VALID, "ts_ms": 7, "duration_ms": 3, "extra": [1], "kind": "activityEnd"}))
     assert record == engine.EventRecord(1, 7, "activityEnd", "P", 1, duration_ms=3)
     assert type(record.ts_ms) is int and type(record.duration_ms) is int
+
+
+# ---------------------------------------------------------------------------
+# the two routes of decode_line: the canonical pattern and json.loads
+
+# number texts within the pattern's bounds and past them
+_number_text = st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][-+]?[0-9]{1,4})?",
+                             fullmatch=True)
+# texts next to a number's grammar that JSON does not allow, and some it does
+_odd_number_text = st.sampled_from(
+    ["-0", "-0.0", "1E5", "1e-7", "1e999", "Infinity", "-Infinity", "NaN", "01", "-01", "1.",
+     ".5", "+1", "1e", "1.e5", "--1", "\u0661", "1\u0661", "1_0", "0x1", "true", "null", '"1"',
+     "[1]"])
+
+
+@st.composite
+def _numbers_line(draw):
+    numbers = draw(st.lists(_number_text, min_size=4, max_size=4))
+    numbers[draw(st.integers(0, 3))] = draw(_number_text | _odd_number_text)
+    seq, ts, instance, duration = numbers
+    return (f'{{"seq": {seq}, "ts_ms": {ts}, "kind": "activityEnd", "process": "P", '
+            f'"instance": {instance}, "duration_ms": {duration}}}')
+
+
+# lines of any record, and lines with printable ASCII strings and finite
+# numbers, which mostly stay in the canonical form
+_canonical_line = st.one_of(
+    _record(_any_text, _number, _int | st.integers(-10**30, 10**30)),
+    _record(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e)),
+            _int | st.floats(allow_nan=False, allow_infinity=False)),
+).map(
+    lambda record: _record_lines([record])[0])
+
+
+@st.composite
+def _mutated_line(draw):
+    line = draw(_canonical_line)
+    how = draw(st.sampled_from(["separator", "reorder", "affix", "member", "string",
+                                "truncate"]))
+    if how == "separator":
+        sep = draw(st.sampled_from([", ", ": "]))
+        parts = line.split(sep)
+        i = draw(st.integers(0, len(parts) - 2)) if len(parts) > 1 else 0
+        other = draw(st.sampled_from([sep.strip(), f" {sep}", f"{sep.strip()}\t", f"{sep}\n"]))
+        return sep.join(parts[:i + 1]) + other + sep.join(parts[i + 1:])
+    if how == "reorder":
+        doc = json.loads(line)
+        return json.dumps({key: doc[key] for key in draw(st.permutations(list(doc)))})
+    if how == "affix":
+        prefix = draw(st.sampled_from(["", " ", "\n", "\ufeff", "["]))
+        suffix = draw(st.sampled_from(["", "\n", "\r\n", "\n\n", " ", "\t\n", "\x0c", "\u2028",
+                                       "x", "}", ",", "\x00", "]"]))
+        return prefix + line + suffix
+    if how == "member":
+        member = draw(st.sampled_from([', "seq": 2', ', "extra": [1]', ', "kind": null',
+                                       ', "log_version": 1', ', "duration_ms": true', ",", ", "]))
+        return line[:-1] + member + "}"
+    if how == "string":  # raw or escaped characters at the start of a string value
+        chars = draw(st.sampled_from(["\x00", "\t", "\x1f", "\x7f", "é", "\\", '\\"', "\\n",
+                                      "\\u0041", "\\ud800"]))
+        return line.replace('"kind": "', '"kind": "' + chars, 1)
+    return line[:draw(st.integers(0, len(line) - 1))]
+
+
+def _outcome(decode, line):
+    """``decode(line)`` as the repr of its header or record (so a type or
+    -0.0 counts), or the text of the DsprocError it raised."""
+    try:
+        value = decode(line)
+    except DsprocError as exc:
+        return "error", str(exc)
+    return "value", repr(engine.EventRecord(*value) if value.__class__ is tuple else value)
+
+
+def _next_to_the_pattern(test):
+    """``test`` with an example for each way a line can just miss, or just
+    fit, the canonical form."""
+    line = ('{{"seq": {}, "ts_ms": {}, "kind": "activityEnd", "process": "P", "instance": 3, '
+            '"element_uid": "u{}1", "status": "ok", "duration_ms": 2.5}}{}')
+    for seq in ("01", "-0", "\u0661", "1\u0661", "1.0", "1" * 21, "9" * 20,
+                "1" * (sys.get_int_max_str_digits() + 1)):
+        test = example(line.format(seq, "2.5", "", ""))(test)
+    for ts in ("2.", "-0.0", "2E5", "2.5e-999", "25e999", "1" * 21 + ".0", "Infinity", "NaN"):
+        test = example(line.format("1", ts, "", ""))(test)
+    for char in ("\x00", "\x1f", "\x7f", "\u00e9", "\\n", '\\"', "\\u0041", "\\ud800"):
+        test = example(line.format("1", "2.5", char, ""))(test)
+    for end in ("\n", "\r\n", "\n\n", " ", "\x0c", "\u2028", "\x85"):
+        test = example(line.format("1", "2.5", "", end))(test)
+    return test
+
+
+@_next_to_the_pattern
+@given(_canonical_line | _mutated_line() | _numbers_line()
+       | st.sampled_from(["5", "null", '"x"', "[]", "true", "", " ", "\n"]))
+def test_decode_line_agrees_with_the_json_route(line):
+    # no exception but DsprocError may escape either route
+    assert _outcome(engine.decode_line, line) == _outcome(engine._decode_json, line)
+
+
+@pytest.mark.parametrize("faulty", ["A", "B"])
+def test_faulted_instance_closes_at_its_last_event_while_a_sibling_waits(faulty):
+    # A takes 50 ms and B 80 ms; one faults, the other reaches the join and
+    # waits there for a token that never comes
+    p = compile_sources(_DOMAIN, _PARALLEL)
+    uid = next(uid for uid, e in p.am.items() if e.concept == faulty)
+    manifest = deploy.bind_services(p.domain, _split_bindings(), p.am, p.model.name)
+    records = engine.simulate(p.generated, manifest,
+                              _split_config(instances=3, fault_probs={uid: 1.0}))
+    for inst in (1, 2, 3):
+        mine = [r for r in records if r.instance == inst]
+        end = next(r for r in mine if r.kind == "processEnd")
+        assert end.status == "fault"
+        assert end.ts_ms == max(r.ts_ms for r in mine if r is not end) == 80.0
+        assert end.duration_ms == end.ts_ms

@@ -121,6 +121,38 @@ def test_unknown_process_rejected():
         monitor.ingest(bad, store.am)
 
 
+def test_unknown_process_after_a_known_one_rejected():
+    store = _single_concept_world()
+    bad = [_HEADER, _line(1, 0.0, "processStart", element_id="P"),
+           _line(2, 0.0, "processStart", process="Ghost", element_id="G")]
+    with pytest.raises(DsprocError) as exc:
+        monitor.ingest(bad, store.am)
+    assert str(exc.value) == "line 3: unknown process 'Ghost'"
+
+
+def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
+    am = {"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("C", "Q", "u2")}
+    store = MappingStore("D", cm={"C": ["s"]}, am=am)
+    lines = [
+        "\n", _HEADER, "",
+        _line(1, 0.0, "processStart", element_id="P"),
+        " \t\r\n",
+        _line(2, 0.0, "processStart", process="Q", element_id="Q"),
+        _line(3, 10.0, "activityEnd", element_uid="u1", duration_ms=10.0),
+        _line(4, 30.0, "activityEnd", process="Q", element_uid="u2", duration_ms=30.0),
+        _line(5, 40.0, "activityEnd", process="Q", element_id="t", duration_ms=10.0),
+        "\x0c\n",
+        _line(6, 40.0, "processEnd", process="Q", element_id="Q", status="fault"),
+        _line(7, 50.0, "processEnd", element_id="P"),
+    ]
+    report = monitor.build_report(monitor.ingest(lines, am), store)
+    assert report["concepts"]["C"]["count"] == 2
+    assert report["concepts"]["C"]["total_ms"] == 40.0
+    p, q = report["processes"]["P"], report["processes"]["Q"]
+    assert (p["instances"], p["faults"], p["mean_ms"], p["technical"]["count"]) == (1, 0, 50.0, 0)
+    assert (q["instances"], q["faults"], q["mean_ms"], q["technical"]["count"]) == (1, 1, 40.0, 1)
+
+
 def test_malformed_line_reports_position():
     store = _single_concept_world()
     with pytest.raises(DsprocError, match="line 2"):
