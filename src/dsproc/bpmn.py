@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 DSML_NS = "urn:dsml:1"
+# the deepest subProcess nesting parse_bpmn reads; each walk of a model's
+# levels recurses once per level
+MAX_NESTING = 100
 
 _KIND_FROM_COMMON = {
     "start": "startEvent",
@@ -78,13 +81,14 @@ class BpmnModel:
         self.domain = domain
 
 
-def walk_elements(model) -> Iterator[BpmnElement]:
-    """All elements of a model (or element list), nested subprocesses included."""
-    elements = model.elements if hasattr(model, "elements") else model
-    for e in elements:
-        yield e
-        if e.inner_elements:
-            yield from walk_elements(e.inner_elements)
+def walk_elements(model: BpmnModel) -> Iterator[BpmnElement]:
+    """All elements of a model, each subprocess followed by its own."""
+    def walk(elements: list[BpmnElement]) -> Iterator[BpmnElement]:
+        for e in elements:
+            yield e
+            if e.inner_elements:
+                yield from walk(e.inner_elements)
+    return walk(model.elements)
 
 
 def generate_bpmn(m: CommonModel, domain_name: str) -> BpmnModel:
@@ -210,7 +214,8 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
     an element of a kind dsproc does not generate keeps its tag as ``kind``.
     Attributes other than ``id`` and ``name``, documentation and anything
     outside the process are not read: the model is for simulation and
-    reconciliation, not for writing the file back.
+    reconciliation, not for writing the file back. A subProcess nested more
+    than :data:`MAX_NESTING` levels deep is an error.
     """
     import xml.etree.ElementTree as ET  # here, so that generating BPMN does not load it
 
@@ -250,7 +255,8 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
     return model
 
 
-def _parse_level(node) -> tuple[list[BpmnElement], list[SequenceFlow], str | None]:
+def _parse_level(node, depth: int = 0
+                 ) -> tuple[list[BpmnElement], list[SequenceFlow], str | None]:
     elements: list[BpmnElement] = []
     flows: list[SequenceFlow] = []
     domain: str | None = None
@@ -277,7 +283,10 @@ def _parse_level(node) -> tuple[list[BpmnElement], list[SequenceFlow], str | Non
                         el.concept_name = ext.get("concept")
                         domain = domain or ext.get("domain")
         if tag == "subProcess":
-            el.inner_elements, el.inner_flows, inner_domain = _parse_level(child)
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"subProcess {el.id!r} is nested more than {MAX_NESTING} levels deep")
+            el.inner_elements, el.inner_flows, inner_domain = _parse_level(child, depth + 1)
             domain = domain or inner_domain
         elements.append(el)
     return elements, flows, domain

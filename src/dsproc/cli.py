@@ -151,7 +151,6 @@ def cmd_run(args) -> int:
         cfg.instance_count = args.instances
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.validate()
     records = engine.simulate(model, manifest, cfg)
     _write(args.output, engine.render_log(records, cfg))
     return EXIT_OK

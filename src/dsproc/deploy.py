@@ -22,9 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class BindingError(DsprocError):
-    def __init__(self, message: str, missing: list[str] | None = None):
-        super().__init__(message)
-        self.missing = missing or []
+    pass
 
 
 Binding = namedtuple("Binding", "endpoint profile", defaults=(None,))
@@ -82,9 +80,7 @@ def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
         rows.append(ManifestRow(uid, entry.element, entry.concept,
                                 list(concept.service_refs), endpoints))
     if missing:
-        raise BindingError(
-            "unbound abstract services: " + ", ".join(sorted(missing)),
-            missing=sorted(missing))
+        raise BindingError("unbound abstract services: " + ", ".join(sorted(missing)))
     return DeploymentManifest(process, rows)
 
 

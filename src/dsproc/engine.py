@@ -12,9 +12,14 @@ Log format: JSON Lines. The first line is a header
 following line is one event record. For ``gatewayTaken`` records
 ``element_id`` names the sequence flow that was taken.
 
+A record is an immutable :class:`EventRecord` tuple of the fields after
+``seq`` in log order; a field that does not apply is ``None``. ``seq`` is
+not part of the record: it is the 1-based position of the record's line
+in the log, written by :func:`render_log`.
+
 Each record line is exactly the bytes ``json.dumps`` gives for an object
-of the record's fields in ``_FIELD_ORDER``, with every ``None`` field
-omitted: ``", "`` and ``": "`` separators, ASCII-only string escapes,
+of ``seq`` and the record's fields in ``_FIELD_ORDER``, with every ``None``
+field omitted: ``", "`` and ``": "`` separators, ASCII-only string escapes,
 ``repr`` for ints and finite floats, and ``Infinity``/``-Infinity``/
 ``NaN`` for the others. :func:`render_log` writes those lines without
 building the objects.
@@ -24,7 +29,7 @@ the line :func:`render_log` writes when no string needs an escape, with
 one compiled pattern (``_CANONICAL``), and every other line with
 ``json.loads`` and its checks. On a line in the canonical form both give
 the same values, because ``json.loads`` converts a number's text with the
-same ``int`` or ``float``.
+same ``int`` or ``float``; for a record line those values equal its record.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import random
 import re
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
+from operator import itemgetter
 
 from .diagnostics import DsprocError, JSONError, json_check, json_field, json_members, parse_json
 
@@ -52,7 +57,7 @@ RNG_ID = "python-mt19937"
 LOG_VERSION = 1
 
 _NUMBER = (int, float)
-# every field of an event record in log order, with the types a line may
+# every field of a record line in log order, with the types a line may
 # carry for it; the first five are required
 _FIELD_TYPES = {"seq": int, "ts_ms": _NUMBER, "kind": str, "process": str, "instance": int,
                 "element_uid": str, "element_id": str, "concept": str, "service": str,
@@ -65,7 +70,8 @@ _VALID_TYPES = frozenset(itertools.product(*(
     (types if isinstance(types, tuple) else (types,))
     + (() if name in _REQUIRED else (type(None),))
     for name, types in _FIELD_TYPES.items())))
-_fields_of = attrgetter(*_FIELD_ORDER)  # a record's fields as a tuple, in log order
+# one event; ``seq`` is its line's position in the log, not a field
+EventRecord = namedtuple("EventRecord", _FIELD_ORDER[1:], defaults=(None,) * 6)
 
 # The canonical form of a record line. Strings hold no backslash and no
 # control character. Numbers follow the JSON grammar with bounded digit
@@ -77,7 +83,7 @@ _FLOAT = _INT + r"(?:\.[0-9]{1,20}(?:[eE][-+]?[0-9]{1,3})?|[eE][-+]?[0-9]{1,3})"
 _NUMBER_RE = f"(?:({_FLOAT})|({_INT}))"  # a float's text in one group, an int's in the next
 _STRING_RE = r'"([^"\\\x00-\x1f]*)"'
 _CANONICAL = re.compile(
-    f'{{"seq": ({_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
+    f'{{"seq": (?:{_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
     f'"process": {_STRING_RE}, "instance": ({_INT})'
     + "".join(f'(?:, "{name}": {_STRING_RE})?' for name in _FIELD_ORDER[5:10])
     + f'(?:, "duration_ms": {_NUMBER_RE})?}}\n?')
@@ -184,46 +190,15 @@ class SimulationConfig:
         return cfg
 
 
-class EventRecord:
-    """One event of the log; a field that does not apply is None."""
-
-    __slots__ = _FIELD_ORDER
-
-    def __init__(self, seq: int, ts_ms: float, kind: str, process: str, instance: int,
-                 element_uid: str | None = None, element_id: str | None = None,
-                 concept: str | None = None, service: str | None = None,
-                 status: str | None = None, duration_ms: float | None = None):
-        self.seq = seq
-        self.ts_ms = ts_ms
-        self.kind = kind
-        self.process = process
-        self.instance = instance
-        self.element_uid = element_uid
-        self.element_id = element_id
-        self.concept = concept
-        self.service = service
-        self.status = status
-        self.duration_ms = duration_ms
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not EventRecord:
-            return NotImplemented
-        return _fields_of(self) == _fields_of(other)
-
-    __hash__ = None  # a record's seq is set after it is built
-
-    def __repr__(self) -> str:
-        return "EventRecord(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(_FIELD_ORDER, _fields_of(self))) + ")"
-
-
 def log_header(cfg: SimulationConfig) -> str:
     return json.dumps({"log_version": LOG_VERSION, "seed": cfg.seed, "rng": RNG_ID})
 
 
 def decode_values(line: str) -> dict | tuple:
     """Decode one log line: the header as a dict, any other line as the
-    values of its record's fields in log order (``None`` for an absent one).
+    values of its fields after ``seq`` in log order (``None`` for an absent
+    one), a tuple equal to its :class:`EventRecord`. ``seq`` is checked but
+    not returned.
 
     A line that is neither (not JSON, not an object, a required field
     missing, a field of the wrong type, an unsupported log version) raises
@@ -232,9 +207,9 @@ def decode_values(line: str) -> dict | tuple:
     match = _CANONICAL.fullmatch(line)
     if match is None:
         return _decode_json(line)
-    seq, ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
+    ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
         duration, duration_int = match.groups()
-    return (int(seq), float(ts) if ts is not None else int(ts_int), kind, process,
+    return (float(ts) if ts is not None else int(ts_int), kind, process,
             int(instance), uid, element_id, concept, service, status,
             float(duration) if duration is not None
             else None if duration_int is None else int(duration_int))
@@ -260,26 +235,19 @@ def _decode_json(line: str) -> dict | tuple:
                     raise DsprocError(f"malformed record: {name!r} missing")
             elif value.__class__ is bool or not isinstance(value, types):
                 raise DsprocError(f"malformed record: {name!r} has the wrong type")
-    return values
-
-
-def decode_line(line: str) -> dict | EventRecord:
-    """The header of a log line as a dict, any other line as an :class:`EventRecord`;
-    :func:`decode_values` with its errors."""
-    values = decode_values(line)
-    return values if values.__class__ is dict else EventRecord(*values)
+    return values[1:]
 
 
 def render_log(records: Iterable[EventRecord], cfg: SimulationConfig) -> str:
-    """The log: its header, then one line per record; see the module
-    docstring for their bytes."""
+    """The log: its header, then one line per record, numbered from 1 by
+    ``seq``; see the module docstring for their bytes."""
     lines = [log_header(cfg)]
     append = lines.append
     # the fixed text of a line from ts_ms to instance, and from instance to
     # duration_ms, for each combination of the fields it is made of
     fragments: dict[tuple, tuple[str, str]] = {}
-    for seq, ts, kind, process, instance, uid, element_id, concept, service, status, \
-            duration in map(_fields_of, records):
+    for seq, (ts, kind, process, instance, uid, element_id, concept, service, status,
+              duration) in enumerate(records, 1):
         key = (kind, process, uid, element_id, concept, service, status)
         fragment = fragments.get(key)
         if fragment is None:
@@ -377,7 +345,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             if not ended.get(inst):
                 ended[inst] = True
                 status = "fault" if faulted.get(inst) else "ok"
-                emit(EventRecord(0, ts, "processEnd", process, inst, None, process, None, None,
+                emit(EventRecord(ts, "processEnd", process, inst, None, process, None, None,
                                  status, ts))
             return
         # inner level drained: resume (or kill) the suspended outer token
@@ -416,7 +384,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
                 raise SimulationError(f"gateway {elem.id!r} has no outgoing flow")
             chosen = _choose(flows, cfg.branch_probs.get(elem.id), rng)
             if len(flows) > 1:
-                emit(EventRecord(0, ts, "gatewayTaken", process, inst, None, chosen.id))
+                emit(EventRecord(ts, "gatewayTaken", process, inst, None, chosen.id))
             schedule(ts, inst, path, chosen.target, "enter")
         elif elem.kind == "parallelGateway":
             incoming = level.incoming_count.get(elem.id, 0)
@@ -442,23 +410,23 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         if activity is None:
             activity = activities[elem] = _activity(elem, rows, cfg)
         uid, elem_id, concept, invokes, sample, fault_p = activity
-        emit(EventRecord(0, ts, "activityStart", process, inst, uid, elem_id, concept))
+        emit(EventRecord(ts, "activityStart", process, inst, uid, elem_id, concept))
         total = 0.0
         for service, sample_invoke in invokes:
             d = sample_invoke(rng)
             total += d
-            emit(EventRecord(0, ts + total, "serviceInvoke", process, inst, uid, elem_id, concept,
+            emit(EventRecord(ts + total, "serviceInvoke", process, inst, uid, elem_id, concept,
                              service, "ok", d))
         if sample is not None:
             total = sample(rng)
         status = "fault" if fault_p > 0.0 and rng.random() < fault_p else "ok"
-        emit(EventRecord(0, ts + total, "activityEnd", process, inst, uid, elem_id, concept,
+        emit(EventRecord(ts + total, "activityEnd", process, inst, uid, elem_id, concept,
                          None, status, total))
         schedule(ts + total, inst, path, elem_id, "move" if status == "ok" else "fault")
 
     for inst in range(1, cfg.instance_count + 1):
         ctx_active[(inst, ())] = 1
-        emit(EventRecord(0, 0.0, "processStart", process, inst, None, process, None, None, "ok"))
+        emit(EventRecord(0.0, "processStart", process, inst, None, process, None, None, "ok"))
         schedule(0.0, inst, (), levels[()].start_id, "enter")
 
     while heap:
@@ -486,13 +454,12 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             if record.instance in last_ts and record.ts_ms > last_ts[record.instance]:
                 last_ts[record.instance] = record.ts_ms
         for inst, ts in last_ts.items():
-            emit(EventRecord(0, ts, "processEnd", process, inst, None, process, None, None,
+            emit(EventRecord(ts, "processEnd", process, inst, None, process, None, None,
                              "fault", ts))
 
-    # the sort is stable, so events of one timestamp keep their emission order
-    records.sort(key=attrgetter("ts_ms"))
-    for seq, record in enumerate(records, start=1):
-        record.seq = seq
+    # the sort is stable, so events of one timestamp keep their emission order;
+    # a sort on whole records would order them by kind
+    records.sort(key=itemgetter(0))
     return records
 
 

@@ -119,7 +119,7 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
             continue
         if not header_seen:
             raise DsprocError(f"line {line_no}: log header missing")
-        _seq, ts, kind, process, instance, uid, _element_id, _concept, service, status, \
+        ts, kind, process, instance, uid, _element_id, _concept, service, status, \
             duration = values
         if pp is None or process != pp.process:
             if known_processes and process not in known_processes:

@@ -20,11 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .mappings import UidRegistry
     from .process import ProcessBody, ProcessModel
 
-# element kinds
+# element kinds; a gateway keeps its node kind, "exclusive" or "parallel"
 ACTIVITY = "activity"
 SUBPROCESS = "subprocess"
-EXCLUSIVE = "exclusive"
-PARALLEL = "parallel"
 START = "start"
 END = "end"
 

@@ -24,9 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .domain import Domain
     from .lexer import TokenStream
 
-NODE_KINDS = ("start", "end", "concept", "exclusive", "parallel")
-
-
 class Node(namedtuple("Node", "id kind concept")):
     """A node of a process body; ``concept`` is set iff ``kind == "concept"``.
 

@@ -495,6 +495,49 @@ def test_run_names_a_malformed_bpmn_file(work, capsys):
     assert capsys.readouterr().err.startswith(f"error: {work / 'order.bpmn'}: malformed XML: ")
 
 
+def _nested_bpmn(depth):
+    """A process of ``depth`` nested subprocesses, ``p0`` outermost; each
+    level runs from its start event through the next level to its end."""
+    opening, closing = [], []
+    for i in range(depth):
+        opening.append(f'<bpmn:startEvent id="s{i}"/><bpmn:subProcess id="p{i}">')
+        closing.append(f'</bpmn:subProcess><bpmn:endEvent id="e{i}"/>'
+                       f'<bpmn:sequenceFlow id="a{i}" sourceRef="s{i}" targetRef="p{i}"/>'
+                       f'<bpmn:sequenceFlow id="b{i}" sourceRef="p{i}" targetRef="e{i}"/>')
+    return (f'<bpmn:definitions xmlns:bpmn="{bpmn.BPMN_NS}"><bpmn:process id="P">'
+            + "".join(opening) + '<bpmn:startEvent id="s"/><bpmn:endEvent id="e"/>'
+            '<bpmn:sequenceFlow id="f" sourceRef="s" targetRef="e"/>'
+            + "".join(reversed(closing)) + "</bpmn:process></bpmn:definitions>\n")
+
+
+def _run_nested(work, depth):
+    (work / "deep.bpmn").write_text(_nested_bpmn(depth), encoding="utf-8")
+    (work / "empty.json").write_text('{"process": "P", "activities": {}}', encoding="utf-8")
+    return cli.main(["run", str(work / "deep.bpmn"), "--manifest", str(work / "empty.json"),
+                     "--instances", "2", "-o", str(work / "events.jsonl")])
+
+
+@pytest.mark.parametrize("command", ["run", "sync"])
+def test_subprocesses_nested_too_deep_are_a_located_error(work, capsys, command):
+    deep = work / "deep.bpmn"
+    if command == "run":
+        assert _run_nested(work, 3000) == 1
+    else:
+        deep.write_text(_nested_bpmn(3000), encoding="utf-8")
+        assert _sync(work, deep) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {deep}: subProcess 'p{bpmn.MAX_NESTING}' is nested more than "
+            f"{bpmn.MAX_NESTING} levels deep\n")
+    assert not (work / "events.jsonl").exists() and not (work / "merged.bpmn").exists()
+
+
+def test_subprocesses_at_the_deepest_nesting_read_run(work):
+    assert _run_nested(work, bpmn.MAX_NESTING) == 0
+    kinds = [json.loads(line)["kind"]
+             for line in (work / "events.jsonl").read_text(encoding="utf-8").splitlines()[1:]]
+    assert kinds == ["processStart", "processStart", "processEnd", "processEnd"]
+
+
 def _latin1_domain(work):
     path = work / "order_handling.dsml"
     path.write_bytes(path.read_bytes().replace(b"domain OrderHandling {",

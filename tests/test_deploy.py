@@ -50,7 +50,7 @@ def test_missing_binding_lists_all_unbound_services(order_pipeline, bindings):
     del partial["svcShip"]
     with pytest.raises(deploy.BindingError) as exc:
         _manifest(order_pipeline, dict(partial))
-    assert exc.value.missing == ["s1", "svcShip"]
+    assert str(exc.value) == "unbound abstract services: s1, svcShip"
 
 
 def test_binding_for_unknown_service_rejected(order_pipeline, bindings):

@@ -121,8 +121,23 @@ def test_parallel_join_waits_for_slowest_branch():
 def test_seq_increases_and_time_never_goes_backwards():
     cfg = _split_config(instances=30, seed=3)
     _, _, records = _sim(_PARALLEL, cfg, bindings=_split_bindings())
-    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    seqs = [json.loads(line)["seq"] for line in log_lines(records, cfg)[1:]]
+    assert seqs == list(range(1, len(records) + 1))
     assert all(a.ts_ms <= b.ts_ms for a, b in zip(records, records[1:]))
+
+
+def test_records_of_one_timestamp_keep_their_emission_order():
+    # each instance starts before its activity does, and an activity's
+    # invocation and end, dated when it starts, come before the instance
+    # ends; ordered by kind, every one of these pairs would be reversed
+    _, _, records = _sim(_LINEAR, fixed_config(instances=2, value=100.0))
+    assert [(r.ts_ms, r.kind, r.instance) for r in records] == [
+        (0.0, "processStart", 1), (0.0, "processStart", 2),
+        (0.0, "activityStart", 1), (0.0, "activityStart", 2),
+        (100.0, "serviceInvoke", 1), (100.0, "activityEnd", 1),
+        (100.0, "serviceInvoke", 2), (100.0, "activityEnd", 2),
+        (100.0, "processEnd", 1), (100.0, "processEnd", 2),
+    ]
 
 
 def test_every_instance_gets_start_and_end():
@@ -275,10 +290,11 @@ def test_log_render_parse_round_trip():
     cfg = fixed_config(instances=2, value=5.0)
     _, _, records = _sim(_LINEAR, cfg)
     lines = log_lines(records, cfg)
-    header = engine.decode_line(lines[0])
+    header = engine.decode_values(lines[0])
     assert header == {"log_version": 1, "seed": 1, "rng": "python-mt19937"}
-    parsed = [engine.decode_line(l) for l in lines[1:]]
+    parsed = [engine.decode_values(l) for l in lines[1:]]
     assert parsed == records
+    assert [json.loads(l)["seq"] for l in lines[1:]] == list(range(1, len(records) + 1))
     # field order in each line is stable
     for line in lines[1:]:
         keys = list(json.loads(line))
@@ -287,7 +303,7 @@ def test_log_render_parse_round_trip():
 
 def test_unsupported_log_version_rejected():
     with pytest.raises(Exception, match="log version"):
-        engine.decode_line('{"log_version": 99, "seed": 0, "rng": "x"}')
+        engine.decode_values('{"log_version": 99, "seed": 0, "rng": "x"}')
 
 
 def test_normal_profile_matches_box_muller_oracle():
@@ -436,8 +452,8 @@ def test_loop_left_by_a_fault_inside_a_subprocess_runs():
 
 
 # ---------------------------------------------------------------------------
-# log codec: render_log writes json.dumps of each record's non-None fields in
-# log order, and decode_line takes a line back to its record
+# log codec: render_log writes json.dumps of each line's seq and its record's
+# non-None fields in log order, and decode_values takes a line back to its record
 
 _chars = st.characters(exclude_categories=["Cs"]) | st.sampled_from(
     '"\\/\x00\x08\t\n\x1f\x7f\x80é€😀')
@@ -451,7 +467,7 @@ _number = _int | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
 def _record(text, number, ints=_int):
     def optional(values):
         return st.none() | values
-    return st.builds(engine.EventRecord, ints, number, text, text, ints,
+    return st.builds(engine.EventRecord, number, text, text, ints,
                      optional(text), optional(text), optional(text), optional(text),
                      optional(text), optional(number))
 
@@ -462,27 +478,27 @@ def _record_lines(records):
     return text.split("\n")[1:-1]
 
 
-def _doc(record):
-    return {name: getattr(record, name) for name in engine._FIELD_ORDER
-            if getattr(record, name) is not None}
+def _doc(seq, record):
+    return {"seq": seq, **{name: value for name, value in record._asdict().items()
+                           if value is not None}}
 
 
 @given(st.lists(_record(_any_text, _number), min_size=1, max_size=4),
-       st.lists(st.tuples(_int, _number, _int, st.none() | _number), max_size=8))
+       st.lists(st.tuples(_number, _int, st.none() | _number), max_size=8))
 def test_log_line_is_json_dumps_of_the_set_fields(records, numbers):
     # records with the strings of an earlier one and other numbers: their
     # lines reuse the text render_log kept for those strings
-    for i, (seq, ts, instance, duration) in enumerate(numbers):
+    for i, (ts, instance, duration) in enumerate(numbers):
         r = records[i % len(records)]
-        records.append(engine.EventRecord(seq, ts, r.kind, r.process, instance, r.element_uid,
-                                          r.element_id, r.concept, r.service, r.status,
-                                          duration))
-    assert _record_lines(records) == [json.dumps(_doc(r)) for r in records]
+        records.append(r._replace(ts_ms=ts, instance=instance, duration_ms=duration))
+    assert _record_lines(records) == [json.dumps(_doc(seq, r))
+                                      for seq, r in enumerate(records, 1)]
 
 
-@given(_record(_text, _int | st.floats(allow_nan=False, allow_infinity=False)))
-def test_log_line_decodes_to_its_record(record):
-    assert engine.decode_line(_record_lines([record])[0]) == record
+@given(st.lists(_record(_text, _int | st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=3))
+def test_log_line_decodes_to_its_record(records):
+    assert list(map(engine.decode_values, _record_lines(records))) == records
 
 
 _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "instance": 1}
@@ -503,7 +519,7 @@ _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "insta
         "bool-duration", "first-of-two", "missing-before-wrong"])
 def test_decode_line_rejects_a_bad_field(edit, message):
     with pytest.raises(DsprocError) as exc:
-        engine.decode_line(json.dumps({**_VALID, **edit}))
+        engine.decode_values(json.dumps({**_VALID, **edit}))
     assert str(exc.value) == f"malformed record: {message}"
 
 
@@ -511,19 +527,19 @@ def test_decode_line_rejects_a_missing_field():
     doc = dict(_VALID)
     del doc["kind"]
     with pytest.raises(DsprocError) as exc:
-        engine.decode_line(json.dumps(doc))
+        engine.decode_values(json.dumps(doc))
     assert str(exc.value) == "malformed record: 'kind' missing"
 
 
 def test_decode_line_accepts_int_times_and_ignores_unknown_keys():
-    record = engine.decode_line(json.dumps(
+    record = engine.decode_values(json.dumps(
         {**_VALID, "ts_ms": 7, "duration_ms": 3, "extra": [1], "kind": "activityEnd"}))
-    assert record == engine.EventRecord(1, 7, "activityEnd", "P", 1, duration_ms=3)
-    assert type(record.ts_ms) is int and type(record.duration_ms) is int
+    assert record == engine.EventRecord(7, "activityEnd", "P", 1, duration_ms=3)
+    assert type(record[0]) is int and type(record[-1]) is int
 
 
 # ---------------------------------------------------------------------------
-# the two routes of decode_line: the canonical pattern and json.loads
+# the two routes of decode_values: the canonical pattern and json.loads
 
 # number texts within the pattern's bounds and past them
 _number_text = st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][-+]?[0-9]{1,4})?",
@@ -591,7 +607,7 @@ def _outcome(decode, line):
         value = decode(line)
     except DsprocError as exc:
         return "error", str(exc)
-    return "value", repr(engine.EventRecord(*value) if value.__class__ is tuple else value)
+    return "value", repr(value)
 
 
 def _next_to_the_pattern(test):
@@ -616,7 +632,7 @@ def _next_to_the_pattern(test):
        | st.sampled_from(["5", "null", '"x"', "[]", "true", "", " ", "\n"]))
 def test_decode_line_agrees_with_the_json_route(line):
     # no exception but DsprocError may escape either route
-    assert _outcome(engine.decode_line, line) == _outcome(engine._decode_json, line)
+    assert _outcome(engine.decode_values, line) == _outcome(engine._decode_json, line)
 
 
 @pytest.mark.parametrize("faulty", ["A", "B"])
