@@ -17,7 +17,9 @@ condition label ``exception``; the inserted gateway has no concept uid.
 
 from __future__ import annotations
 
-from .diagnostics import ParseError
+from collections import namedtuple
+
+from .diagnostics import MAX_NESTING, ParseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,9 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 DSML_NS = "urn:dsml:1"
-# the deepest subProcess nesting parse_bpmn reads; each walk of a model's
-# levels recurses once per level
-MAX_NESTING = 100
 
 _KIND_FROM_COMMON = {
     "start": "startEvent",
@@ -40,66 +39,40 @@ _KIND_FROM_COMMON = {
     "parallel": "parallelGateway",
 }
 
-
-class SequenceFlow:
-    __slots__ = ("id", "source", "target", "condition")
-
-    def __init__(self, id: str, source: str, target: str, condition: str | None = None):
-        self.id = id
-        self.source = source
-        self.target = target
-        self.condition = condition
-
-
-class BpmnElement:
-    """A flow element; a subprocess holds its own elements and flows."""
-
-    __slots__ = ("id", "kind", "name", "concept_uid", "concept_name",
-                 "inner_elements", "inner_flows")
-
-    def __init__(self, id: str, kind: str, name: str = "", concept_uid: str | None = None,
-                 concept_name: str | None = None,
-                 inner_elements: list[BpmnElement] | None = None,
-                 inner_flows: list[SequenceFlow] | None = None):
-        self.id = id
-        self.kind = kind
-        self.name = name
-        self.concept_uid = concept_uid
-        self.concept_name = concept_name
-        self.inner_elements = [] if inner_elements is None else inner_elements
-        self.inner_flows = [] if inner_flows is None else inner_flows
-
-
-class BpmnModel:
-    __slots__ = ("process_id", "elements", "flows", "domain")
-
-    def __init__(self, process_id: str, elements: list[BpmnElement] | None = None,
-                 flows: list[SequenceFlow] | None = None, domain: str | None = None):
-        self.process_id = process_id
-        self.elements = [] if elements is None else elements
-        self.flows = [] if flows is None else flows
-        self.domain = domain
+SequenceFlow = namedtuple("SequenceFlow", "id source target condition", defaults=(None,))
+# a flow element; the elements and flows of a subProcess are a level of the model
+BpmnElement = namedtuple("BpmnElement", "id kind name concept_uid concept_name",
+                         defaults=("", None, None))
+# ``levels`` maps the path of each level, the ids of the subProcesses around
+# it (``()`` for the process), to its ``(elements, flows)`` lists in document
+# order; the levels are in the order their subProcess opens
+BpmnModel = namedtuple("BpmnModel", "process_id levels domain", defaults=(None,))
 
 
 def walk_elements(model: BpmnModel) -> Iterator[BpmnElement]:
-    """All elements of a model, each subprocess followed by its own."""
-    def walk(elements: list[BpmnElement]) -> Iterator[BpmnElement]:
-        for e in elements:
-            yield e
-            if e.inner_elements:
-                yield from walk(e.inner_elements)
-    return walk(model.elements)
+    """All elements of a model in document order, each subProcess followed by its own."""
+    stack = [((), e) for e in reversed(model.levels[()][0])]
+    while stack:
+        path, e = stack.pop()
+        yield e
+        if e.kind == "subProcess":
+            inner = path + (e.id,)
+            stack.extend((inner, x) for x in reversed(model.levels[inner][0]))
 
 
 def generate_bpmn(m: CommonModel, domain_name: str) -> BpmnModel:
     """Deterministically lower a pivot model to BPMN."""
-    elements, flows = _lower_level(m, domain_name)
-    return BpmnModel(process_id=_ncname(m.name), elements=elements,
-                     flows=flows, domain=domain_name)
+    levels = {}
+    work = [((), m)]
+    while work:  # last in, first out: each level is followed by those inside it
+        path, level = work.pop()
+        levels[path] = _lower_level(level)
+        work.extend((path + (ce.uid,), ce.inner) for ce in reversed(level.elements)
+                    if ce.inner is not None)
+    return BpmnModel(_ncname(m.name), levels, domain_name)
 
 
-def _lower_level(m: CommonModel, domain_name: str
-                 ) -> tuple[list[BpmnElement], list[SequenceFlow]]:
+def _lower_level(m: CommonModel) -> tuple[list[BpmnElement], list[SequenceFlow]]:
     # exceptional-flow lowering: each non-gateway source of an exceptional
     # flow gets one routing gateway, emitted straight after the source
     kind_of = {ce.uid: ce.kind for ce in m.elements}
@@ -110,18 +83,11 @@ def _lower_level(m: CommonModel, domain_name: str
 
     elements: list[BpmnElement] = []
     for ce in m.elements:
-        kind = _KIND_FROM_COMMON[ce.kind]
-        el = BpmnElement(id=ce.uid, kind=kind, name=ce.label)
-        concept = m.concept_tags.get(ce.uid)
-        if concept is not None:
-            el.concept_uid = ce.uid
-            el.concept_name = concept
-        if ce.kind == "subprocess" and ce.inner is not None:
-            el.inner_elements, el.inner_flows = _lower_level(ce.inner, domain_name)
-        elements.append(el)
+        elements.append(BpmnElement(ce.uid, _KIND_FROM_COMMON[ce.kind], ce.label,
+                                    None if ce.concept is None else ce.uid, ce.concept))
         gw_id = inserted.get(ce.uid)
         if gw_id is not None:
-            elements.append(BpmnElement(id=gw_id, kind="exclusiveGateway"))
+            elements.append(BpmnElement(gw_id, "exclusiveGateway"))
 
     final: list[tuple[str, str, str | None]] = [
         (src, gw_id, None) for src, gw_id in inserted.items()]
@@ -153,34 +119,34 @@ def serialize_bpmn(model: BpmnModel) -> str:
         f'id="defs_{model.process_id}" targetNamespace="{DSML_NS}">'
     )
     out.append(f'  <bpmn:process id="{_att(model.process_id)}" isExecutable="true">')
-    _emit_level(out, model.elements, model.flows, model.domain, indent=1)
+    _emit_level(out, model, (), indent=1)
     out.append("  </bpmn:process>")
     out.append("</bpmn:definitions>")
     return "\n".join(out) + "\n"
 
 
-def _emit_level(out: list[str], elements: list[BpmnElement],
-                flows: list[SequenceFlow], domain: str | None, indent: int) -> None:
+def _emit_level(out: list[str], model: BpmnModel, path: tuple[str, ...], indent: int) -> None:
     pad = "  " * (indent + 1)
+    elements, flows = model.levels[path]
     for e in elements:
         head = f'{pad}<bpmn:{e.kind} id="{_att(e.id)}"'
         if e.name:
             head += f' name="{_att(e.name)}"'
-        has_ext = e.concept_uid is not None
-        has_children = has_ext or e.inner_elements or e.inner_flows
-        if not has_children:
+        inner = path + (e.id,) if e.kind == "subProcess" else None
+        nested = inner is not None and any(model.levels[inner])
+        if e.concept_uid is None and not nested:
             out.append(head + "/>")
             continue
         out.append(head + ">")
-        if has_ext:
+        if e.concept_uid is not None:
             out.append(f"{pad}  <bpmn:extensionElements>")
             out.append(
                 f'{pad}    <dsml:conceptRef uid="{_att(e.concept_uid)}" '
-                f'concept="{_att(e.concept_name or "")}" domain="{_att(domain or "")}"/>'
+                f'concept="{_att(e.concept_name or "")}" domain="{_att(model.domain or "")}"/>'
             )
             out.append(f"{pad}  </bpmn:extensionElements>")
-        if e.inner_elements or e.inner_flows:
-            _emit_level(out, e.inner_elements, e.inner_flows, domain, indent + 1)
+        if nested:
+            _emit_level(out, model, inner, indent + 1)
         out.append(f"{pad}</bpmn:{e.kind}>")
     for f in flows:
         head = (f'{pad}<bpmn:sequenceFlow id="{_att(f.id)}" '
@@ -232,36 +198,14 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
             break
     if process is None:
         raise ParseError("no process element found")
-    model = BpmnModel(process_id=process.get("id", "process"))
-    elements, flows, domain = _parse_level(process)
-    model.elements, model.flows, model.domain = elements, flows, domain
-
-    all_flows = list(model.flows)
-    for e in walk_elements(model):
-        all_flows.extend(e.inner_flows)
-    id_set = set()
-    dupes = set()
-    for i in [e.id for e in walk_elements(model)] + [f.id for f in all_flows]:
-        if i in id_set:
-            dupes.add(i)
-        id_set.add(i)
-    if dupes:
-        raise ParseError(f"duplicate ids: {', '.join(sorted(dupes))}")
-
-    for f in all_flows:
-        for ref in (f.source, f.target):
-            if ref not in id_set:
-                raise ParseError(f"sequence flow {f.id!r} references unknown element {ref!r}")
-    return model
-
-
-def _parse_level(node, depth: int = 0
-                 ) -> tuple[list[BpmnElement], list[SequenceFlow], str | None]:
-    elements: list[BpmnElement] = []
-    flows: list[SequenceFlow] = []
-    domain: str | None = None
-    for child in node:
+    # the children still to read, each with the path of its level, the next on top
+    levels = {(): ([], [])}
+    domain = None
+    stack = [((), child) for child in reversed(process)]
+    while stack:
+        path, child = stack.pop()
         tag = _local(child.tag)
+        elements, flows = levels[path]
         if tag == "sequenceFlow":
             condition = None
             for sub in child:
@@ -274,22 +218,40 @@ def _parse_level(node, depth: int = 0
         if tag in ("extensionElements", "conditionExpression", "incoming", "outgoing",
                    "documentation"):
             continue
-        el = BpmnElement(id=child.get("id", ""), kind=tag, name=child.get("name", ""))
+        concept_uid = concept_name = None
         for sub in child:
             if _local(sub.tag) == "extensionElements":
                 for ext in sub:
                     if _local(ext.tag) == "conceptRef":
-                        el.concept_uid = ext.get("uid")
-                        el.concept_name = ext.get("concept")
+                        concept_uid, concept_name = ext.get("uid"), ext.get("concept")
                         domain = domain or ext.get("domain")
+        el = BpmnElement(child.get("id", ""), tag, child.get("name", ""), concept_uid,
+                         concept_name)
+        elements.append(el)
         if tag == "subProcess":
-            if depth == MAX_NESTING:
+            if len(path) == MAX_NESTING:
                 raise ParseError(
                     f"subProcess {el.id!r} is nested more than {MAX_NESTING} levels deep")
-            el.inner_elements, el.inner_flows, inner_domain = _parse_level(child, depth + 1)
-            domain = domain or inner_domain
-        elements.append(el)
-    return elements, flows, domain
+            inner = path + (el.id,)
+            levels.setdefault(inner, ([], []))  # a duplicate id shares the level
+            stack.extend((inner, sub) for sub in reversed(child))
+
+    ids, dupes = set(), set()
+    for elements, flows in levels.values():
+        for item in elements + flows:
+            if item.id in ids:
+                dupes.add(item.id)
+            ids.add(item.id)
+    if dupes:
+        raise ParseError(f"duplicate ids: {', '.join(sorted(dupes))}")
+
+    for _, flows in levels.values():
+        for f in flows:
+            for ref in (f.source, f.target):
+                if ref not in ids:
+                    raise ParseError(
+                        f"sequence flow {f.id!r} references unknown element {ref!r}")
+    return BpmnModel(process.get("id", "process"), levels, domain)
 
 
 def _local(tag: str) -> str:

@@ -14,6 +14,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
     T = TypeVar("T")
 
+# the deepest subProcess nesting a model may have: validate_domain reports a
+# concept that expands deeper, and parse_bpmn a file that nests deeper
+MAX_NESTING = 100
+
 
 def _loc(line: int, column: int | None) -> str:
     """``line:column``, or ``line`` alone when the column is unknown."""

@@ -257,24 +257,39 @@ def validate_domain(d: Domain) -> list[Diagnostic]:
                         f"{node.concept!r}", node.line))
 
     deps = {c.name: [x for x in c.depends_on if d.concept(x)] for c in d.concepts}
-    out.extend(_cycles(d, deps, "dependency cycle"))
+    out.extend(_cycles(d, deps, "dependency cycle")[0])
     expands = {
         c.name: [n.concept for n in c.subprocess.concept_refs() if d.concept(n.concept)]
         if c.subprocess is not None else []
         for c in d.concepts
     }
-    out.extend(_cycles(d, expands, "subprocess expansion cycle"))
+    cycles, finished = _cycles(d, expands, "subprocess expansion cycle")
+    out.extend(cycles)
+    # how many subProcess levels each concept's expansion nests; an edge back
+    # into a cycle counts for nothing. A concept deeper than one past the
+    # bound expands to one exactly past it, so each chain gives one error.
+    nesting: dict[str, int] = {}
+    for name in finished:
+        if d.concept(name).subprocess is not None:
+            nesting[name] = 1 + max((nesting.get(n, 0) for n in expands[name]), default=0)
+    for c in d.concepts:
+        if nesting.get(c.name) == diag.MAX_NESTING + 1:
+            out.append(diag.error(f"concept {c.name!r} expands to subprocesses nested more "
+                                  f"than {diag.MAX_NESTING} levels deep", c.line))
     return out
 
 
-def _cycles(d: Domain, deps: dict[str, list[str]], what: str) -> list[Diagnostic]:
-    """One diagnostic per back edge of a depth-first walk over ``deps``.
+def _cycles(d: Domain, deps: dict[str, list[str]], what: str
+            ) -> tuple[list[Diagnostic], list[str]]:
+    """One diagnostic per back edge of a depth-first walk over ``deps``, and
+    the names in the order the walk finished them: each after every name it
+    reaches other than through a back edge.
 
     The walk keeps its own stack, so a chain deeper than Python's recursion
     limit is walked like any other.
     """
     out: list[Diagnostic] = []
-    done: set = set()
+    done: dict[str, None] = {}  # in the order the walk finished them
     trail: list[str] = []  # the names being visited, outermost first
     at: dict[str, int] = {}  # name -> its index in trail
     for c in d.concepts:
@@ -289,7 +304,7 @@ def _cycles(d: Domain, deps: dict[str, list[str]], what: str) -> list[Diagnostic
                 pending.pop()
                 name = trail.pop()
                 del at[name]
-                done.add(name)
+                done[name] = None
             elif dep in at:
                 cycle = trail[at[dep]:] + [dep]
                 out.append(diag.error(f"{what}: " + " -> ".join(cycle)))
@@ -297,7 +312,7 @@ def _cycles(d: Domain, deps: dict[str, list[str]], what: str) -> list[Diagnostic
                 at[dep] = len(trail)
                 trail.append(dep)
                 pending.append(iter(deps[dep]))
-    return out
+    return out, list(done)
 
 
 def serialize_domain(d: Domain) -> str:

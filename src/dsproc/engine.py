@@ -289,19 +289,6 @@ class _Level:
         self.start_id = starts[0].id
 
 
-def _build_levels(model: BpmnModel) -> dict[tuple[str, ...], _Level]:
-    levels: dict[tuple[str, ...], _Level] = {}
-
-    def build(elements, flows, path: tuple[str, ...], where: str):
-        levels[path] = _Level(elements, flows, where)
-        for e in elements:
-            if e.kind == "subProcess":
-                build(e.inner_elements, e.inner_flows, path + (e.id,), f"{where}/{e.id}")
-
-    build(model.elements, model.flows, (), model.process_id)
-    return levels
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -309,7 +296,8 @@ def _build_levels(model: BpmnModel) -> dict[tuple[str, ...], _Level]:
 def simulate(model: BpmnModel, manifest: DeploymentManifest,
              cfg: SimulationConfig) -> list[EventRecord]:
     cfg.validate()
-    levels = _build_levels(model)
+    levels = {path: _Level(elements, flows, "/".join((model.process_id,) + path))
+              for path, (elements, flows) in model.levels.items()}
     _check_probs(levels, cfg, model.process_id)
     _check_exits(levels, cfg)
     rows = {r.uid: r for r in manifest.rows}

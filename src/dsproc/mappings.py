@@ -15,10 +15,6 @@ from collections import namedtuple
 from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
                           load_input, parse_json)
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Iterator
-
 
 class MappingError(DsprocError):
     pass
@@ -70,23 +66,18 @@ def build_cm(d) -> dict[str, list[str]]:
 def build_am(model) -> ActivityMappings:
     """The activity map of a pivot model produced by ``to_common``.
 
-    Subprocess container elements are tagged with their concept too, but
-    only leaf activities enter the map: monitoring needs leaf timings.
+    Subprocess container elements carry their concept too, but only leaf
+    activities enter the map: monitoring needs leaf timings.
     """
     am: ActivityMappings = {}
-    for element, owner in _walk_tagged(model):
-        concept = owner.concept_tags.get(element.uid)
-        if concept is not None and element.kind != "subprocess":
-            am[element.uid] = AmEntry(concept, model.name, element.uid)
+    levels = [model]
+    for level in levels:  # grows as the loop meets each subprocess
+        for element in level.elements:
+            if element.inner is not None:
+                levels.append(element.inner)
+            elif element.concept is not None:
+                am[element.uid] = AmEntry(element.concept, model.name, element.uid)
     return am
-
-
-def _walk_tagged(model) -> Iterator:
-    """Yield (element, owning model) pairs; tags live on the owning level."""
-    for element in model.elements:
-        yield element, model
-        if element.kind == "subprocess" and element.inner is not None:
-            yield from _walk_tagged(element.inner)
 
 
 MergeResult = namedtuple("MergeResult", "technical_additions broken added")

@@ -165,10 +165,18 @@ def _stats(durations: list[float], faults: int = 0) -> dict:
     n = len(durations)
     if not n:
         return {"count": 0, "faults": faults, "total_ms": 0.0}
-    total = sum(durations)
+    total = _sum(durations)
     return {"count": n, "faults": faults, "total_ms": total, "mean_ms": total / n,
             "min_ms": durations[0], "max_ms": durations[-1],
             "p95_ms": durations[max(1, math.ceil(0.95 * n)) - 1]}
+
+
+def _sum(values: Iterable[float]) -> float:
+    """``values`` added left to right; from Python 3.12 on, ``sum`` compensates floats."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _faults(samples: Iterable) -> int:
@@ -280,8 +288,8 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
                  for process, pp in probes.processes.items()}
     # concepts first, then processes, each in ingest order: the order of the
     # additions fixes the last bits of every contribution_pct
-    denom = sum(s["total_ms"] for s in bpms.values()) \
-        + sum(s["total_ms"] for s in technical.values())
+    denom = _sum(s["total_ms"] for s in bpms.values()) \
+        + _sum(s["total_ms"] for s in technical.values())
 
     def pct(total: float) -> float:
         return (total / denom * 100.0) if denom > 0 else 0.0

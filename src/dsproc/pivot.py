@@ -10,7 +10,6 @@ generation of the same process yields identical models.
 from __future__ import annotations
 
 from collections import namedtuple
-from types import MappingProxyType
 
 from .diagnostics import DsprocError
 
@@ -29,11 +28,11 @@ END = "end"
 # ``source`` and ``target`` are uids
 CommonFlow = namedtuple("CommonFlow", "source target condition exceptional",
                         defaults=(None, False))
+# ``concept`` names the concept a concept-derived element comes from, else None;
 # ``inner`` is the lowered body of a subprocess element, None for any other kind
-CommonElement = namedtuple("CommonElement", "uid kind label inner", defaults=("", None))
-# ``concept_tags`` maps the uid of each concept-derived element to its concept
-CommonModel = namedtuple("CommonModel", "name elements flows concept_tags",
-                         defaults=((), (), MappingProxyType({})))
+CommonElement = namedtuple("CommonElement", "uid kind label concept inner",
+                           defaults=("", None, None))
+CommonModel = namedtuple("CommonModel", "name elements flows", defaults=((), ()))
 
 
 def to_common(p: ProcessModel, d: Domain, registry: UidRegistry) -> CommonModel:
@@ -50,7 +49,6 @@ def to_common(p: ProcessModel, d: Domain, registry: UidRegistry) -> CommonModel:
 def _lower_body(body: ProcessBody, d: Domain, registry: UidRegistry,
                 name: str, path: str) -> CommonModel:
     elements: list[CommonElement] = []
-    tags: dict[str, str] = {}
     uid_of: dict[str, str] = {}
 
     for node in body.nodes:
@@ -67,12 +65,11 @@ def _lower_body(body: ProcessBody, d: Domain, registry: UidRegistry,
             concept = d.concept(node.concept)
             if concept is None:
                 raise DsprocError(f"unresolved concept {node.concept!r} in {path}")
+            inner = None
             if concept.subprocess is not None:
                 inner = _lower_body(concept.subprocess, d, registry, node_path, node_path)
-                elements.append(CommonElement(uid, SUBPROCESS, label=concept.label, inner=inner))
-            else:
-                elements.append(CommonElement(uid, ACTIVITY, label=concept.label))
-            tags[uid] = concept.name
+            kind = ACTIVITY if inner is None else SUBPROCESS
+            elements.append(CommonElement(uid, kind, concept.label, concept.name, inner))
         else:  # pragma: no cover - parser only emits the kinds above
             raise DsprocError(f"unknown node kind {node.kind!r}")
 
@@ -80,5 +77,5 @@ def _lower_body(body: ProcessBody, d: Domain, registry: UidRegistry,
         CommonFlow(uid_of[f.source], uid_of[f.target], f.condition, f.exceptional)
         for f in body.flows
     )
-    return CommonModel(name, tuple(elements), flows, tags)
+    return CommonModel(name, tuple(elements), flows)
 

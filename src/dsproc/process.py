@@ -160,8 +160,8 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
     if not ends:
         out.append(diag.error(f"{prefix}no flow reaches 'end'"))
 
-    outgoing: dict = {n.id: [] for n in body.nodes}
-    incoming: dict = {n.id: [] for n in body.nodes}
+    outgoing: dict = {n.id: [] for n in body.nodes}  # each node's flow targets
+    incoming: dict = {n.id: [] for n in body.nodes}  # and flow sources
     for f in body.flows:
         ok = True
         for endpoint in (f.source, f.target):
@@ -170,8 +170,8 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
                 ok = False
         if not ok:
             continue
-        outgoing[f.source].append(f)
-        incoming[f.target].append(f)
+        outgoing[f.source].append(f.target)
+        incoming[f.target].append(f.source)
         src = ids[f.source]
         if f.condition is not None and not f.exceptional and src.kind != "exclusive":
             out.append(diag.error(
@@ -188,28 +188,12 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
 
     # reachability from start, and every node must be able to reach an end
     if len(starts) == 1:
-        seen = set()
-        stack = ["start"]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for f in outgoing.get(cur, ()):
-                stack.append(f.target)
+        seen = _reachable(["start"], outgoing)
         for n in body.nodes:
             if n.id not in seen:
                 out.append(diag.error(f"{prefix}node {n.id!r} is unreachable from start", n.line))
         if ends:
-            co_seen = set()
-            stack = [e.id for e in ends]
-            while stack:
-                cur = stack.pop()
-                if cur in co_seen:
-                    continue
-                co_seen.add(cur)
-                for f in incoming.get(cur, ()):
-                    stack.append(f.source)
+            co_seen = _reachable([e.id for e in ends], incoming)
             for n in body.nodes:
                 if n.id in seen and n.id not in co_seen:
                     out.append(diag.error(
@@ -227,6 +211,18 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
         out.append(diag.warning(
             f"{prefix}unbalanced parallel gateways ({splits} splits, {joins} joins)"))
     return out
+
+
+def _reachable(seeds: list[str], edges: dict[str, list[str]]) -> set[str]:
+    """``seeds`` and every node reachable from them along ``edges``."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for node in edges.get(stack.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 def validate_process(model: ProcessModel, domain: Domain) -> list[Diagnostic]:

@@ -329,7 +329,7 @@ def test_c6_simulator_determinism_and_semantics():
       b -> end
     }""")
     gw_uid = next(e.uid for e in choice.common.elements if e.kind == "exclusive")
-    out = {f.target: f.id for f in choice.generated.flows if f.source == gw_uid}
+    out = {f.target: f.id for f in choice.generated.levels[()][1] if f.source == gw_uid}
     a_uid = next(uid for uid, e in choice.am.items() if e.concept == "A")
     b_uid = next(uid for uid, e in choice.am.items() if e.concept == "B")
     choice_manifest = deploy.bind_services(choice.domain, fixed_bindings(choice.domain),

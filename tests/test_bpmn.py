@@ -69,17 +69,19 @@ def test_round_trip_preserves_structure(order_pipeline):
            for e in bpmn.walk_elements(order_pipeline.generated)}
     back = {(e.id, e.kind, e.concept_uid) for e in bpmn.walk_elements(parsed)}
     assert back == gen
-    assert {(f.id, f.source, f.target) for f in parsed.flows} == \
-        {(f.id, f.source, f.target) for f in order_pipeline.generated.flows}
+    # every level, its elements and its flows, in the same order
+    assert parsed.levels == order_pipeline.generated.levels
     assert parsed.domain == "OrderHandling"
 
 
 def test_subprocess_container_nests_inner_elements(order_pipeline):
-    subs = [e for e in order_pipeline.generated.elements if e.kind == "subProcess"]
+    levels = order_pipeline.generated.levels
+    subs = [e for e in levels[()][0] if e.kind == "subProcess"]
     assert len(subs) == 1
     sub = subs[0]
     assert sub.concept_name == "ProcessShippingCost"
-    inner_kinds = sorted(e.kind for e in sub.inner_elements)
+    assert list(levels) == [(), (sub.id,)]
+    inner_kinds = sorted(e.kind for e in levels[(sub.id,)][0])
     assert inner_kinds == ["endEvent", "serviceTask", "serviceTask",
                            "serviceTask", "startEvent"]
 
@@ -110,17 +112,18 @@ def test_exceptional_flow_inserts_routing_gateway():
       a -> end exceptional
       b -> end
     }""")
-    a_uid = next(uid for uid, c in common.concept_tags.items() if c == "A")
+    a_uid = next(e.uid for e in common.elements if e.concept == "A")
     gw = _by_id(model).get(f"{a_uid}_exc")
     assert gw is not None and gw.kind == "exclusiveGateway"
     assert gw.concept_uid is None
     # all of a's outgoing traffic is re-routed through the gateway
-    from_a = [f for f in model.flows if f.source == a_uid]
+    flows = model.levels[()][1]
+    from_a = [f for f in flows if f.source == a_uid]
     assert [f.target for f in from_a] == [gw.id]
-    from_gw = {f.target: f.condition for f in model.flows if f.source == gw.id}
+    from_gw = {f.target: f.condition for f in flows if f.source == gw.id}
     end_uid = common.elements[-1].uid
     assert from_gw[end_uid] == "exception"
-    b_uid = next(uid for uid, c in common.concept_tags.items() if c == "B")
+    b_uid = next(e.uid for e in common.elements if e.concept == "B")
     assert from_gw[b_uid] is None
 
 
@@ -135,7 +138,7 @@ def test_exceptional_flow_from_gateway_needs_no_insertion():
     }""")
     assert not any(e.id.endswith("_exc") for e in bpmn.walk_elements(model))
     by_id = _by_id(model)
-    conds = sorted(f.condition for f in model.flows
+    conds = sorted(f.condition for f in model.levels[()][1]
                    if by_id[f.source].kind == "exclusiveGateway")
     assert conds == ["exception", "ok"]
 
@@ -172,14 +175,16 @@ def test_exceptional_gateways_follow_their_sources_at_every_level():
       g -> end exceptional
       a -> g exceptional
     }""", d)
-    assert [e.id for e in model.elements] == [
+    assert list(model.levels) == [(), ("u4",)]
+    (elements, flows), (inner_elements, inner_flows) = model.levels.values()
+    assert [e.id for e in elements] == [
         "u1", "u2", "u2_exc", "u3", "u3_exc", "u4", "u9", "u10"]
-    assert [f.id for f in model.flows] == [
+    assert [f.id for f in flows] == [
         "f_u3_u3_exc", "f_u2_u2_exc", "f_u1_u2", "f_u2_exc_u3", "f_u3_exc_u4",
         "f_u3_exc_u10", "f_u4_u9", "f_u2_exc_u10", "f_u9_u10", "f_u9_u10_2", "f_u2_exc_u9"]
-    sub = model.elements[5]
-    assert [e.id for e in sub.inner_elements] == ["u5", "u6", "u6_exc", "u7", "u8"]
-    assert [f.id for f in sub.inner_flows] == [
+    assert elements[5].kind == "subProcess"
+    assert [e.id for e in inner_elements] == ["u5", "u6", "u6_exc", "u7", "u8"]
+    assert [f.id for f in inner_flows] == [
         "f_u6_u6_exc", "f_u5_u6", "f_u6_exc_u7", "f_u6_exc_u8", "f_u7_u8"]
 
 
@@ -192,9 +197,27 @@ def test_duplicate_flow_ids_are_deduplicated():
       g -> end when "x"
       g -> end when "y"
     }""")
-    ids = [f.id for f in model.flows]
+    ids = [f.id for f in model.levels[()][1]]
     assert len(ids) == len(set(ids))
     assert any(i.endswith("_2") for i in ids)
+
+
+def test_generate_and_walk_take_any_depth_in_document_order():
+    # a pivot model nested far past the recursion limit: level i runs s<i>,
+    # subprocess p<i>, e<i>; the innermost level runs s, e
+    depth = 1500
+    el, flow = pivot.CommonElement, pivot.CommonFlow
+    m = pivot.CommonModel("P", (el("s", "start"), el("e", "end")), (flow("s", "e"),))
+    for i in reversed(range(depth)):
+        m = pivot.CommonModel("P", (el(f"s{i}", "start"), el(f"p{i}", "subprocess", inner=m),
+                                    el(f"e{i}", "end")),
+                              (flow(f"s{i}", f"p{i}"), flow(f"p{i}", f"e{i}")))
+    model = bpmn.generate_bpmn(m, "D")
+    paths = list(model.levels)
+    assert paths == [tuple(f"p{i}" for i in range(n)) for n in range(depth + 1)]
+    assert [e.id for e in bpmn.walk_elements(model)] == (
+        [x for i in range(depth) for x in (f"s{i}", f"p{i}")] + ["s", "e"]
+        + [f"e{i}" for i in reversed(range(depth))])
 
 
 def _simulate(model):
@@ -203,17 +226,17 @@ def _simulate(model):
 
 
 def test_validate_reports_missing_start():
-    model = bpmn.BpmnModel("P", elements=[bpmn.BpmnElement("e1", "endEvent")])
+    model = bpmn.BpmnModel("P", {(): ([bpmn.BpmnElement("e1", "endEvent")], [])})
     with pytest.raises(engine.SimulationError, match="expected exactly one startEvent"):
         _simulate(model)
 
 
 def test_validate_reports_gateway_without_outgoing():
-    model = bpmn.BpmnModel("P", elements=[
+    model = bpmn.BpmnModel("P", {(): ([
         bpmn.BpmnElement("s", "startEvent"),
         bpmn.BpmnElement("g", "exclusiveGateway"),
         bpmn.BpmnElement("e", "endEvent"),
-    ], flows=[bpmn.SequenceFlow("f1", "s", "g")])
+    ], [bpmn.SequenceFlow("f1", "s", "g")])})
     with pytest.raises(engine.SimulationError, match="has no outgoing flow"):
         _simulate(model)
 
@@ -250,6 +273,20 @@ def test_parse_lists_every_duplicate_id_once_sorted():
     with pytest.raises(ParseError) as info:
         bpmn.parse_bpmn(xml)
     assert str(info.value) == "duplicate ids: e, f1, s"
+
+
+def test_parse_counts_the_elements_inside_subprocesses_that_share_an_id():
+    # both subProcesses are read, and their start events clash too
+    xml = f"""<?xml version="1.0"?>
+    <definitions xmlns="{bpmn.BPMN_NS}">
+      <process id="P">
+        <subProcess id="sp"><startEvent id="x"/></subProcess>
+        <subProcess id="sp"><startEvent id="x"/><endEvent id="y"/></subProcess>
+      </process>
+    </definitions>"""
+    with pytest.raises(ParseError) as info:
+        bpmn.parse_bpmn(xml)
+    assert str(info.value) == "duplicate ids: sp, x"
 
 
 def test_parse_rejects_dangling_flow_reference():

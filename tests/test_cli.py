@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsproc import bpmn, cli, deploy, engine, mappings
-from dsproc.diagnostics import DsprocError
+from dsproc.diagnostics import MAX_NESTING, DsprocError
 
 from conftest import FIXTURES
 
@@ -141,6 +141,20 @@ def test_sync_reports_technical_addition(work, capsys):
     assert 'id="A9"' in (work / "merged.bpmn").read_text(encoding="utf-8")
 
 
+def test_sync_reports_technical_additions_in_document_order(work, capsys):
+    assert _gen(work) == 0
+    xml = (work / "order.bpmn").read_text(encoding="utf-8")
+    assert xml.count("</bpmn:subProcess>") == 1
+    edited = work / "edited.bpmn"
+    edited.write_text(xml.replace(
+        "</bpmn:subProcess>", '  <bpmn:task id="T1" name="inner audit"/>\n'
+        "    </bpmn:subProcess>").replace(
+        "</bpmn:process>", '  <bpmn:task id="T2" name="outer audit"/>\n  </bpmn:process>'),
+        encoding="utf-8")
+    assert _sync(work, edited) == 0
+    assert capsys.readouterr() == ("technical addition: T1\ntechnical addition: T2\n", "")
+
+
 def test_sync_broken_mapping_exits_two(work, capsys):
     assert _gen(work) == 0
     xml = (work / "order.bpmn").read_text(encoding="utf-8")
@@ -249,12 +263,13 @@ def test_run_rejects_a_loop_it_can_never_leave(tmp_path, capsys):
                      "--bindings", str(tmp_path / "b.json"), "--mappings", str(tmp_path / "m.json"),
                      "--process", "P", "-o", str(tmp_path / "man.json")]) == 0
     model = bpmn.parse_bpmn((tmp_path / "p.bpmn").read_text(encoding="utf-8"))
-    t = next(e for e in model.elements if e.name == "A")
-    g = next(e for e in model.elements if e.kind == "exclusiveGateway")
+    elements, flows = model.levels[()]
+    t = next(e for e in elements if e.name == "A")
+    g = next(e for e in elements if e.kind == "exclusiveGateway")
     (tmp_path / "sim.json").write_text(json.dumps({
         "profiles": {"p": {"kind": "fixed", "value": 1}},
         "branch_probs": {g.id: {f.id: 1.0 if f.target == t.id else 0.0
-                                for f in model.flows if f.source == g.id}}}), encoding="utf-8")
+                                for f in flows if f.source == g.id}}}), encoding="utf-8")
     capsys.readouterr()
     assert cli.main(["run", str(tmp_path / "p.bpmn"), "--manifest", str(tmp_path / "man.json"),
                      "--sim", str(tmp_path / "sim.json"), "-o", str(tmp_path / "ev.jsonl")]) == 1
@@ -526,16 +541,67 @@ def test_subprocesses_nested_too_deep_are_a_located_error(work, capsys, command)
         deep.write_text(_nested_bpmn(3000), encoding="utf-8")
         assert _sync(work, deep) == 1
     assert capsys.readouterr() == (
-        "", f"error: {deep}: subProcess 'p{bpmn.MAX_NESTING}' is nested more than "
-            f"{bpmn.MAX_NESTING} levels deep\n")
+        "", f"error: {deep}: subProcess 'p{MAX_NESTING}' is nested more than "
+            f"{MAX_NESTING} levels deep\n")
     assert not (work / "events.jsonl").exists() and not (work / "merged.bpmn").exists()
 
 
 def test_subprocesses_at_the_deepest_nesting_read_run(work):
-    assert _run_nested(work, bpmn.MAX_NESTING) == 0
+    assert _run_nested(work, MAX_NESTING) == 0
     kinds = [json.loads(line)["kind"]
              for line in (work / "events.jsonl").read_text(encoding="utf-8").splitlines()[1:]]
     assert kinds == ["processStart", "processStart", "processEnd", "processEnd"]
+
+
+def _chain(work, depth):
+    """A domain whose concept ``C<depth>`` expands to ``depth`` nested
+    subprocesses (``C<i>`` runs ``C<i-1>``, declared on line ``i + 3``; ``C0``
+    is a leaf), and a process ``P`` that runs it; returns the two paths."""
+    domain, process = work / "deep.dsml", work / "deep.dsproc"
+    domain.write_text("\n".join(
+        ["domain Deep {", '  service s { operation "work" }',
+         '  concept C0 { label "C0" services [s] }']
+        + [f'  concept C{i} {{ label "C{i}" subprocess {{ node n: concept C{i - 1} '
+           "start -> n n -> end } }" for i in range(1, depth + 1)] + ["}\n"]), encoding="utf-8")
+    process.write_text(f"process P uses Deep {{\n  node n: concept C{depth}\n  start -> n\n"
+                       "  n -> end\n}\n", encoding="utf-8")
+    (work / "deep.json").write_text(
+        '{"bindings": {"s": {"endpoint": "sim://s", "profile": "fast"}}}', encoding="utf-8")
+    return domain, process
+
+
+def _gen_chain(work, domain, process):
+    return cli.main(["gen", str(process), "--domain", str(domain),
+                     "--mappings", str(work / "deep-mappings.json"), "-o", str(work / "deep.bpmn")])
+
+
+def test_a_domain_at_the_deepest_nesting_checks_generates_and_runs(work, capsys):
+    domain, process = _chain(work, MAX_NESTING)
+    assert cli.main(["check", str(domain), str(process)]) == 0
+    assert _gen_chain(work, domain, process) == 0
+    assert cli.main(["bind", "--domain", str(domain), "--bindings", str(work / "deep.json"),
+                     "--mappings", str(work / "deep-mappings.json"), "--process", "P",
+                     "-o", str(work / "deep-manifest.json")]) == 0
+    assert cli.main(["run", str(work / "deep.bpmn"), "--manifest",
+                     str(work / "deep-manifest.json"), "--sim", str(work / "sim.json"),
+                     "--instances", "2", "-o", str(work / "events.jsonl")]) == 0
+    assert capsys.readouterr() == ("", "")
+    records = [json.loads(line) for line
+               in (work / "events.jsonl").read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r["concept"] for r in records if r["kind"] == "activityEnd"] == ["C0", "C0"]
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1500])
+def test_a_domain_nested_too_deep_is_a_located_error(work, capsys, depth):
+    domain, process = _chain(work, depth)
+    message = (f"concept 'C{MAX_NESTING + 1}' expands to subprocesses nested more "
+               f"than {MAX_NESTING} levels deep")
+    line = MAX_NESTING + 4
+    assert cli.main(["check", str(domain), str(process)]) == 1
+    assert capsys.readouterr() == (f"{domain}: error at {line}: {message}\n", "")
+    assert _gen_chain(work, domain, process) == 1
+    assert capsys.readouterr() == ("", f"error: {domain}:{line}: {message}\n")
+    assert not (work / "deep.bpmn").exists() and not (work / "deep-mappings.json").exists()
 
 
 def _latin1_domain(work):

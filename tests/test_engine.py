@@ -153,7 +153,7 @@ def test_gateway_taken_names_a_real_flow():
     manifest = deploy.bind_services(p.domain, _split_bindings(), p.am, "P")
     cfg = _split_config(instances=10, seed=4)
     records = engine.simulate(p.generated, manifest, cfg)
-    flow_ids = {f.id for f in p.generated.flows}
+    flow_ids = {f.id for f in p.generated.levels[()][1]}
     taken = [r for r in records if r.kind == "gatewayTaken"]
     assert len(taken) == 10  # one decision per instance
     assert all(r.element_id in flow_ids for r in taken)
@@ -168,7 +168,7 @@ def test_branch_probabilities_shift_the_split():
     p = compile_sources(_DOMAIN, _CHOICE)
     manifest = deploy.bind_services(p.domain, _split_bindings(), p.am, "P")
     gw_uid = next(e.uid for e in p.common.elements if e.kind == "exclusive")
-    out = {f.target: f.id for f in p.generated.flows if f.source == gw_uid}
+    out = {f.target: f.id for f in p.generated.levels[()][1] if f.source == gw_uid}
     a_uid = next(uid for uid, e in p.am.items() if e.concept == "A")
     b_uid = next(uid for uid, e in p.am.items() if e.concept == "B")
     cfg = _split_config(instances=2000, seed=11, branch_probs={
@@ -276,10 +276,11 @@ def test_multi_service_activity_invokes_each_endpoint_in_order(order_pipeline):
 def _handle_order_branch_probs(p):
     """Deterministic branch choices for the order fixture's gateways."""
     probs = {}
-    for e in p.generated.elements:
+    elements, flows = p.generated.levels[()]
+    for e in elements:
         if e.kind != "exclusiveGateway":
             continue
-        out = [f for f in p.generated.flows if f.source == e.id]
+        out = [f for f in flows if f.source == e.id]
         if len(out) > 1:
             probs[e.id] = {f.id: (1.0 if i == 0 else 0.0)
                            for i, f in enumerate(out)}
@@ -338,7 +339,7 @@ def test_branch_probs_must_cover_gateway_flows():
     p = compile_sources(_DOMAIN, _CHOICE)
     manifest = deploy.bind_services(p.domain, _split_bindings(), p.am, "P")
     gw_uid = next(e.uid for e in p.common.elements if e.kind == "exclusive")
-    out = [f.id for f in p.generated.flows if f.source == gw_uid]
+    out = [f.id for f in p.generated.levels[()][1] if f.source == gw_uid]
     cfg = _split_config(branch_probs={gw_uid: {out[0]: 1.0}})
     with pytest.raises(engine.SimulationError, match="miss"):
         engine.simulate(p.generated, manifest, cfg)
@@ -349,10 +350,11 @@ def test_fault_probs_name_a_technical_task_by_its_id():
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
     a_uid = next(uid for uid, e in p.am.items() if e.concept == "A")
     model = p.generated
-    flow = next(f for f in model.flows if f.source == a_uid)
-    model.elements.append(bpmn.BpmnElement("A9", "task"))
-    model.flows.append(bpmn.SequenceFlow("f_A9", "A9", flow.target))
-    flow.target = "A9"
+    elements, flows = model.levels[()]
+    i, flow = next((i, f) for i, f in enumerate(flows) if f.source == a_uid)
+    elements.append(bpmn.BpmnElement("A9", "task"))
+    flows.append(bpmn.SequenceFlow("f_A9", "A9", flow.target))
+    flows[i] = flow._replace(target="A9")
     records = engine.simulate(model, manifest, fixed_config(instances=2, fault_probs={"A9": 1.0}))
     ends = [r.status for r in records if r.kind == "processEnd"]
     assert ends == ["fault", "fault"]
@@ -408,9 +410,10 @@ _LOOP_OUTER = """process P uses T {
 }"""
 
 
-def _loop_probs(elements, flows, again):
-    """The loop body, and branch probabilities that send a token back to it
-    with probability ``again``."""
+def _loop_probs(level, again):
+    """The loop body of a model's ``(elements, flows)`` level, and branch
+    probabilities that send a token back to it with probability ``again``."""
+    elements, flows = level
     gw = next(e for e in elements if e.kind == "exclusiveGateway")
     body = next(e for e in elements if e.kind in ("serviceTask", "subProcess"))
     return body, {gw.id: {f.id: again if f.target == body.id else 1.0 - again
@@ -420,8 +423,8 @@ def _loop_probs(elements, flows, again):
 def test_loop_inside_a_subprocess_is_rejected_at_its_level():
     p = compile_sources(_LOOP_DOMAIN, _LOOP_OUTER)
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
-    outer, probs = _loop_probs(p.generated.elements, p.generated.flows, 0.5)
-    x, inner = _loop_probs(outer.inner_elements, outer.inner_flows, 1.0)
+    outer, probs = _loop_probs(p.generated.levels[()], 0.5)
+    x, inner = _loop_probs(p.generated.levels[(outer.id,)], 1.0)
     cfg = fixed_config(branch_probs={**probs, **inner})
     with pytest.raises(engine.SimulationError, match=rf"^P/{outer.id}: element {x.id!r} is on"):
         engine.simulate(p.generated, manifest, cfg)
@@ -432,7 +435,7 @@ def test_loop_inside_a_subprocess_is_rejected_at_its_level():
 def test_loop_with_a_way_out_runs(again, fault):
     p = compile_sources(_DOMAIN, _LOOP)
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
-    a, probs = _loop_probs(p.generated.elements, p.generated.flows, again)
+    a, probs = _loop_probs(p.generated.levels[()], again)
     cfg = fixed_config(instances=20, branch_probs=probs,
                        fault_probs={a.concept_uid: 0.3} if fault else {})
     records = engine.simulate(p.generated, manifest, cfg)
@@ -442,8 +445,8 @@ def test_loop_with_a_way_out_runs(again, fault):
 def test_loop_left_by_a_fault_inside_a_subprocess_runs():
     p = compile_sources(_LOOP_DOMAIN, _LOOP_OUTER)
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
-    outer, probs = _loop_probs(p.generated.elements, p.generated.flows, 1.0)
-    x, inner = _loop_probs(outer.inner_elements, outer.inner_flows, 0.0)
+    outer, probs = _loop_probs(p.generated.levels[()], 1.0)
+    x, inner = _loop_probs(p.generated.levels[(outer.id,)], 0.0)
     cfg = fixed_config(instances=20, branch_probs={**probs, **inner},
                        fault_probs={x.concept_uid: 0.3})
     records = engine.simulate(p.generated, manifest, cfg)

@@ -57,6 +57,13 @@ def test_registry_is_injective_property(paths):
         assert r.uid_for(p) == uid
 
 
+def _pivot_elements(m):
+    for e in m.elements:
+        yield e
+        if e.inner is not None:
+            yield from _pivot_elements(e.inner)
+
+
 def test_build_am_defaults_to_leaf_activities(order_pipeline):
     am = order_pipeline.am
     container_uids = {e.uid for e in order_pipeline.common.elements
@@ -64,16 +71,8 @@ def test_build_am_defaults_to_leaf_activities(order_pipeline):
     assert container_uids
     assert not any(uid in am for uid in container_uids)
     # oracle: leaf uids are exactly the activity-kind tagged elements
-    expected = set()
-
-    def walk(m):
-        for e in m.elements:
-            if e.kind == "activity" and e.uid in m.concept_tags:
-                expected.add(e.uid)
-            if e.inner is not None:
-                walk(e.inner)
-
-    walk(order_pipeline.common)
+    expected = {e.uid for e in _pivot_elements(order_pipeline.common)
+                if e.kind == "activity" and e.concept is not None}
     assert set(am) == expected
 
 
@@ -113,7 +112,7 @@ def test_merge_reports_the_activities_the_model_added_but_not_their_container(
     result = merge_enriched(new.generated, bpmn.parse_bpmn(old.xml), loaded_am)
     container = [e for e in bpmn.walk_elements(new.generated) if e.kind == "subProcess"]
     assert len(container) == 1
-    assert result.added == [e.concept_uid for e in container[0].inner_elements
+    assert result.added == [e.concept_uid for e in new.generated.levels[(container[0].id,)][0]
                             if e.concept_uid]
     assert result.added and set(result.added) == set(new.store.am) - set(loaded_am)
     assert (result.technical_additions, result.broken) == ([], [])
@@ -161,5 +160,6 @@ def test_update_process_keeps_other_processes():
 
 def test_concept_for_activity(order_pipeline):
     uid = list(order_pipeline.am)[0]
-    assert order_pipeline.am.get(uid).concept == order_pipeline.common.concept_tags[uid]
+    concept_of = {e.uid: e.concept for e in _pivot_elements(order_pipeline.common)}
+    assert order_pipeline.am.get(uid).concept == concept_of[uid]
     assert order_pipeline.am.get("nope") is None

@@ -25,8 +25,7 @@ def test_flow_count_oracle(order_pipeline):
 
 def test_concept_tags_cover_all_concept_nodes(order_pipeline):
     common = order_pipeline.common
-    top_tagged = {common.concept_tags[e.uid] for e in common.elements
-                  if e.uid in common.concept_tags}
+    top_tagged = {e.concept for e in common.elements if e.concept is not None}
     source_refs = {n.concept for n in order_pipeline.model.body.concept_refs()}
     assert top_tagged == source_refs
 
@@ -36,7 +35,7 @@ def test_subprocess_recursion(order_pipeline):
     assert len(subs) == 1
     inner = subs[0].inner
     assert inner is not None
-    inner_concepts = set(inner.concept_tags.values())
+    inner_concepts = {e.concept for e in inner.elements if e.concept is not None}
     assert inner_concepts == {"HandlePayment", "PackageItems", "ShipAndConfirm"}
     # inner uids are registered under the container's path
     path_of = {uid: path for path, uid in order_pipeline.registry.entries.items()}
