@@ -1,4 +1,4 @@
-"""Diagnostics and error types shared by all pipeline stages."""
+"""Diagnostics, error types and the float sum shared by all pipeline stages."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable, Iterable, Iterator
     from typing import Any, TypeVar
 
     T = TypeVar("T")
@@ -17,6 +17,15 @@ if TYPE_CHECKING:  # pragma: no cover
 # the deepest subProcess nesting a model may have: validate_domain reports a
 # concept that expands deeper, and parse_bpmn a file that nests deeper
 MAX_NESTING = 100
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """``values`` added left to right, the same on every Python version;
+    from Python 3.12 on, ``sum`` compensates floats."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _loc(line: int, column: int | None) -> str:

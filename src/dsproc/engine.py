@@ -2,10 +2,14 @@
 
 Runs on a virtual millisecond clock (no wall-clock dependence): a
 discrete-event queue ordered by (time, insertion order) drives tokens
-through the flow graph. Activity durations come from per-endpoint duration
-profiles in the deployment manifest; every random draw is taken from one
-seeded Mersenne Twister stream in processing order, so a (model, manifest,
-config) triple always yields a byte-identical event log.
+through the flow graph. The queue is a heap of the events after the
+current time and a first-in, first-out list of those scheduled at it; the
+next event is the one that sorts first by ``(ts, counter)`` of the two
+heads, so it is taken in the order one heap of every event would give.
+Activity durations come from per-endpoint duration profiles in the
+deployment manifest; every random draw is taken from one seeded Mersenne
+Twister stream in processing order, so a (model, manifest, config) triple
+always yields a byte-identical event log.
 
 Log format: JSON Lines. The first line is a header
 ``{"log_version": 1, "seed": ..., "rng": "python-mt19937"}``; each
@@ -24,31 +28,34 @@ field omitted: ``", "`` and ``": "`` separators, ASCII-only string escapes,
 ``NaN`` for the others. :func:`render_log` writes those lines without
 building the objects.
 
-Reading contract: :func:`decode_values` reads a line in the canonical form,
-the line :func:`render_log` writes when no string needs an escape, with
-one compiled pattern (``_CANONICAL``), and every other line with
-``json.loads`` and its checks. On a line in the canonical form both give
-the same values, because ``json.loads`` converts a number's text with the
-same ``int`` or ``float``; for a record line those values equal its record.
+Reading contract: :func:`read_log` reads a log, and :func:`decode_values`
+one line. Both read a line in the canonical form, the line
+:func:`render_log` writes when no string needs an escape, with one pattern
+(``_CANONICAL``, compiled on the first line read), and every other line
+with ``json.loads`` and its checks. On a line in the canonical form both
+give the same values, because ``json.loads`` converts a number's text with
+the same ``int`` or ``float``; for a record line those values equal its
+record.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
 import random
 import re
-from collections import namedtuple
+from collections import deque, namedtuple
+from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
-from .diagnostics import DsprocError, JSONError, json_check, json_field, json_members, parse_json
+from .diagnostics import (DsprocError, JSONError, json_check, json_field, json_members,
+                          parse_json, sum_in_order)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Iterable
+    from collections.abc import Callable, Collection, Iterable, Iterator
 
     from .bpmn import BpmnElement, BpmnModel, SequenceFlow
     from .deploy import DeploymentManifest
@@ -78,15 +85,18 @@ EventRecord = namedtuple("EventRecord", _FIELD_ORDER[1:], defaults=(None,) * 6)
 # counts: a float's repr has at most 16 integer, 20 fraction and 3 exponent
 # digits, and an int of at most 20 digits is far below Python's limit on
 # int(text). A line outside these bounds is still read, by json.loads.
+# An optional part is written (?:part|), not (?:part)?: the same matches,
+# which the re module finds about a fifth faster.
 _INT = r"-?(?:0|[1-9][0-9]{0,19})"
-_FLOAT = _INT + r"(?:\.[0-9]{1,20}(?:[eE][-+]?[0-9]{1,3})?|[eE][-+]?[0-9]{1,3})"
+_FLOAT = _INT + r"(?:\.[0-9]{1,20}(?:[eE][-+]?[0-9]{1,3}|)|[eE][-+]?[0-9]{1,3})"
 _NUMBER_RE = f"(?:({_FLOAT})|({_INT}))"  # a float's text in one group, an int's in the next
 _STRING_RE = r'"([^"\\\x00-\x1f]*)"'
-_CANONICAL = re.compile(
+_CANONICAL_TEXT = (
     f'{{"seq": (?:{_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
     f'"process": {_STRING_RE}, "instance": ({_INT})'
-    + "".join(f'(?:, "{name}": {_STRING_RE})?' for name in _FIELD_ORDER[5:10])
-    + f'(?:, "duration_ms": {_NUMBER_RE})?}}\n?')
+    + "".join(f'(?:, "{name}": {_STRING_RE}|)' for name in _FIELD_ORDER[5:10])
+    + f'(?:, "duration_ms": {_NUMBER_RE}|)}}\n?')
+_CANONICAL = None  # the compiled pattern, once a line has been read
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
@@ -109,10 +119,13 @@ class DurationProfile(namedtuple("DurationProfile", "kind value low high mean st
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("fixed", "uniform", "normal"):
             raise SimulationError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "fixed" and self.value < 0:
+        # no profile may draw NaN, which has no place in the queue's time order
+        if self.kind == "fixed" and not self.value >= 0:
             raise SimulationError("fixed duration must be >= 0")
         if self.kind == "uniform" and not (0 <= self.low <= self.high):
             raise SimulationError("uniform profile requires 0 <= low <= high")
+        if self.kind == "uniform" and self.high == math.inf:
+            raise SimulationError("uniform profile requires a finite high")
         if self.kind == "normal" and (self.stddev < 0 or self.mean < 0):
             raise SimulationError("normal profile requires mean >= 0 and stddev >= 0")
         return self
@@ -158,7 +171,7 @@ class SimulationConfig:
         if self.instance_count < 1:
             raise SimulationError("instance_count must be >= 1")
         for gw, probs in self.branch_probs.items():
-            total = sum(probs.values())
+            total = sum_in_order(probs.values())
             if abs(total - 1.0) > 1e-9:
                 raise SimulationError(
                     f"branch probabilities for gateway {gw!r} sum to {total}, not 1")
@@ -194,6 +207,24 @@ def log_header(cfg: SimulationConfig) -> str:
     return json.dumps({"log_version": LOG_VERSION, "seed": cfg.seed, "rng": RNG_ID})
 
 
+def _fullmatch():
+    """The canonical pattern's ``fullmatch``; the pattern is compiled on first use."""
+    global _CANONICAL
+    if _CANONICAL is None:
+        _CANONICAL = re.compile(_CANONICAL_TEXT)
+    return _CANONICAL.fullmatch
+
+
+def _values(groups: tuple) -> tuple:
+    """A record's values from the groups of its canonical line."""
+    ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
+        duration, duration_int = groups
+    return (float(ts) if ts is not None else int(ts_int), kind, process,
+            int(instance), uid, element_id, concept, service, status,
+            float(duration) if duration is not None
+            else None if duration_int is None else int(duration_int))
+
+
 def decode_values(line: str) -> dict | tuple:
     """Decode one log line: the header as a dict, any other line as the
     values of its fields after ``seq`` in log order (``None`` for an absent
@@ -204,15 +235,10 @@ def decode_values(line: str) -> dict | tuple:
     missing, a field of the wrong type, an unsupported log version) raises
     :class:`DsprocError`. See the module docstring for the two routes.
     """
-    match = _CANONICAL.fullmatch(line)
+    match = _fullmatch()(line)
     if match is None:
         return _decode_json(line)
-    ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
-        duration, duration_int = match.groups()
-    return (float(ts) if ts is not None else int(ts_int), kind, process,
-            int(instance), uid, element_id, concept, service, status,
-            float(duration) if duration is not None
-            else None if duration_int is None else int(duration_int))
+    return _values(match.groups())
 
 
 def _decode_json(line: str) -> dict | tuple:
@@ -238,6 +264,36 @@ def _decode_json(line: str) -> dict | tuple:
     return values[1:]
 
 
+def read_log(lines: Iterable[str], kinds: Collection[str]) -> Iterator[tuple[int, dict | tuple]]:
+    """``(line_no, values)`` for each line of ``lines`` that is not blank,
+    numbered from 1, with the values :func:`decode_values` gives; except
+    that a record line in the canonical form whose kind is not in ``kinds``
+    has its numbers, ``ts_ms``, ``instance`` and ``duration_ms``, as ``None``.
+
+    ``lines`` is read once, one line at a time. A line that does not decode
+    and is not blank raises :class:`DsprocError`, prefixed ``line N: ``.
+    """
+    fullmatch = _fullmatch()
+    for line_no, line in enumerate(lines, 1):
+        match = fullmatch(line)
+        if match is None:
+            try:
+                values = _decode_json(line)
+            except DsprocError as exc:
+                if not line.strip():
+                    continue
+                raise DsprocError(f"line {line_no}: {exc}") from None
+        else:
+            groups = match.groups()
+            if groups[2] in kinds:
+                values = _values(groups)
+            else:
+                _, _, kind, process, _, uid, element_id, concept, service, status, _, _ = groups
+                values = (None, kind, process, None, uid, element_id, concept, service, status,
+                          None)
+        yield line_no, values
+
+
 def render_log(records: Iterable[EventRecord], cfg: SimulationConfig) -> str:
     """The log: its header, then one line per record, numbered from 1 by
     ``seq``; see the module docstring for their bytes."""
@@ -246,6 +302,10 @@ def render_log(records: Iterable[EventRecord], cfg: SimulationConfig) -> str:
     # the fixed text of a line from ts_ms to instance, and from instance to
     # duration_ms, for each combination of the fields it is made of
     fragments: dict[tuple, tuple[str, str]] = {}
+    # the last ts_ms and duration_ms written, and their text: a nonzero number
+    # of the same type and value has the same text (zeros differ by sign)
+    last_ts = last_duration = None
+    ts_text = duration_text = ""
     for seq, (ts, kind, process, instance, uid, element_id, concept, service, status,
               duration) in enumerate(records, 1):
         key = (kind, process, uid, element_id, concept, service, status)
@@ -256,11 +316,18 @@ def render_log(records: Iterable[EventRecord], cfg: SimulationConfig) -> str:
                 "".join(f', "{name}": {_json_str(value)}'
                         for name, value in zip(_FIELD_ORDER[5:10], key[2:]) if value is not None))
         middle, tail = fragment
+        if ts != last_ts or not ts or ts.__class__ is not last_ts.__class__:
+            ts_text = _json_number(ts)
+            last_ts = ts
         if duration is None:
-            append(f'{{"seq": {seq!r}, "ts_ms": {_json_number(ts)}{middle}{instance!r}{tail}}}')
+            append(f'{{"seq": {seq!r}, "ts_ms": {ts_text}{middle}{instance!r}{tail}}}')
         else:
-            append(f'{{"seq": {seq!r}, "ts_ms": {_json_number(ts)}{middle}{instance!r}{tail}'
-                   f', "duration_ms": {_json_number(duration)}}}')
+            if duration != last_duration or not duration \
+                    or duration.__class__ is not last_duration.__class__:
+                duration_text = _json_number(duration)
+                last_duration = duration
+            append(f'{{"seq": {seq!r}, "ts_ms": {ts_text}{middle}{instance!r}{tail}'
+                   f', "duration_ms": {duration_text}}}')
     append("")  # the trailing newline, without a second copy of the log
     return "\n".join(lines)
 
@@ -287,6 +354,7 @@ class _Level:
         if len(starts) != 1:
             raise SimulationError(f"{where}: expected exactly one startEvent")
         self.start_id = starts[0].id
+        self.activities: dict[str, tuple] = {}  # each activity's _activity, from its first run
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +371,32 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     rows = {r.uid: r for r in manifest.rows}
     rng = random.Random(cfg.seed)
     process = model.process_id
+    new = tuple.__new__  # an EventRecord from its ten fields, without a Python-level call
 
     records: list[EventRecord] = []
     emit = records.append
-    activities: dict[BpmnElement, tuple] = {}  # each activity's _activity, from its first run
-    ended: dict[int, bool] = {}
-    faulted: dict[int, bool] = {}
+    ended: set[int] = set()
+    faulted: set[int] = set()
     ctx_active: dict[tuple[int, tuple[str, ...]], int] = {}
     ctx_fault: dict[tuple[int, tuple[str, ...]], bool] = {}
     join_arrivals: dict[tuple[int, tuple[str, ...], str], int] = {}
 
-    heap: list[tuple[float, int, int, tuple[str, ...], str, str]] = []
+    # the queue: the events after the current time `now` in a heap, and those
+    # at `now` in the order they were scheduled, which is their counter order;
+    # an event is (ts, counter, inst, path, elem_id, action), and taking it
+    # calls action(inst, path, elem_id, ts)
+    heap: list[tuple] = []
+    lane: deque[tuple] = deque()
+    now = 0.0
     counter = 0
 
-    def schedule(ts: float, inst: int, path: tuple[str, ...], elem_id: str, action: str) -> None:
+    def schedule(ts: float, inst: int, path: tuple[str, ...], elem_id: str,
+                 action: Callable) -> None:
         nonlocal counter
-        heapq.heappush(heap, (ts, counter, inst, path, elem_id, action))
+        if ts == now:
+            lane.append((ts, counter, inst, path, elem_id, action))
+        else:
+            heappush(heap, (ts, counter, inst, path, elem_id, action))
         counter += 1
 
     def absorb(inst: int, path: tuple[str, ...], ts: float, fault: bool) -> None:
@@ -326,15 +404,15 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         ctx_active[key] -= 1
         if fault:
             ctx_fault[key] = True
-            faulted[inst] = True
+            faulted.add(inst)
         if ctx_active[key] > 0:
             return
         if path == ():
-            if not ended.get(inst):
-                ended[inst] = True
-                status = "fault" if faulted.get(inst) else "ok"
-                emit(EventRecord(ts, "processEnd", process, inst, None, process, None, None,
-                                 status, ts))
+            if inst not in ended:
+                ended.add(inst)
+                status = "fault" if inst in faulted else "ok"
+                emit(new(EventRecord, (ts, "processEnd", process, inst, None, process, None,
+                                       None, status, ts)))
             return
         # inner level drained: resume (or kill) the suspended outer token
         sub_fault = ctx_fault.pop(key, False)
@@ -346,8 +424,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             move(inst, parent, path[-1], ts)
 
     def move(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
-        level = levels[path]
-        flows = level.outgoing.get(elem_id, [])
+        flows = levels[path].outgoing.get(elem_id, ())
         if not flows:
             # dead end that is not an end event: token is lost
             absorb(inst, path, ts, fault=False)
@@ -355,81 +432,90 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         if len(flows) > 1:
             ctx_active[(inst, path)] += len(flows) - 1
         for f in flows:
-            schedule(ts, inst, path, f.target, "enter")
+            schedule(ts, inst, path, f.target, enter)
 
     def enter(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
         level = levels[path]
+        activity = level.activities.get(elem_id)
+        if activity is not None:
+            run_activity(inst, path, activity, ts)
+            return
         elem = level.elements.get(elem_id)
         if elem is None:
             raise SimulationError(f"flow targets unknown element {elem_id!r}")
-        if elem.kind == "startEvent":
-            move(inst, path, elem_id, ts)
-        elif elem.kind == "endEvent":
-            absorb(inst, path, ts, fault=False)
-        elif elem.kind == "exclusiveGateway":
-            flows = level.outgoing.get(elem.id, [])
+        kind = elem.kind
+        if kind not in _CONTROL_KINDS:
+            activity = level.activities[elem_id] = _activity(elem, rows, cfg)
+            run_activity(inst, path, activity, ts)
+        elif kind == "exclusiveGateway":
+            flows = level.outgoing.get(elem_id)
             if not flows:
-                raise SimulationError(f"gateway {elem.id!r} has no outgoing flow")
-            chosen = _choose(flows, cfg.branch_probs.get(elem.id), rng)
+                raise SimulationError(f"gateway {elem_id!r} has no outgoing flow")
+            chosen = _choose(flows, cfg.branch_probs.get(elem_id), rng)
             if len(flows) > 1:
-                emit(EventRecord(ts, "gatewayTaken", process, inst, None, chosen.id))
-            schedule(ts, inst, path, chosen.target, "enter")
-        elif elem.kind == "parallelGateway":
-            incoming = level.incoming_count.get(elem.id, 0)
+                emit(new(EventRecord, (ts, "gatewayTaken", process, inst, None, chosen.id, None,
+                                       None, None, None)))
+            schedule(ts, inst, path, chosen.target, enter)
+        elif kind == "parallelGateway":
+            incoming = level.incoming_count.get(elem_id, 0)
             if incoming > 1:
-                key = (inst, path, elem.id)
-                join_arrivals[key] = join_arrivals.get(key, 0) + 1
-                if join_arrivals[key] < incoming:
+                key = (inst, path, elem_id)
+                arrived = join_arrivals[key] = join_arrivals.get(key, 0) + 1
+                if arrived < incoming:
                     return  # token waits at the join
                 join_arrivals[key] = 0
                 ctx_active[(inst, path)] -= incoming - 1
             move(inst, path, elem_id, ts)
-        elif elem.kind == "subProcess":
-            inner = path + (elem.id,)
+        elif kind == "startEvent":
+            move(inst, path, elem_id, ts)
+        elif kind == "endEvent":
+            absorb(inst, path, ts, fault=False)
+        else:  # subProcess
+            inner = path + (elem_id,)
             key = (inst, inner)
             ctx_active[key] = ctx_active.get(key, 0) + 1
             ctx_fault.setdefault(key, False)
-            schedule(ts, inst, inner, levels[inner].start_id, "enter")
-        else:
-            run_activity(inst, path, elem, ts)
+            schedule(ts, inst, inner, levels[inner].start_id, enter)
 
-    def run_activity(inst: int, path: tuple[str, ...], elem: BpmnElement, ts: float) -> None:
-        activity = activities.get(elem)
-        if activity is None:
-            activity = activities[elem] = _activity(elem, rows, cfg)
+    def run_activity(inst: int, path: tuple[str, ...], activity: tuple, ts: float) -> None:
         uid, elem_id, concept, invokes, sample, fault_p = activity
-        emit(EventRecord(ts, "activityStart", process, inst, uid, elem_id, concept))
+        emit(new(EventRecord, (ts, "activityStart", process, inst, uid, elem_id, concept, None,
+                               None, None)))
         total = 0.0
         for service, sample_invoke in invokes:
             d = sample_invoke(rng)
             total += d
-            emit(EventRecord(ts + total, "serviceInvoke", process, inst, uid, elem_id, concept,
-                             service, "ok", d))
+            emit(new(EventRecord, (ts + total, "serviceInvoke", process, inst, uid, elem_id,
+                                   concept, service, "ok", d)))
         if sample is not None:
             total = sample(rng)
         status = "fault" if fault_p > 0.0 and rng.random() < fault_p else "ok"
-        emit(EventRecord(ts + total, "activityEnd", process, inst, uid, elem_id, concept,
-                         None, status, total))
-        schedule(ts + total, inst, path, elem_id, "move" if status == "ok" else "fault")
+        end = ts + total
+        emit(new(EventRecord, (end, "activityEnd", process, inst, uid, elem_id, concept, None,
+                               status, total)))
+        schedule(end, inst, path, elem_id, move if status == "ok" else fail)
+
+    def fail(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
+        absorb(inst, path, ts, fault=True)
 
     for inst in range(1, cfg.instance_count + 1):
         ctx_active[(inst, ())] = 1
-        emit(EventRecord(0.0, "processStart", process, inst, None, process, None, None, "ok"))
-        schedule(0.0, inst, (), levels[()].start_id, "enter")
+        emit(new(EventRecord, (0.0, "processStart", process, inst, None, process, None, None,
+                               "ok", None)))
+        schedule(0.0, inst, (), levels[()].start_id, enter)
 
-    while heap:
-        ts, _, inst, path, elem_id, action = heapq.heappop(heap)
-        if ended.get(inst):
-            continue
-        if action == "enter":
-            enter(inst, path, elem_id, ts)
-        elif action == "move":
-            move(inst, path, elem_id, ts)
-        else:  # fault
-            absorb(inst, path, ts, fault=True)
+    while lane or heap:
+        # the head that sorts first by (ts, counter); the counter is unique
+        if lane and not (heap and heap[0] < lane[0]):
+            ts, _, inst, path, elem_id, action = lane.popleft()
+        else:
+            ts, _, inst, path, elem_id, action = heappop(heap)
+            now = ts
+        if inst not in ended:
+            action(inst, path, elem_id, ts)
 
-    unended = [inst for inst in range(1, cfg.instance_count + 1) if not ended.get(inst)]
-    stuck = [inst for inst in unended if not faulted.get(inst)]
+    unended = [inst for inst in range(1, cfg.instance_count + 1) if inst not in ended]
+    stuck = [inst for inst in unended if inst not in faulted]
     if stuck:
         raise SimulationError(
             "deadlock: join never satisfied for instance(s) "
@@ -442,8 +528,8 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             if record.instance in last_ts and record.ts_ms > last_ts[record.instance]:
                 last_ts[record.instance] = record.ts_ms
         for inst, ts in last_ts.items():
-            emit(EventRecord(ts, "processEnd", process, inst, None, process, None, None,
-                             "fault", ts))
+            emit(new(EventRecord, (ts, "processEnd", process, inst, None, process, None, None,
+                                   "fault", ts)))
 
     # the sort is stable, so events of one timestamp keep their emission order;
     # a sort on whole records would order them by kind

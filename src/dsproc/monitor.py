@@ -21,8 +21,8 @@ import json
 import math
 from collections import defaultdict, namedtuple
 
-from .diagnostics import DsprocError
-from .engine import decode_values
+from .diagnostics import DsprocError, sum_in_order
+from .engine import read_log
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,6 +36,8 @@ _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 # one activity completion (``service`` None) or service invocation
 Sample = namedtuple("Sample", "duration_ms status instance ts_ms uid service",
                     defaults=(None,))
+# the kinds of record whose numbers ingest reads
+_MEASURED = frozenset({"activityEnd", "serviceInvoke", "processStart", "processEnd"})
 
 
 class ConceptProbe:
@@ -99,20 +101,17 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
     e.g. the same concept used by two processes accumulates into one probe.
     """
     probes = probes or ProbeSet()
-    concept_of = {uid: e.concept for uid, e in am.items()}
     known_processes = {e.process for e in am.values()}
     concepts = probes.concepts
-    for concept in concept_of.values():
-        concepts.setdefault(concept, ConceptProbe(concept))
+    for e in am.values():
+        concepts.setdefault(e.concept, ConceptProbe(e.concept))
+    # the sample lists of each mapped activity's concept
+    bpms_of = {uid: concepts[e.concept].bpms for uid, e in am.items()}
+    soa_of = {uid: concepts[e.concept].soa for uid, e in am.items()}
     header_seen = False
     pp = None  # the probe of the last record's process
-    for line_no, line in enumerate(lines, 1):
-        try:
-            values = decode_values(line)
-        except DsprocError as exc:
-            if not line.strip():
-                continue
-            raise DsprocError(f"line {line_no}: {exc}") from None
+    new = tuple.__new__  # a Sample from its six fields, without a Python-level call
+    for line_no, values in read_log(lines, _MEASURED):
         if values.__class__ is dict:
             header_seen = True
             probes.logs += 1
@@ -127,25 +126,21 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
             pp = probes.processes.get(process)
             if pp is None:
                 pp = probes.processes[process] = ProcessProbe(process)
-        if kind == "activityEnd":
-            sample = Sample(duration or 0.0, status or "ok", instance, ts, uid)
-            concept = concept_of.get(uid)
-            if concept is None:
-                pp.technical.append(sample)
-            else:
-                concepts[concept].bpms.append(sample)
-        elif kind == "serviceInvoke":
-            concept = concept_of.get(uid)
-            if concept is not None:
-                concepts[concept].soa.append(
-                    Sample(duration or 0.0, status or "ok", instance, ts, uid, service))
+        if kind == "serviceInvoke":
+            samples = soa_of.get(uid)
+            if samples is not None:
+                samples.append(
+                    new(Sample, (duration or 0.0, status or "ok", instance, ts, uid, service)))
+        elif kind == "activityEnd":
+            bpms_of.get(uid, pp.technical).append(
+                new(Sample, (duration or 0.0, status or "ok", instance, ts, uid, None)))
         elif kind == "processStart":
             pp.instances[probes.logs, instance] = InstanceRecord(start_ts=ts)
         elif kind == "processEnd":
             rec = pp.instances.setdefault((probes.logs, instance), InstanceRecord(start_ts=0.0))
             rec.end_ts = ts
             rec.status = status or "ok"
-        # activityStart / gatewayTaken carry no aggregated measure
+        # the other kinds, activityStart and gatewayTaken, carry no aggregated measure
     return probes
 
 
@@ -165,18 +160,10 @@ def _stats(durations: list[float], faults: int = 0) -> dict:
     n = len(durations)
     if not n:
         return {"count": 0, "faults": faults, "total_ms": 0.0}
-    total = _sum(durations)
+    total = sum_in_order(durations)
     return {"count": n, "faults": faults, "total_ms": total, "mean_ms": total / n,
             "min_ms": durations[0], "max_ms": durations[-1],
             "p95_ms": durations[max(1, math.ceil(0.95 * n)) - 1]}
-
-
-def _sum(values: Iterable[float]) -> float:
-    """``values`` added left to right; from Python 3.12 on, ``sum`` compensates floats."""
-    total = 0
-    for value in values:
-        total += value
-    return total
 
 
 def _faults(samples: Iterable) -> int:
@@ -288,8 +275,8 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
                  for process, pp in probes.processes.items()}
     # concepts first, then processes, each in ingest order: the order of the
     # additions fixes the last bits of every contribution_pct
-    denom = _sum(s["total_ms"] for s in bpms.values()) \
-        + _sum(s["total_ms"] for s in technical.values())
+    denom = sum_in_order(s["total_ms"] for s in bpms.values()) \
+        + sum_in_order(s["total_ms"] for s in technical.values())
 
     def pct(total: float) -> float:
         return (total / denom * 100.0) if denom > 0 else 0.0

@@ -248,6 +248,41 @@ def _run(work, seed=None, out="events.jsonl"):
     return cli.main(argv)
 
 
+def test_run_leaves_the_log_reader_pattern_uncompiled(work):
+    # in a fresh process, as _modules_loaded_by runs a command
+    assert (_gen(work), _bind(work)) == (0, 0)
+    script = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import dsproc.cli; "
+              "code = dsproc.cli.main(sys.argv[1:]); "
+              "print(code, sys.modules['dsproc.engine']._CANONICAL)")
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(FIXTURES.resolve().parent.parent / "src"),
+         "run", str(work / "order.bpmn"), "--manifest", str(work / "manifest.json"),
+         "--sim", str(work / "sim.json"), "-o", str(work / "events.jsonl")],
+        capture_output=True, encoding="utf-8")
+    assert (result.stderr, result.stdout) == ("", "0 None\n")
+
+
+def test_monitor_reads_every_record_of_the_walkthrough_log_by_the_pattern(work, monkeypatch,
+                                                                        capsys):
+    # the json route may decode the header only; a record line sent there
+    # fails the test, so a reader that fell back to it for every line would
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    decode_json = engine._decode_json
+
+    def header_only(line):
+        values = decode_json(line)
+        assert values.__class__ is dict, f"record line read by json.loads: {line}"
+        return values
+    monkeypatch.setattr(engine, "_decode_json", header_only)
+    code = cli.main(["monitor", str(work / "events.jsonl"),
+                     "--mappings", str(work / "mappings.json"),
+                     "--domain", str(work / "order_handling.dsml"),
+                     "--report", str(work / "report.json")])
+    assert code == 0, capsys.readouterr().err
+    golden = FIXTURES / "golden" / "report.json"
+    assert (work / "report.json").read_bytes() == golden.read_bytes()
+
+
 def test_run_rejects_a_loop_it_can_never_leave(tmp_path, capsys):
     (tmp_path / "t.dsml").write_text(
         'domain T { service sa { operation "a" } concept A { label "A" services [sa] } }',

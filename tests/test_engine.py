@@ -1,13 +1,16 @@
+import hashlib
 import json
 import math
 import random
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dsproc import bpmn, deploy, engine
+from dsproc import bpmn, deploy, engine, monitor
 from dsproc.diagnostics import DsprocError
+from dsproc.mappings import AmEntry, MappingStore
 
 from conftest import compile_sources, fixed_bindings, fixed_config, log_lines
 
@@ -138,6 +141,80 @@ def test_records_of_one_timestamp_keep_their_emission_order():
         (100.0, "serviceInvoke", 2), (100.0, "activityEnd", 2),
         (100.0, "processEnd", 1), (100.0, "processEnd", 2),
     ]
+
+
+_TIES_DOMAIN = """
+domain T {
+  service sa { operation "a" }
+  service sb { operation "b" }
+  service sc { operation "c" }
+  concept A { label "A" services [sa] }
+  concept B { label "B" services [sb, sc] }
+  concept C { label "C" services [sc] }
+  concept Sub {
+    label "sub"
+    subprocess {
+      node x: concept A
+      node y: concept C
+      start -> x
+      x -> y
+      y -> end
+    }
+  }
+}
+"""
+
+_TIES = """process P uses T {
+  node split: parallel
+  node s: concept Sub
+  node b: concept B
+  node join: parallel
+  node g: exclusive
+  node c: concept C
+  node a: concept A
+  start -> split
+  split -> s
+  split -> b
+  s -> join
+  b -> join
+  join -> g
+  g -> c when "c"
+  g -> a when "a"
+  c -> end
+  a -> end
+}"""
+
+
+def test_log_of_a_model_full_of_ties_is_pinned():
+    # fixed durations of 10, 20 and 30 ms make the events of different
+    # instances share timestamps, so the log's bytes pin the order in which
+    # simulate takes events of one time, and with it every random draw
+    p = compile_sources(_TIES_DOMAIN, _TIES)
+    table = {"sa": deploy.Binding("sim://a", "p10"), "sb": deploy.Binding("sim://b", "p20"),
+             "sc": deploy.Binding("sim://c", "p30")}
+    manifest = deploy.bind_services(p.domain, table, p.am, "P")
+    gw = next(e.uid for e in p.common.elements if e.kind == "exclusive")
+    b_uid = next(uid for uid, e in p.am.items() if e.concept == "B")
+    cfg = engine.SimulationConfig(
+        instance_count=8, seed=1,
+        profiles={f"p{ms}": engine.DurationProfile("fixed", value=float(ms))
+                  for ms in (10, 20, 30)},
+        branch_probs={gw: {f.id: 0.6 if i == 0 else 0.4
+                           for i, f in enumerate(f for f in p.generated.levels[()][1]
+                                                 if f.source == gw)}},
+        fault_probs={b_uid: 0.3})
+    records = engine.simulate(p.generated, manifest, cfg)
+    instances_at = {}
+    for r in records:
+        instances_at.setdefault(r.ts_ms, set()).add(r.instance)
+    assert max(map(len, instances_at.values())) == 8
+    kinds = {(r.kind, r.status) for r in records}
+    assert {("gatewayTaken", None), ("activityEnd", "fault"), ("processEnd", "fault"),
+            ("processEnd", "ok")} <= kinds
+    assert len({r.element_id for r in records if r.kind == "gatewayTaken"}) == 2
+    text = engine.render_log(records, cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "88fba31cabf606c8d612ea85fc619ecc8319f17ef15c432f7865bdfb8c4ecab8")
 
 
 def test_every_instance_gets_start_and_end():
@@ -335,6 +412,26 @@ def test_config_validation_rejects_bad_inputs():
         engine.DurationProfile("weird")
 
 
+def test_branch_probabilities_are_added_left_to_right():
+    # sum() compensates floats from Python 3.12 on, and would say 1.0010000000000001
+    probs = dict(zip(("f1", "f2", "f3", "f4", "f5"), (0.1, 0.2, 0.3, 0.4, 0.001)))
+    with pytest.raises(engine.SimulationError) as exc:
+        engine.SimulationConfig(branch_probs={"g": probs}).validate()
+    assert str(exc.value) == "branch probabilities for gateway 'g' sum to 1.001, not 1"
+
+
+@pytest.mark.parametrize("kind, numbers, message", [
+    ("fixed", {"value": math.nan}, "fixed duration must be >= 0"),
+    ("uniform", {"low": math.inf, "high": math.inf}, "uniform profile requires a finite high"),
+    ("uniform", {"low": 0.0, "high": math.inf}, "uniform profile requires a finite high"),
+], ids=["fixed-nan", "uniform-inf-inf", "uniform-to-inf"])
+def test_a_profile_that_could_draw_nan_is_rejected(kind, numbers, message):
+    # a NaN duration would date events at NaN, which no time order places
+    with pytest.raises(engine.SimulationError) as exc:
+        engine.DurationProfile(kind, **numbers)
+    assert str(exc.value) == message
+
+
 def test_branch_probs_must_cover_gateway_flows():
     p = compile_sources(_DOMAIN, _CHOICE)
     manifest = deploy.bind_services(p.domain, _split_bindings(), p.am, "P")
@@ -486,14 +583,33 @@ def _doc(seq, record):
                            if value is not None}}
 
 
-@given(st.lists(_record(_any_text, _number), min_size=1, max_size=4),
-       st.lists(st.tuples(_number, _int, st.none() | _number), max_size=8))
+# equal numbers that print differently, and numbers that repeat
+_close_number = _number | st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5])
+
+
+@given(st.lists(_record(_any_text, _close_number), min_size=1, max_size=4),
+       st.lists(st.tuples(_close_number, _int, st.none() | _close_number), max_size=8))
 def test_log_line_is_json_dumps_of_the_set_fields(records, numbers):
     # records with the strings of an earlier one and other numbers: their
     # lines reuse the text render_log kept for those strings
     for i, (ts, instance, duration) in enumerate(numbers):
         r = records[i % len(records)]
         records.append(r._replace(ts_ms=ts, instance=instance, duration_ms=duration))
+    assert _record_lines(records) == [json.dumps(_doc(seq, r))
+                                      for seq, r in enumerate(records, 1)]
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)],
+                         ids=["zero-negative-zero", "negative-zero-zero", "int-float",
+                              "float-int"])
+def test_equal_numbers_that_print_differently_keep_their_own_text(first, second):
+    # render_log reuses the text of a number equal to the previous line's;
+    # these pairs are equal and print differently
+    record = engine.EventRecord(5.0, "activityEnd", "P", 1, "u1", "u1", "C", None, "ok", 2.5)
+    records = [record._replace(ts_ms=first), record._replace(ts_ms=second),
+               record._replace(duration_ms=first), record._replace(duration_ms=second),
+               record._replace(ts_ms=first, duration_ms=first),
+               record._replace(ts_ms=second, duration_ms=second)]
     assert _record_lines(records) == [json.dumps(_doc(seq, r))
                                       for seq, r in enumerate(records, 1)]
 
@@ -574,8 +690,8 @@ _canonical_line = st.one_of(
 
 
 @st.composite
-def _mutated_line(draw):
-    line = draw(_canonical_line)
+def _mutated_line(draw, lines=_canonical_line):
+    line = draw(lines)
     how = draw(st.sampled_from(["separator", "reorder", "affix", "member", "string",
                                 "truncate"]))
     if how == "separator":
@@ -636,6 +752,47 @@ def _next_to_the_pattern(test):
 def test_decode_line_agrees_with_the_json_route(line):
     # no exception but DsprocError may escape either route
     assert _outcome(engine.decode_values, line) == _outcome(engine._decode_json, line)
+
+
+# logs of two mapped processes: canonical record lines of a small vocabulary,
+# the same lines mutated, blank lines and headers, in any order
+_INGEST_STORE = MappingStore("D", cm={"C": ["s1"], "D": ["s2"]},
+                             am={"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("D", "Q", "u2")},
+                             uids={"P/a": "u1", "Q/b": "u2"})
+_vocabulary_line = st.builds(
+    engine.EventRecord,
+    _int | st.floats(allow_nan=False) | st.sampled_from([0, -0.0, 1.0]),
+    st.sampled_from(["processStart", "activityStart", "serviceInvoke", "activityEnd",
+                     "gatewayTaken", "processEnd", "other"]),
+    st.sampled_from(["P"] * 8 + ["Q"] * 8 + ["R"]), st.integers(-1, 3),
+    st.none() | st.sampled_from(["u1", "u2", "u3"]), st.none() | st.just("e"),
+    st.none() | st.just("C"), st.none() | st.sampled_from(["s1", "s2"]),
+    st.none() | st.sampled_from(["ok", "fault", "x"]),
+    st.none() | _int | st.floats() | st.sampled_from([0, -0.0, 1.0]),
+).map(lambda record: _record_lines([record])[0])
+_HEADER_LINE = '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}'
+
+
+def _ingest_outcome(lines):
+    """The report of ``lines`` as JSON text (so -0.0 and NaN count), or the
+    text of the DsprocError that ingest raised."""
+    try:
+        probes = monitor.ingest(lines, _INGEST_STORE.am)
+    except DsprocError as exc:
+        return "error", str(exc)
+    return "report", monitor.render_report_json(monitor.build_report(probes, _INGEST_STORE))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([True] * 4 + [False]), st.lists(st.one_of(
+    *[_vocabulary_line] * 6, _mutated_line(_vocabulary_line),
+    st.sampled_from(["", "\n", " \t\n", _HEADER_LINE])), min_size=2, max_size=12))
+def test_ingest_agrees_with_an_ingest_of_every_line_by_json_loads(header, lines):
+    lines = [_HEADER_LINE] + lines if header else lines
+    # with a pattern that matches nothing, every line takes the json route
+    with mock.patch.object(engine, "_fullmatch", lambda: lambda line: None):
+        reference = _ingest_outcome(lines)
+    assert _ingest_outcome(lines) == reference
 
 
 @pytest.mark.parametrize("faulty", ["A", "B"])
