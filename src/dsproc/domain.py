@@ -12,8 +12,9 @@ from collections import namedtuple
 
 from . import diagnostics as diag
 from . import process as proc
-from .diagnostics import DsprocError, ParseError
-from .lexer import escape, stream
+from . import lexer
+from .diagnostics import DsprocError
+from .lexer import escape
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,102 +101,102 @@ def parse_domain(source: str) -> Domain:
 
     Raises :class:`ParseError` carrying line/column on the first syntax error.
     """
-    ts = stream(source)
-    ts.expect("domain")
-    name = ts.expect_ident().value
-    ts.expect("{")
+    toks = lexer.tokenize(source)
+    lines = toks.lines
+    i = lexer.expect(toks, 0, "domain", "IDENT", "{")
     concepts: list[DSConcept] = []
     services: list[DSService] = []
     slas: list[Sla] = []
 
-    while not ts.at("}"):
-        tok = ts.peek()
-        if ts.accept("service"):
-            svc_tok = ts.expect_ident()
-            ts.expect("{")
-            ts.expect("operation")
-            operation = ts.expect_string().value
-            ts.expect("}")
-            services.append(DSService(svc_tok.value, operation, svc_tok.line))
-        elif ts.accept("sla"):
-            sla_tok = ts.expect_ident()
-            ts.expect("{")
-            metric_tok = ts.expect_ident()
-            if metric_tok.value not in SLA_METRICS:
-                raise ParseError(f"unknown SLA metric {metric_tok.value!r}",
-                                 metric_tok.line, metric_tok.column)
-            threshold = ts.expect_number()
-            unit_tok = ts.expect_ident()
-            if unit_tok.value not in SLA_UNITS:
-                raise ParseError(f"unknown SLA unit {unit_tok.value!r}",
-                                 unit_tok.line, unit_tok.column)
-            ts.expect("severity")
-            sev_tok = ts.expect_ident()
-            if sev_tok.value not in SLA_SEVERITIES:
-                raise ParseError(f"unknown SLA severity {sev_tok.value!r}",
-                                 sev_tok.line, sev_tok.column)
-            ts.expect("}")
-            slas.append(Sla(sla_tok.value, metric_tok.value, threshold, unit_tok.value,
-                            sev_tok.value, sla_tok.line))
-        elif ts.accept("concept"):
-            concepts.append(_parse_concept(ts))
+    while toks[i] != "}":
+        word = toks[i]
+        if word == "concept":
+            i = _parse_concept(toks, i + 1, concepts)
+        elif word == "service":
+            i = lexer.expect(toks, i + 1, "IDENT", "{", "operation", "STRING", "}")
+            services.append(DSService(toks[i - 5], lexer.value(toks[i - 2]), lines[i - 5]))
+        elif word == "sla":
+            at = i + 1
+            i = _one_of(toks, lexer.expect(toks, at, "IDENT", "{", "IDENT"), SLA_METRICS, "metric")
+            i = _one_of(toks, lexer.expect(toks, i, "NUMBER", "IDENT"), SLA_UNITS, "unit")
+            i = _one_of(toks, lexer.expect(toks, i, "severity", "IDENT"), SLA_SEVERITIES,
+                        "severity")
+            slas.append(Sla(toks[at], toks[at + 2], float(toks[at + 3]), toks[at + 4],
+                            toks[at + 6], lines[at]))
+            i = lexer.expect(toks, i, "}")
         else:
-            raise ParseError(f"expected 'concept', 'service' or 'sla', found {tok.describe()}",
-                             tok.line, tok.column)
-    ts.expect("}")
-    if not ts.at_eof():
-        tok = ts.peek()
-        raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
+            raise toks.expected(i, "'concept', 'service' or 'sla'")
+    if toks[i + 1]:
+        raise toks.error(i + 1, f"unexpected trailing input {lexer.value(toks[i + 1])!r}")
 
-    return Domain(name, tuple(concepts), tuple(services), tuple(slas))
+    return Domain(toks[1], tuple(concepts), tuple(services), tuple(slas))
 
 
-def _parse_concept(ts) -> DSConcept:
-    name_tok = ts.expect_ident()
-    ts.expect("{")
-    ts.expect("label")
-    label = ts.expect_string().value
+def _one_of(toks: lexer.Tokens, i: int, allowed: tuple[str, ...], what: str) -> int:
+    """``i``, once the token before it is one of ``allowed``."""
+    if toks[i - 1] not in allowed:
+        raise toks.error(i - 1, f"unknown SLA {what} {toks[i - 1]!r}")
+    return i
+
+
+def _parse_concept(toks: lexer.Tokens, i: int, concepts: list[DSConcept]) -> int:
+    """Append the concept named at token ``i``; the index after its ``}``."""
+    at = i
+    if not (toks[i].isidentifier() and toks[i + 1] == "{" and toks[i + 2] == "label"
+            and toks[i + 3][:1] == '"'):
+        lexer.expect(toks, i, "IDENT", "{", "label", "STRING")  # raises at the token that differs
+    label = lexer.value(toks[i + 3])
+    i += 4
     version = 1
     service_refs: tuple[str, ...] = ()
     sla_ref = None
     depends_on: tuple[str, ...] = ()
     subprocess = None
     seen = set()
-    while not ts.at("}"):
-        key_tok = ts.expect_ident()
-        key = key_tok.value
+    while toks[i] != "}":
+        key = toks[i]
+        if not key.isidentifier():
+            raise toks.expected(i, "IDENT")
         if key in seen:
-            raise ParseError(f"duplicate {key!r} clause in concept {name_tok.value!r}",
-                             key_tok.line, key_tok.column)
+            raise toks.error(i, f"duplicate {key!r} clause in concept {toks[at]!r}")
         seen.add(key)
-        if key == "version":
-            version = int(ts.expect_number())
-            if version < 1:
-                raise ParseError("version must be >= 1", key_tok.line, key_tok.column)
-        elif key == "services":
-            service_refs = _ident_list(ts)
+        if key == "services":
+            service_refs, i = _ident_list(toks, i + 1)
         elif key == "sla":
-            sla_ref = ts.expect_ident().value
+            i = lexer.expect(toks, i + 1, "IDENT")
+            sla_ref = toks[i - 1]
         elif key == "depends_on":
-            depends_on = _ident_list(ts)
+            depends_on, i = _ident_list(toks, i + 1)
+        elif key == "version":
+            i = lexer.expect(toks, i + 1, "NUMBER")
+            version = float(toks[i - 1])
+            if version < 1:
+                raise toks.error(i - 2, "version must be >= 1")
+            if version == float("inf"):
+                raise toks.error(i - 1, "version is too large")
+            version = int(version)
         elif key == "subprocess":
-            ts.expect("{")
-            subprocess = proc.parse_body(ts)
-            ts.expect("}")
+            subprocess, i = proc.parse_body(toks, lexer.expect(toks, i + 1, "{"))
+            i = lexer.expect(toks, i, "}")
         else:
-            raise ParseError(f"unknown concept clause {key!r}", key_tok.line, key_tok.column)
-    ts.expect("}")
-    return DSConcept(name_tok.value, label, version, service_refs, sla_ref, depends_on,
-                     subprocess, name_tok.line)
+            raise toks.error(i, f"unknown concept clause {key!r}")
+    concepts.append(DSConcept(toks[at], label, version, service_refs, sla_ref, depends_on,
+                              subprocess, toks.lines[at]))
+    return i + 1
 
 
-def _ident_list(ts) -> tuple[str, ...]:
-    ts.expect("[")
-    items = [ts.expect_ident().value]
-    while ts.accept(","):
-        items.append(ts.expect_ident().value)
-    ts.expect("]")
-    return tuple(items)
+def _ident_list(toks: lexer.Tokens, i: int) -> tuple[tuple[str, ...], int]:
+    """The identifiers of the ``[…]`` list at token ``i``, and the index after it."""
+    if toks[i] != "[":
+        raise toks.expected(i, "'['")
+    items = []
+    while True:
+        if not toks[i + 1].isidentifier():
+            raise toks.expected(i + 1, "IDENT")
+        items.append(toks[i + 1])
+        i += 2
+        if toks[i] != ",":
+            return tuple(items), lexer.expect(toks, i, "]")
 
 
 def validate_domain(d: Domain) -> list[Diagnostic]:
@@ -281,9 +282,10 @@ def validate_domain(d: Domain) -> list[Diagnostic]:
 
 def _cycles(d: Domain, deps: dict[str, list[str]], what: str
             ) -> tuple[list[Diagnostic], list[str]]:
-    """One diagnostic per back edge of a depth-first walk over ``deps``, and
-    the names in the order the walk finished them: each after every name it
-    reaches other than through a back edge.
+    """One diagnostic per back edge of a depth-first walk over ``deps``, on
+    the line of the concept the edge leaves, and the names in the order the
+    walk finished them: each after every name it reaches other than through
+    a back edge.
 
     The walk keeps its own stack, so a chain deeper than Python's recursion
     limit is walked like any other.
@@ -307,7 +309,7 @@ def _cycles(d: Domain, deps: dict[str, list[str]], what: str
                 done[name] = None
             elif dep in at:
                 cycle = trail[at[dep]:] + [dep]
-                out.append(diag.error(f"{what}: " + " -> ".join(cycle)))
+                out.append(diag.error(f"{what}: " + " -> ".join(cycle), d.concept(trail[-1]).line))
             elif dep not in done:
                 at[dep] = len(trail)
                 trail.append(dep)

@@ -126,8 +126,10 @@ class DurationProfile(namedtuple("DurationProfile", "kind value low high mean st
             raise SimulationError("uniform profile requires 0 <= low <= high")
         if self.kind == "uniform" and self.high == math.inf:
             raise SimulationError("uniform profile requires a finite high")
-        if self.kind == "normal" and (self.stddev < 0 or self.mean < 0):
+        if self.kind == "normal" and not (self.stddev >= 0 and self.mean >= 0):
             raise SimulationError("normal profile requires mean >= 0 and stddev >= 0")
+        if self.kind == "normal" and math.inf in (self.mean, self.stddev):
+            raise SimulationError("normal profile requires a finite mean and stddev")
         return self
 
     def sample(self, rng: random.Random) -> float:

@@ -15,14 +15,14 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import diagnostics as diag
-from .diagnostics import ParseError
-from .lexer import escape, stream
+from . import lexer
+from .lexer import escape
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from .diagnostics import Diagnostic
     from .domain import Domain
-    from .lexer import TokenStream
+    from .lexer import Tokens
 
 class Node(namedtuple("Node", "id kind concept")):
     """A node of a process body; ``concept`` is set iff ``kind == "concept"``.
@@ -65,61 +65,64 @@ class ProcessBody(namedtuple("ProcessBody", "nodes flows", defaults=((), ()))):
 ProcessModel = namedtuple("ProcessModel", "name domain_ref body")
 
 
-def parse_body(ts: TokenStream) -> ProcessBody:
-    """Parse statements up to (but not including) the closing ``}``.
+def parse_body(toks: Tokens, i: int) -> tuple[ProcessBody, int]:
+    """Parse statements from token ``i``, just after the body's opening ``{``,
+    up to (but not including) the closing ``}``, and return the body and that
+    ``}``'s index. The implicit ``start`` is placed on the line of the ``{``,
+    and ``end`` on that of the first flow into it.
 
     Only syntactic and local structural checks happen here; concept
     resolution and graph checks are the job of :func:`validate_body`.
     """
-    nodes: list[Node] = []
+    lines = toks.lines
+    nodes: list[Node] = [Node("start", "start", line=lines[i - 1])]
     flows: list[Flow] = []
     declared = set()
-    end_used = False
+    end_line = None
 
-    while not ts.at("}") and not ts.at_eof():
-        tok = ts.peek()
-        if ts.accept("node"):
-            name_tok = ts.expect_ident()
-            if name_tok.value in ("start", "end"):
-                raise ParseError(
-                    f"{name_tok.value!r} is an implicit node and cannot be redeclared",
-                    name_tok.line, name_tok.column,
-                )
-            if name_tok.value in declared:
-                raise ParseError(f"duplicate node id {name_tok.value!r}",
-                                 name_tok.line, name_tok.column)
-            ts.expect(":")
-            kind_tok = ts.expect_ident()
-            if kind_tok.value == "concept":
-                concept_tok = ts.expect_ident()
-                nodes.append(Node(name_tok.value, "concept", concept_tok.value, name_tok.line))
-            elif kind_tok.value in ("exclusive", "parallel"):
-                nodes.append(Node(name_tok.value, kind_tok.value, line=name_tok.line))
+    while toks[i] != "}" and toks[i]:
+        at = i
+        if toks[i] == "node":
+            name = toks[i + 1]
+            if not name.isidentifier():
+                raise toks.expected(i + 1, "IDENT")
+            if name in ("start", "end"):
+                raise toks.error(i + 1, f"{name!r} is an implicit node and cannot be redeclared")
+            if name in declared:
+                raise toks.error(i + 1, f"duplicate node id {name!r}")
+            if toks[i + 2] != ":":
+                raise toks.expected(i + 2, "':'")
+            kind = toks[i + 3]
+            if kind == "concept":
+                i = lexer.expect(toks, i + 4, "IDENT")
+                nodes.append(Node(name, "concept", toks[i - 1], lines[at + 1]))
+            elif kind in ("exclusive", "parallel"):
+                nodes.append(Node(name, kind, line=lines[at + 1]))
+                i += 4
+            elif kind.isidentifier():
+                raise toks.error(i + 3, f"unknown node kind {kind!r}")
             else:
-                raise ParseError(
-                    f"unknown node kind {kind_tok.value!r}", kind_tok.line, kind_tok.column
-                )
-            declared.add(name_tok.value)
+                raise toks.expected(i + 3, "IDENT")
+            declared.add(name)
             continue
         # flow statement: endpoint -> endpoint (when STRING)? (exceptional)?
-        src_tok = ts.expect_ident()
-        ts.expect("->")
-        tgt_tok = ts.expect_ident()
+        if not (toks[i].isidentifier() and toks[i + 1] == "->" and toks[i + 2].isidentifier()):
+            lexer.expect(toks, i, "IDENT", "->", "IDENT")  # raises at the token that differs
+        i += 3
         condition = None
-        exceptional = False
-        if ts.accept("when"):
-            condition = ts.expect_string().value
-        if ts.accept("exceptional"):
-            exceptional = True
-        if tgt_tok.value == "end":
-            end_used = True
-        flows.append(Flow(src_tok.value, tgt_tok.value, condition, exceptional, tok.line))
+        if toks[i] == "when":
+            i = lexer.expect(toks, i + 1, "STRING")
+            condition = lexer.value(toks[i - 1])
+        exceptional = toks[i] == "exceptional"
+        if exceptional:
+            i += 1
+        if toks[at + 2] == "end" and end_line is None:
+            end_line = lines[at]
+        flows.append(Flow(toks[at], toks[at + 2], condition, exceptional, lines[at]))
 
-    all_nodes: list[Node] = [Node("start", "start")]
-    all_nodes.extend(nodes)
-    if end_used:
-        all_nodes.append(Node("end", "end"))
-    return ProcessBody(tuple(all_nodes), tuple(flows))
+    if end_line is not None:
+        nodes.append(Node("end", "end", line=end_line))
+    return ProcessBody(tuple(nodes), tuple(flows)), i
 
 
 def parse_process(source: str, domain: Domain) -> ProcessModel:
@@ -128,23 +131,15 @@ def parse_process(source: str, domain: Domain) -> ProcessModel:
 
     Raises :class:`ParseError` carrying line/column on the first syntax error.
     """
-    ts = stream(source)
-    ts.expect("process")
-    name = ts.expect_ident().value
-    ts.expect("uses")
-    domain_tok = ts.expect_ident()
-    if domain_tok.value != domain.name:
-        raise ParseError(
-            f"process uses domain {domain_tok.value!r} but {domain.name!r} was supplied",
-            domain_tok.line, domain_tok.column,
-        )
-    ts.expect("{")
-    body = parse_body(ts)
-    ts.expect("}")
-    if not ts.at_eof():
-        tok = ts.peek()
-        raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
-    return ProcessModel(name, domain.name, body)
+    toks = lexer.tokenize(source)
+    i = lexer.expect(toks, 0, "process", "IDENT", "uses", "IDENT")
+    if toks[3] != domain.name:
+        raise toks.error(3, f"process uses domain {toks[3]!r} but {domain.name!r} was supplied")
+    body, i = parse_body(toks, lexer.expect(toks, i, "{"))
+    i = lexer.expect(toks, i, "}")
+    if toks[i]:
+        raise toks.error(i, f"unexpected trailing input {lexer.value(toks[i])!r}")
+    return ProcessModel(toks[1], domain.name, body)
 
 
 def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> list[Diagnostic]:
@@ -158,7 +153,7 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
     if len(starts) != 1:
         out.append(diag.error(f"{prefix}expected exactly one start node, found {len(starts)}"))
     if not ends:
-        out.append(diag.error(f"{prefix}no flow reaches 'end'"))
+        out.append(diag.error(f"{prefix}no flow reaches 'end'", starts[0].line if starts else None))
 
     outgoing: dict = {n.id: [] for n in body.nodes}  # each node's flow targets
     incoming: dict = {n.id: [] for n in body.nodes}  # and flow sources

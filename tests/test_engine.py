@@ -424,9 +424,19 @@ def test_branch_probabilities_are_added_left_to_right():
     ("fixed", {"value": math.nan}, "fixed duration must be >= 0"),
     ("uniform", {"low": math.inf, "high": math.inf}, "uniform profile requires a finite high"),
     ("uniform", {"low": 0.0, "high": math.inf}, "uniform profile requires a finite high"),
-], ids=["fixed-nan", "uniform-inf-inf", "uniform-to-inf"])
+    ("normal", {"mean": math.nan, "stddev": 1.0},
+     "normal profile requires mean >= 0 and stddev >= 0"),
+    ("normal", {"mean": 1.0, "stddev": math.nan},
+     "normal profile requires mean >= 0 and stddev >= 0"),
+    ("normal", {"mean": math.inf, "stddev": 1.0},
+     "normal profile requires a finite mean and stddev"),
+    ("normal", {"mean": 1.0, "stddev": math.inf},
+     "normal profile requires a finite mean and stddev"),
+], ids=["fixed-nan", "uniform-inf-inf", "uniform-to-inf", "normal-nan-mean", "normal-nan-stddev",
+        "normal-inf-mean", "normal-inf-stddev"])
 def test_a_profile_that_could_draw_nan_is_rejected(kind, numbers, message):
-    # a NaN duration would date events at NaN, which no time order places
+    # a NaN duration would date events at NaN, which no time order places; a
+    # normal profile with an infinite mean or stddev draws inf or, from inf - inf, NaN
     with pytest.raises(engine.SimulationError) as exc:
         engine.DurationProfile(kind, **numbers)
     assert str(exc.value) == message

@@ -46,7 +46,8 @@ def test_tokenize_round_trip(pieces, tail):
     expected.append(("EOF", "", line, column))
 
     tokens = lexer.tokenize("".join(source))
-    assert [(t.kind, t.value, t.line, t.column) for t in tokens] == expected
+    assert [(lexer.kind(text), lexer.value(text), tokens.lines[i], tokens.column(i))
+            for i, text in enumerate(tokens)] == expected
 
 
 @pytest.mark.parametrize("source, line, column", [
@@ -68,7 +69,8 @@ def test_unexpected_character_points_at_the_character():
 
 def test_eof_after_trailing_comment_is_at_end_of_line():
     source = "domain D { # trailing comment"
-    assert lexer.tokenize(source)[-1] == lexer.Token("EOF", "", 1, 30)
+    tokens = lexer.tokenize(source)
+    assert (tokens[-1], tokens.lines[-1], tokens.column(len(tokens) - 1)) == ("", 1, 30)
     with pytest.raises(ParseError) as info:
         dom.parse_domain(source)
     assert str(info.value) == ("1:30: expected 'concept', 'service' or 'sla', "
