@@ -8,6 +8,7 @@ Pipeline stages, each usable on its own:
 - :mod:`dsproc.mappings` keeps concept/activity maps and stable uids
 - :mod:`dsproc.deploy` binds abstract services to concrete endpoints
 - :mod:`dsproc.engine` simulates execution into a deterministic event log
+- :mod:`dsproc.eventlog` writes and reads that log, the contract of engine and monitor
 - :mod:`dsproc.monitor` aggregates logs into concept metrics and SLA alerts
 """
 

@@ -118,11 +118,14 @@ def parse_domain(source: str) -> Domain:
         elif word == "sla":
             at = i + 1
             i = _one_of(toks, lexer.expect(toks, at, "IDENT", "{", "IDENT"), SLA_METRICS, "metric")
-            i = _one_of(toks, lexer.expect(toks, i, "NUMBER", "IDENT"), SLA_UNITS, "unit")
+            threshold = float(toks[lexer.expect(toks, i, "NUMBER") - 1])
+            if threshold == float("inf"):
+                raise toks.error(i, "threshold is too large")
+            i = _one_of(toks, lexer.expect(toks, i + 1, "IDENT"), SLA_UNITS, "unit")
             i = _one_of(toks, lexer.expect(toks, i, "severity", "IDENT"), SLA_SEVERITIES,
                         "severity")
-            slas.append(Sla(toks[at], toks[at + 2], float(toks[at + 3]), toks[at + 4],
-                            toks[at + 6], lines[at]))
+            slas.append(Sla(toks[at], toks[at + 2], threshold, toks[at + 4], toks[at + 6],
+                            lines[at]))
             i = lexer.expect(toks, i, "}")
         else:
             raise toks.expected(i, "'concept', 'service' or 'sla'")

@@ -22,7 +22,7 @@ import math
 from collections import defaultdict, namedtuple
 
 from .diagnostics import DsprocError, sum_in_order
-from .engine import read_log
+from .eventlog import read_log
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover

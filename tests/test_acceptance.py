@@ -14,8 +14,8 @@ from collections import Counter
 
 import pytest
 
-from dsproc import bpmn, cli, deploy, diagnostics, domain as dom, engine, mappings, monitor
-from dsproc import pivot
+from dsproc import bpmn, cli, deploy, diagnostics, domain as dom, engine, eventlog, mappings
+from dsproc import monitor, pivot
 from dsproc import process as proc
 
 from conftest import (FIXTURES, compile_pipeline, compile_sources,
@@ -370,16 +370,15 @@ def test_c6_simulated_logs_take_the_canonical_route(order_pipeline, monkeypatch)
         generated = bpmn.generate_bpmn(common, "Rand")
         manifest = deploy.bind_services(_C2_DOMAIN, table, am, model.name)
         logs.append(log_lines(engine.simulate(generated, manifest, cfg), cfg))
-    expected = [list(map(engine._decode_json, lines[1:])) for lines in logs]
+    expected = [list(map(eventlog._decode_json, lines[1:])) for lines in logs]
 
     def json_route(line):
         raise AssertionError(f"line not in the canonical form: {line}")
-    monkeypatch.setattr(engine, "_decode_json", json_route)
+    monkeypatch.setattr(eventlog, "_decode_json", json_route)
     kinds = {"processStart", "activityStart", "serviceInvoke", "activityEnd", "gatewayTaken",
              "processEnd"}
     for lines, values in zip(logs, expected):
-        assert [v for _, v in engine.read_log(lines[1:], kinds)] == values
-        assert list(map(engine.decode_values, lines[1:])) == values
+        assert [v for _, v in eventlog.read_log(lines[1:], kinds)] == values
     assert sum(map(len, logs)) > 2000
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsproc import bpmn, cli, deploy, engine, mappings
+from dsproc import bpmn, cli, deploy, engine, eventlog, mappings
 from dsproc.diagnostics import MAX_NESTING, DsprocError
 
 from conftest import FIXTURES
@@ -253,7 +253,7 @@ def test_run_leaves_the_log_reader_pattern_uncompiled(work):
     assert (_gen(work), _bind(work)) == (0, 0)
     script = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import dsproc.cli; "
               "code = dsproc.cli.main(sys.argv[1:]); "
-              "print(code, sys.modules['dsproc.engine']._CANONICAL)")
+              "print(code, sys.modules['dsproc.eventlog']._CANONICAL)")
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", script, str(FIXTURES.resolve().parent.parent / "src"),
          "run", str(work / "order.bpmn"), "--manifest", str(work / "manifest.json"),
@@ -267,13 +267,13 @@ def test_monitor_reads_every_record_of_the_walkthrough_log_by_the_pattern(work, 
     # the json route may decode the header only; a record line sent there
     # fails the test, so a reader that fell back to it for every line would
     assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
-    decode_json = engine._decode_json
+    decode_json = eventlog._decode_json
 
     def header_only(line):
         values = decode_json(line)
         assert values.__class__ is dict, f"record line read by json.loads: {line}"
         return values
-    monkeypatch.setattr(engine, "_decode_json", header_only)
+    monkeypatch.setattr(eventlog, "_decode_json", header_only)
     code = cli.main(["monitor", str(work / "events.jsonl"),
                      "--mappings", str(work / "mappings.json"),
                      "--domain", str(work / "order_handling.dsml"),
@@ -336,6 +336,33 @@ def test_run_rejects_probabilities_for_elements_that_do_not_exist(work, capsys, 
     assert _run(work) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (work / "events.jsonl").exists()
+
+
+def test_run_rejects_a_fixed_profile_of_infinite_value(work, capsys):
+    # an infinite duration made report.json hold Infinity and NaN, which JSON has not
+    assert (_gen(work), _bind(work)) == (0, 0)
+    sim = work / "sim.json"
+    sim.write_text(sim.read_text(encoding="utf-8").replace(
+        '"fast": {"kind": "uniform", "low": 10, "high": 50}',
+        '"fast": {"kind": "fixed", "value": 1e999}'), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(work) == 1
+    assert capsys.readouterr() == ("", f"error: {sim}: fixed profile requires a finite value\n")
+    assert not (work / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("kind, field", [("activityEnd", "duration_ms"), ("processEnd", "ts_ms")])
+def test_monitor_rejects_a_nan_in_the_log(work, capsys, kind, field):
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if json.loads(line).get("kind") == kind)
+    lines[n] = json.dumps({**json.loads(lines[n]), field: float("nan")}) + "\n"
+    log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: line {n + 1}: malformed record: {field!r} is NaN\n")
 
 
 def test_full_pipeline_and_determinism(work):
@@ -437,7 +464,7 @@ _NOT_RUN = {
     "gen": {"dsproc.engine", "dsproc.deploy", "dsproc.monitor", "xml.etree"},
     "bind": {"dsproc.engine", "dsproc.bpmn", "xml.etree"},
     "run": {"dsproc.domain", "dsproc.process", "dsproc.lexer", "dsproc.pivot"},
-    "monitor": {"xml.etree"},
+    "monitor": {"dsproc.engine", "random", "heapq", "xml.etree"},
 }
 
 

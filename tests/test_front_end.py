@@ -102,6 +102,13 @@ def test_a_version_too_large_for_a_float_is_a_located_error():
     assert str(info.value) == "2:33: version is too large"
 
 
+def test_a_threshold_too_large_for_a_float_is_a_located_error(tmp_path, capsys):
+    # float() of 309 or more digits is inf: an SLA that could never alert
+    dsml = "domain D {\n  sla S { max_mean_duration " + "9" * 400 + " h severity warning }\n}\n"
+    assert _check(tmp_path, dsml, None, capsys) == (
+        1, "", "error: <dir>/d.dsml:2:29: threshold is too large\n")
+
+
 def test_errors_about_the_implicit_end_and_start_are_located(tmp_path, capsys):
     # the property below, shrunk: a renamed node leaves 'end' unreachable
     dsml = (FIXTURES / "order_handling.dsml").read_text(encoding="utf-8")

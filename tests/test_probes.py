@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from dsproc import engine, eventlog
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -29,3 +31,8 @@ def test_every_probe_target_is_a_function_of_its_module(probes):
     for module, function, _span, _counts in probes:
         target = getattr(importlib.import_module(f"dsproc.{module}"), function, None)
         assert callable(target), f"dsproc.{module}.{function}"
+
+
+def test_the_engine_probe_wraps_the_log_writer():
+    # the probe wraps engine.render_log, which run calls; it must be the writer itself
+    assert engine.render_log is eventlog.render_log
