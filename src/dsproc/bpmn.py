@@ -181,7 +181,8 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
     Attributes other than ``id`` and ``name``, documentation and anything
     outside the process are not read: the model is for simulation and
     reconciliation, not for writing the file back. A subProcess nested more
-    than :data:`MAX_NESTING` levels deep is an error.
+    than :data:`MAX_NESTING` levels deep is an error, and so is a sequence
+    flow whose ends are not both elements of its own level.
     """
     import xml.etree.ElementTree as ET  # here, so that generating BPMN does not load it
 
@@ -245,12 +246,20 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
     if dupes:
         raise ParseError(f"duplicate ids: {', '.join(sorted(dupes))}")
 
-    for _, flows in levels.values():
+    # a sequence flow connects two elements of its own level: it does not
+    # cross a subProcess boundary (OMG BPMN 2.0, formal/11-01-03)
+    level_of = {e.id: path for path, (elements, _) in levels.items() for e in elements}
+    for path, (_, flows) in levels.items():
         for f in flows:
             for ref in (f.source, f.target):
-                if ref not in ids:
+                at = level_of.get(ref)
+                if at is None:
                     raise ParseError(
                         f"sequence flow {f.id!r} references unknown element {ref!r}")
+                if at != path:
+                    where = f"subProcess {at[-1]!r}" if at else "the process"
+                    raise ParseError(f"sequence flow {f.id!r} references element {ref!r} "
+                                     f"of {where} across a subProcess boundary")
     return BpmnModel(process.get("id", "process"), levels, domain)
 
 

@@ -151,7 +151,15 @@ def cmd_run(args) -> int:
         cfg.instance_count = args.instances
     if args.seed is not None:
         cfg.seed = args.seed
-    records = engine.simulate(model, manifest, cfg)
+    # simulate checks the whole input before the first event: an error names
+    # the BPMN file when the model is at fault, and otherwise --sim, or the
+    # manifest, whose profile names a run without --sim cannot resolve
+    try:
+        records = engine.simulate(model, manifest, cfg)
+    except engine.ModelError as exc:
+        raise DsprocError(f"{args.bpmn}: {exc}") from None
+    except engine.ConfigError as exc:
+        raise DsprocError(f"{args.sim or args.manifest}: {exc}") from None
     _write(args.output, engine.render_log(records, cfg))
     return EXIT_OK
 
@@ -165,8 +173,9 @@ def cmd_monitor(args) -> int:
     propagated = dom.propagate_sla(d, store.am)
     monitor.register_sla(
         probes, monitor.propagated_to_concepts(propagated, store.am))
-    alerts = monitor.evaluate_alerts(probes)
-    report = monitor.build_report(probes, store)
+    with reading(args.events):  # the log's durations may add up past the largest float
+        alerts = monitor.evaluate_alerts(probes)
+        report = monitor.build_report(probes, store)
     if args.report:
         _write(args.report, monitor.render_report_json(report))
     if args.alert_out:

@@ -1,4 +1,4 @@
-"""Diagnostics, error types and the float sum shared by all pipeline stages."""
+"""Diagnostics, error types and the float arithmetic shared by all pipeline stages."""
 
 from __future__ import annotations
 
@@ -26,6 +26,11 @@ def sum_in_order(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def fits_a_float(value: float) -> bool:
+    """``value`` is a finite float, or an int no larger than the largest one."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _loc(line: int, column: int | None) -> str:

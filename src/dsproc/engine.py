@@ -36,6 +36,16 @@ class SimulationError(DsprocError):
     pass
 
 
+class ModelError(SimulationError):
+    """The model cannot run, whatever the configuration: its BPMN is at fault."""
+
+
+class ConfigError(SimulationError):
+    """The configuration does not fit the model: a profile it lacks, a
+    probability keyed by no element, or probabilities or durations the
+    model cannot run with."""
+
+
 class DurationProfile(namedtuple("DurationProfile", "kind value low high mean stddev",
                                  defaults=(0.0, 0.0, 0.0, 0.0, 0.0))):
     """``kind`` is fixed, uniform or normal; each reads its own numbers."""
@@ -154,9 +164,12 @@ class _Level:
             self.incoming_count[f.target] = self.incoming_count.get(f.target, 0) + 1
         starts = [e for e in elements if e.kind == "startEvent"]
         if len(starts) != 1:
-            raise SimulationError(f"{where}: expected exactly one startEvent")
+            raise ModelError(f"{where}: expected exactly one startEvent")
         self.start_id = starts[0].id
-        self.activities: dict[str, tuple] = {}  # each activity's _activity, from its first run
+        for e in elements:
+            if e.kind == "exclusiveGateway" and e.id not in self.outgoing:
+                raise ModelError(f"{where}: gateway {e.id!r} has no outgoing flow")
+        self.activities: dict[str, tuple] = {}  # each activity's _activity, from simulate
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +178,22 @@ class _Level:
 
 def simulate(model: BpmnModel, manifest: DeploymentManifest,
              cfg: SimulationConfig) -> list[EventRecord]:
+    """The records of a run of ``cfg.instance_count`` instances, ordered by time.
+
+    The whole input is checked before the first event: a :class:`ModelError`
+    when the model cannot run, a :class:`ConfigError` when ``cfg`` does not
+    fit it. The only error found during the run is a deadlock (a
+    ModelError), and the only one after it a clock past the largest float.
+    """
     cfg.validate()
     levels = {path: _Level(elements, flows, "/".join((model.process_id,) + path))
               for path, (elements, flows) in model.levels.items()}
     _check_probs(levels, cfg, model.process_id)
-    _check_exits(levels, cfg)
     rows = {r.uid: r for r in manifest.rows}
+    for level in levels.values():
+        level.activities = {e.id: _activity(e, rows, cfg) for e in level.elements.values()
+                            if e.kind not in _CONTROL_KINDS}
+    _check_exits(levels, cfg)
     rng = random.Random(cfg.seed)
     process = model.process_id
     new = tuple.__new__  # an EventRecord from its ten fields, without a Python-level call
@@ -242,17 +265,9 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         if activity is not None:
             run_activity(inst, path, activity, ts)
             return
-        elem = level.elements.get(elem_id)
-        if elem is None:
-            raise SimulationError(f"flow targets unknown element {elem_id!r}")
-        kind = elem.kind
-        if kind not in _CONTROL_KINDS:
-            activity = level.activities[elem_id] = _activity(elem, rows, cfg)
-            run_activity(inst, path, activity, ts)
-        elif kind == "exclusiveGateway":
-            flows = level.outgoing.get(elem_id)
-            if not flows:
-                raise SimulationError(f"gateway {elem_id!r} has no outgoing flow")
+        kind = level.elements[elem_id].kind
+        if kind == "exclusiveGateway":
+            flows = level.outgoing[elem_id]
             chosen = _choose(flows, cfg.branch_probs.get(elem_id), rng)
             if len(flows) > 1:
                 emit(new(EventRecord, (ts, "gatewayTaken", process, inst, None, chosen.id, None,
@@ -319,7 +334,7 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     unended = [inst for inst in range(1, cfg.instance_count + 1) if inst not in ended]
     stuck = [inst for inst in unended if inst not in faulted]
     if stuck:
-        raise SimulationError(
+        raise ModelError(
             "deadlock: join never satisfied for instance(s) "
             + ", ".join(str(i) for i in stuck))
     if unended:
@@ -336,6 +351,9 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
     # the sort is stable, so events of one timestamp keep their emission order;
     # a sort on whole records would order them by kind
     records.sort(key=itemgetter(0))
+    # the last record is the latest, and no duration exceeds its record's time
+    if records[-1].ts_ms == math.inf:
+        raise ConfigError("the clock overflows: the durations drawn add up past the largest float")
     return records
 
 
@@ -374,10 +392,10 @@ def _profile_for(name: str | None, cfg: SimulationConfig) -> DurationProfile:
     if name is None:
         name = cfg.default_profile
     if name is None:
-        raise SimulationError("endpoint has no duration profile and no default is set")
+        raise ConfigError("endpoint has no duration profile and no default is set")
     profile = cfg.profiles.get(name)
     if profile is None:
-        raise SimulationError(f"missing duration profile {name!r}")
+        raise ConfigError(f"missing duration profile {name!r}")
     return profile
 
 
@@ -389,24 +407,24 @@ def _check_probs(levels: dict[tuple[str, ...], _Level], cfg: SimulationConfig,
     for gw, probs in cfg.branch_probs.items():
         level = gateways.get(gw)
         if level is None:
-            raise SimulationError(
+            raise ConfigError(
                 f"field 'branch_probs.{gw}' names no exclusive gateway of process {process!r}")
         flow_ids = {f.id for f in level.outgoing.get(gw, [])}
         unknown = set(probs) - flow_ids
         if unknown:
-            raise SimulationError(
+            raise ConfigError(
                 f"branch probabilities for {gw!r} name unknown flows: "
                 + ", ".join(sorted(unknown)))
         missing = flow_ids - set(probs)
         if missing:
-            raise SimulationError(
+            raise ConfigError(
                 f"branch probabilities for {gw!r} miss flows: " + ", ".join(sorted(missing)))
-    # an activity's fault probability is keyed as _run_activity looks it up
+    # an activity's fault probability is keyed as _activity looks it up
     activities = {e.concept_uid or e.id for level in levels.values()
                   for e in level.elements.values() if e.kind not in _CONTROL_KINDS}
     for key in cfg.fault_probs:
         if key not in activities:
-            raise SimulationError(
+            raise ConfigError(
                 f"field 'fault_probs.{key}' names no activity of process {process!r}")
 
 
@@ -414,45 +432,76 @@ def _check_exits(levels: dict[tuple[str, ...], _Level], cfg: SimulationConfig) -
     """Reject a level where a token can be trapped in a loop.
 
     Every element that the start reaches through flows of nonzero
-    probability must reach, the same way, a terminal: an end event, an
-    element with no outgoing flow, or an activity that can fault (a
-    subprocess can fault when an activity inside it can).
+    probability must end its token: be a terminal (an end event, an
+    element with no outgoing flow, or an activity that can fault; a
+    subprocess can fault when an activity inside it can), or send it to an
+    element that ends it; a fork, which sends a token down each of its
+    flows, must send each one to such an element. The loop is the model's
+    fault when it traps a token with no probability set, and the
+    configuration's otherwise.
     """
-    def can_fault(e: BpmnElement) -> bool:
-        return (e.kind not in _CONTROL_KINDS
-                and cfg.fault_probs.get(e.concept_uid or e.id, 0.0) > 0.0)
-
     # every level with an activity that can fault, and each level around it
     faulting = {path[:i] for path, level in levels.items()
-                if any(map(can_fault, level.elements.values()))
+                if any(_can_fault(e, cfg) for e in level.elements.values())
                 for i in range(1, len(path) + 1)}
     for path, level in levels.items():
-        nexts: dict[str, list[str]] = {}
-        before: dict[str, list[str]] = {}
-        exits = set()
-        for eid, elem in level.elements.items():
-            flows = level.outgoing.get(eid, [])
-            probs = cfg.branch_probs.get(eid) if elem.kind == "exclusiveGateway" else None
-            if probs is not None and len(flows) > 1:
-                flows = [f for f in flows if probs[f.id] > 0.0]
-            nexts[eid] = [f.target for f in flows]
-            for f in flows:
-                before.setdefault(f.target, []).append(eid)
-                if f.target not in level.elements:  # fails at run time with its own error
-                    exits.add(f.target)
-            if not flows or elem.kind == "endEvent" or can_fault(elem) \
-                    or elem.kind == "subProcess" and path + (eid,) in faulting:
-                exits.add(eid)
-        trapped = _closure({level.start_id}, nexts) - _closure(exits, before)
-        if trapped:
-            # every successor of a trapped element is trapped: walk to the loop
-            eid, seen = next(e for e in level.elements if e in trapped), set()
-            while eid not in seen:
-                seen.add(eid)
-                eid = next(t for t in nexts[eid] if t in trapped)
-            raise SimulationError(
-                f"{level.where}: element {eid!r} is on a loop that no flow of nonzero "
-                "probability leaves for an end event, a dead end or a fault")
+        trap = _trap(level, path, cfg, faulting)
+        if trap is not None:
+            bare = _trap(level, path, SimulationConfig(), set()) is not None
+            raise (ModelError if bare else ConfigError)(f"{level.where}: {trap}")
+
+
+def _can_fault(e: BpmnElement, cfg: SimulationConfig) -> bool:
+    return e.kind not in _CONTROL_KINDS and cfg.fault_probs.get(e.concept_uid or e.id, 0.0) > 0.0
+
+
+def _trap(level: _Level, path: tuple[str, ...], cfg: SimulationConfig,
+          faulting: set[tuple[str, ...]]) -> str | None:
+    """What traps a token of ``level`` under ``cfg``, where the
+    subprocesses at ``faulting`` can fault; None if nothing does."""
+    nexts: dict[str, list[str]] = {}
+    before: dict[str, set[str]] = {}
+    # how many of its successors must end a token before an element ends it:
+    # one for an exclusive gateway, each of them for any other element
+    need: dict[str, int] = {}
+    ends = set()
+    for eid, elem in level.elements.items():
+        flows = level.outgoing.get(eid, [])
+        probs = cfg.branch_probs.get(eid) if elem.kind == "exclusiveGateway" else None
+        if probs is not None and len(flows) > 1:
+            flows = [f for f in flows if probs[f.id] > 0.0]
+        nexts[eid] = [f.target for f in flows]
+        for f in flows:
+            before.setdefault(f.target, set()).add(eid)
+        need[eid] = 1 if elem.kind == "exclusiveGateway" else len(set(nexts[eid]))
+        if not flows or elem.kind == "endEvent" or _can_fault(elem, cfg) \
+                or elem.kind == "subProcess" and path + (eid,) in faulting:
+            ends.add(eid)
+    stack = list(ends)
+    while stack:
+        for eid in before.get(stack.pop(), ()):
+            if eid not in ends:
+                need[eid] -= 1
+                if not need[eid]:
+                    ends.add(eid)
+                    stack.append(eid)
+    trapped = _closure({level.start_id}, nexts) - ends
+    if not trapped:
+        return None
+    # an element is trapped when a successor it needs is: walk to a loop
+    eid, seen = next(e for e in level.elements if e in trapped), {}
+    while eid not in seen:
+        seen[eid] = len(seen)
+        eid = next(t for t in nexts[eid] if t in trapped)
+    loop = list(seen)[seen[eid]:]
+    fork = next((e for e in loop if len(nexts[e]) > 1
+                 and level.elements[e].kind != "exclusiveGateway"), None)
+    if fork is not None:
+        back = next(t for t in nexts[fork] if t in trapped)
+        return (f"element {fork!r} sends a token down each of its flows, and the one to "
+                f"{back!r} never reaches an end event, a dead end or a fault")
+    return (f"element {eid!r} is on a loop that no flow of nonzero probability leaves "
+            "for an end event, a dead end or a fault")
 
 
 def _closure(seeds: set[str], edges: dict[str, list[str]]) -> set[str]:

@@ -24,7 +24,10 @@ line with ``json.loads`` and its checks (:func:`_decode_json`). On a line
 in the canonical form both routes give the same values, because
 ``json.loads`` converts a number's text with the same ``int`` or
 ``float``; for a record line those values equal its record. A record whose
-``ts_ms`` or ``duration_ms`` is NaN is malformed: no time order places it.
+``ts_ms`` or ``duration_ms`` is not finite (NaN, an infinity, or an int
+past the largest float) is malformed: no time order places NaN, and no
+report's sum stays a finite float past the largest one. No canonical line
+holds such a number, so the json route refuses them all.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import re
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .diagnostics import DsprocError, JSONError, parse_json
+from .diagnostics import DsprocError, JSONError, fits_a_float, parse_json
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,11 +70,14 @@ EventRecord = namedtuple("EventRecord", _FIELD_ORDER[1:], defaults=(None,) * 6)
 # control character. Numbers follow the JSON grammar with bounded digit
 # counts: a float's repr has at most 16 integer, 20 fraction and 3 exponent
 # digits, and an int of at most 20 digits is far below Python's limit on
-# int(text). A line outside these bounds is still read, by json.loads.
+# int(text). A positive exponent is at most 288, so that no float of at
+# most 20 integer digits that the pattern matches overflows to infinity.
+# A line outside these bounds is still read, by json.loads.
 # An optional part is written (?:part|), not (?:part)?: the same matches,
 # which the re module finds about a fifth faster.
 _INT = r"-?(?:0|[1-9][0-9]{0,19})"
-_FLOAT = _INT + r"(?:\.[0-9]{1,20}(?:[eE][-+]?[0-9]{1,3}|)|[eE][-+]?[0-9]{1,3})"
+_EXPONENT = r"[eE](?:-[0-9]{1,3}|\+?(?:[01]?[0-9]{1,2}|2[0-7][0-9]|28[0-8]))"
+_FLOAT = _INT + rf"(?:\.[0-9]{{1,20}}(?:{_EXPONENT}|)|{_EXPONENT})"
 _NUMBER_RE = f"(?:({_FLOAT})|({_INT}))"  # a float's text in one group, an int's in the next
 _STRING_RE = r'"([^"\\\x00-\x1f]*)"'
 _CANONICAL_TEXT = (
@@ -111,7 +117,8 @@ def _decode_json(line: str) -> dict | tuple:
     line as the values of its fields after ``seq`` (checked, not returned) in
     log order, ``None`` for an absent one, a tuple equal to its record. Any
     other line (not JSON, not an object, a required field missing, a field of
-    the wrong type or NaN, an unsupported log version) raises DsprocError."""
+    the wrong type, a time or duration that is not finite, an unsupported
+    log version) raises DsprocError."""
     try:
         doc = parse_json(line)
     except JSONError as exc:
@@ -131,8 +138,10 @@ def _decode_json(line: str) -> dict | tuple:
             elif value.__class__ is bool or not isinstance(value, types):
                 raise DsprocError(f"malformed record: {name!r} has the wrong type")
     for i in (1, 10):
-        if values[i] != values[i]:  # only NaN differs from itself
-            raise DsprocError(f"malformed record: {_FIELD_ORDER[i]!r} is NaN")
+        value = values[i]
+        if value is not None and not fits_a_float(value):
+            what = _json_number(value) if value.__class__ is float else "too large for a float"
+            raise DsprocError(f"malformed record: {_FIELD_ORDER[i]!r} is {what}")
     return values[1:]
 
 

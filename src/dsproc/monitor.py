@@ -21,7 +21,7 @@ import json
 import math
 from collections import defaultdict, namedtuple
 
-from .diagnostics import DsprocError, sum_in_order
+from .diagnostics import DsprocError, fits_a_float, sum_in_order
 from .eventlog import read_log
 
 TYPE_CHECKING = False
@@ -154,16 +154,28 @@ def _stats(durations: list[float], faults: int = 0) -> dict:
 
     The sum runs over the sorted durations, so a quantity computed here
     twice, e.g. a concept's mean in the report and in an alert, is the same
-    float both times.
+    float both times. A total past the largest float is an error, so no
+    report or alert holds an infinity or the NaN of one.
     """
     durations = sorted(durations)
     n = len(durations)
     if not n:
         return {"count": 0, "faults": faults, "total_ms": 0.0}
-    total = sum_in_order(durations)
+    total = _sum(durations)
     return {"count": n, "faults": faults, "total_ms": total, "mean_ms": total / n,
             "min_ms": durations[0], "max_ms": durations[-1],
             "p95_ms": durations[max(1, math.ceil(0.95 * n)) - 1]}
+
+
+def _sum(durations: Iterable[float]) -> float:
+    """``sum_in_order(durations)``; DsprocError when it passes the largest float."""
+    try:
+        total = sum_in_order(durations)
+        if fits_a_float(total):
+            return total
+    except OverflowError:  # an int sum past the largest float, and then a float added
+        pass
+    raise DsprocError("durations add up past the largest float")
 
 
 def _faults(samples: Iterable) -> int:
@@ -275,8 +287,8 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
                  for process, pp in probes.processes.items()}
     # concepts first, then processes, each in ingest order: the order of the
     # additions fixes the last bits of every contribution_pct
-    denom = sum_in_order(s["total_ms"] for s in bpms.values()) \
-        + sum_in_order(s["total_ms"] for s in technical.values())
+    denom = _sum((_sum(s["total_ms"] for s in bpms.values()),
+                  _sum(s["total_ms"] for s in technical.values())))
 
     def pct(total: float) -> float:
         return (total / denom * 100.0) if denom > 0 else 0.0

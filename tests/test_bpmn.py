@@ -301,6 +301,33 @@ def test_parse_rejects_dangling_flow_reference():
         bpmn.parse_bpmn(xml)
 
 
+@pytest.mark.parametrize("source, target, message", [
+    ("s", "t", "sequence flow 'f' references element 't' of subProcess 'sp' "
+               "across a subProcess boundary"),
+    ("t", "e", "sequence flow 'f' references element 't' of subProcess 'sp' "
+               "across a subProcess boundary"),
+    ("s", "g", "sequence flow 'f' references unknown element 'g'"),
+], ids=["into-a-subprocess", "out-of-a-subprocess", "to-a-flow"])
+def test_parse_rejects_a_flow_to_an_element_of_another_level(source, target, message):
+    # a sequence flow does not cross a subProcess boundary (OMG BPMN 2.0, formal/11-01-03)
+    xml = f"""<?xml version="1.0"?>
+    <definitions xmlns="{bpmn.BPMN_NS}">
+      <process id="P">
+        <startEvent id="s"/>
+        <subProcess id="sp">
+          <startEvent id="ss"/>
+          <task id="t"/>
+          <sequenceFlow id="g" sourceRef="ss" targetRef="t"/>
+        </subProcess>
+        <endEvent id="e"/>
+        <sequenceFlow id="f" sourceRef="{source}" targetRef="{target}"/>
+      </process>
+    </definitions>"""
+    with pytest.raises(ParseError) as info:
+        bpmn.parse_bpmn(xml)
+    assert str(info.value) == message
+
+
 def test_technical_enrichment_survives_parse(order_pipeline):
     enriched = order_pipeline.xml.replace(
         "</bpmn:process>",

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -10,6 +12,12 @@ from dsproc import bpmn, cli, deploy, engine, eventlog, mappings
 from dsproc.diagnostics import MAX_NESTING, DsprocError
 
 from conftest import FIXTURES
+
+
+# a fresh interpreter without site-packages or PYTHONPATH; -I ignores
+# PYTHONDONTWRITEBYTECODE, so -B keeps it from writing bytecode into src
+_ISOLATED = (sys.executable, "-B", "-I", "-S")
+_SRC = str(FIXTURES.resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -255,7 +263,7 @@ def test_run_leaves_the_log_reader_pattern_uncompiled(work):
               "code = dsproc.cli.main(sys.argv[1:]); "
               "print(code, sys.modules['dsproc.eventlog']._CANONICAL)")
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, str(FIXTURES.resolve().parent.parent / "src"),
+        [*_ISOLATED, "-c", script, _SRC,
          "run", str(work / "order.bpmn"), "--manifest", str(work / "manifest.json"),
          "--sim", str(work / "sim.json"), "-o", str(work / "events.jsonl")],
         capture_output=True, encoding="utf-8")
@@ -308,9 +316,10 @@ def test_run_rejects_a_loop_it_can_never_leave(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["run", str(tmp_path / "p.bpmn"), "--manifest", str(tmp_path / "man.json"),
                      "--sim", str(tmp_path / "sim.json"), "-o", str(tmp_path / "ev.jsonl")]) == 1
+    # the model can finish: the branch probabilities trap the token, so --sim is named
     assert capsys.readouterr().err == (
-        f"error: P: element {t.id!r} is on a loop that no flow of nonzero probability "
-        "leaves for an end event, a dead end or a fault\n")
+        f"error: {tmp_path / 'sim.json'}: P: element {t.id!r} is on a loop that no flow of "
+        "nonzero probability leaves for an end event, a dead end or a fault\n")
     assert not (tmp_path / "ev.jsonl").exists()
 
 
@@ -334,7 +343,7 @@ def test_run_rejects_probabilities_for_elements_that_do_not_exist(work, capsys, 
     (work / "sim.json").write_text(json.dumps(sim), encoding="utf-8")
     capsys.readouterr()
     assert _run(work) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {work / 'sim.json'}: {message}\n"
     assert not (work / "events.jsonl").exists()
 
 
@@ -349,6 +358,100 @@ def test_run_rejects_a_fixed_profile_of_infinite_value(work, capsys):
     assert _run(work) == 1
     assert capsys.readouterr() == ("", f"error: {sim}: fixed profile requires a finite value\n")
     assert not (work / "events.jsonl").exists()
+
+
+def _edit(path, edit):
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def _retarget(flow, target):
+    """An edit of a BPMN text that points sequence flow ``flow`` at ``target``."""
+    return lambda text: _edited_bpmn(text, "retarget", flow, "targetRef", target)
+
+
+def _set_sim(**fields):
+    return lambda text: json.dumps({**json.loads(text), **fields})
+
+
+def _set_u3_profile(text):
+    doc = json.loads(text)
+    doc["activities"]["u3"]["endpoints"][0]["profile"] = "nosuch"
+    return json.dumps(doc)
+
+
+# u11_exc takes its exceptional flow to u18 with probability 0.0, and u2 its flow to u3
+_NEVER_TO_U18 = _set_sim(branch_probs={"u11_exc": {"f_u11_exc_u12": 1.0, "f_u11_exc_u18": 0.0}})
+_NEVER_TO_U3 = _set_sim(branch_probs={"u2": {"f_u2_u3": 0.0, "f_u2_u4": 1.0}})
+
+
+@pytest.mark.parametrize("edits, file, message", [
+    # a flow into subProcess u12's task u15: taken by every instance, and by none
+    ([("order.bpmn", _retarget("f_u9_u10", "u15"))], "order.bpmn",
+     "sequence flow 'f_u9_u10' references element 'u15' of subProcess 'u12' "
+     "across a subProcess boundary"),
+    ([("order.bpmn", _retarget("f_u11_exc_u18", "u15")), ("sim.json", _NEVER_TO_U18)],
+     "order.bpmn", "sequence flow 'f_u11_exc_u18' references element 'u15' of subProcess "
+     "'u12' across a subProcess boundary"),
+    # an endpoint profile sim.json does not define, on a branch taken and on one never taken
+    ([("manifest.json", _set_u3_profile)], "sim.json", "missing duration profile 'nosuch'"),
+    ([("manifest.json", _set_u3_profile), ("sim.json", _NEVER_TO_U3)], "sim.json",
+     "missing duration profile 'nosuch'"),
+    ([("sim.json", _set_sim(branch_probs={"zz": {"f_u2_u3": 1.0}}))], "sim.json",
+     "field 'branch_probs.zz' names no exclusive gateway of process 'HandleOrder'"),
+    # every duration 1e308: the second one drawn takes the clock past the largest float
+    ([("sim.json", _set_sim(profiles={name: {"kind": "fixed", "value": 1e308}
+                                      for name in ("fast", "medium", "slow")}))],
+     "sim.json", "the clock overflows: the durations drawn add up past the largest float"),
+], ids=["crossing-flow-taken", "crossing-flow-untaken", "missing-profile-taken",
+        "missing-profile-untaken", "unknown-gateway", "clock-overflow"])
+def test_run_checks_its_whole_input_before_the_first_event(work, capsys, edits, file, message):
+    assert (_gen(work), _bind(work)) == (0, 0)
+    for name, edit in edits:
+        _edit(work / name, edit)
+    capsys.readouterr()
+    assert _run(work) == 1
+    assert capsys.readouterr() == ("", f"error: {work / file}: {message}\n")
+    assert not (work / "events.jsonl").exists()
+
+
+def _set_duration(lines, n, text):
+    lines[n] = lines[n][:lines[n].index('"duration_ms": ')] + f'"duration_ms": {text}}}\n'
+
+
+@pytest.mark.parametrize("text, shown", [("1e999", "Infinity"), ("Infinity", "Infinity"),
+                                         ("-Infinity", "-Infinity"),
+                                         ("1" + "0" * 400, "too large for a float")],
+                         ids=["canonical-overflow", "json-infinity", "json-minus-infinity",
+                              "int-past-the-largest-float"])
+def test_monitor_rejects_a_duration_that_is_not_finite(work, capsys, text, shown):
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if '"activityEnd"' in line)
+    _set_duration(lines, n, text)
+    log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: line {n + 1}: malformed record: 'duration_ms' is {shown}\n")
+    assert not (work / "report.json").exists()
+
+
+def test_monitor_rejects_durations_that_add_up_past_the_largest_float(work, capsys):
+    # each duration is finite, and the line canonical; their sum is not finite
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    ends = [i for i, line in enumerate(lines)
+            if '"activityEnd"' in line and '"element_uid": "u4"' in line]
+    for n in ends[:2]:
+        _set_duration(lines, n, "1e+308")
+    log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: durations add up past the largest float\n")
+    assert not (work / "report.json").exists()
 
 
 @pytest.mark.parametrize("kind, field", [("activityEnd", "duration_ms"), ("processEnd", "ts_ms")])
@@ -450,7 +553,7 @@ def _modules_loaded_by(argv):
               "code = dsproc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
               "print(code, *sorted(sys.modules))")
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, str(FIXTURES.resolve().parent.parent / "src"),
+        [*_ISOLATED, "-c", script, _SRC,
          *argv], capture_output=True, encoding="utf-8")
     assert result.stderr == ""
     code, *modules = result.stdout.splitlines()[-1].split()
@@ -707,7 +810,8 @@ def test_input_that_is_not_utf8_is_named_without_traceback(work, capsys, make):
 def _monitor(work):
     return cli.main(["monitor", str(work / "events.jsonl"),
                      "--mappings", str(work / "mappings.json"),
-                     "--domain", str(work / "order_handling.dsml")])
+                     "--domain", str(work / "order_handling.dsml"),
+                     "--report", str(work / "report.json")])
 
 
 def _drop_concept(text):
@@ -762,3 +866,120 @@ def test_json_inputs_of_any_shape_raise_only_dsproc_errors(doc):
             parse(text)
         except DsprocError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# one-element edits of the walkthrough's BPMN: each edited file runs, or
+# `run` exits 1 with one line that names it
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The walkthrough generated and bound, with a sim.json of 20 instances."""
+    work = tmp_path_factory.mktemp("walkthrough")
+    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json"):
+        shutil.copy(FIXTURES / name, work / name)
+    sim = json.loads((FIXTURES / "sim.json").read_text(encoding="utf-8"))
+    (work / "sim.json").write_text(json.dumps({**sim, "instance_count": 20}), encoding="utf-8")
+    assert (_gen(work), _bind(work)) == (0, 0)
+    return work
+
+
+def _flow_elements(root):
+    """``{id: (parent, child)}`` of each element and sequence flow of the
+    process, subprocesses' own included."""
+    found = {}
+    stack = [next(c for c in root if c.tag.endswith("}process"))]
+    while stack:
+        parent = stack.pop()
+        for child in parent:
+            if child.get("id") is not None:
+                found[child.get("id")] = (parent, child)
+                stack.append(child)
+    return found
+
+
+def _edited_bpmn(text, how, item, end=None, ref=None):
+    """``text`` with flow element ``item`` dropped or duplicated, or with
+    sequence flow ``item``'s ``end`` attribute retargeted to ``ref``."""
+    import xml.etree.ElementTree as ET
+    root = ET.fromstring(text)
+    parent, child = _flow_elements(root)[item]
+    if how == "retarget":
+        child.set(end, ref)
+    elif how == "drop":
+        parent.remove(child)
+    else:
+        parent.insert(list(parent).index(child), ET.fromstring(ET.tostring(child)))
+    return ET.tostring(root, encoding="unicode")
+
+
+def _run_edited(work, edit):
+    """Whether the walkthrough's BPMN with ``edit`` parses and simulates in
+    process, and the exit code and stderr of `run` on it; the path of the file."""
+    text = _edited_bpmn((work / "order.bpmn").read_text(encoding="utf-8"), *edit)
+    path = work / "edited.bpmn"
+    path.write_text(text, encoding="utf-8")
+    try:
+        manifest = deploy.load_manifest(work / "manifest.json")
+        cfg = engine.SimulationConfig.from_json((work / "sim.json").read_text(encoding="utf-8"))
+        engine.simulate(bpmn.parse_bpmn(text), manifest, cfg)
+        runs = True
+    except DsprocError:
+        runs = False
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(["run", str(path), "--manifest", str(work / "manifest.json"),
+                         "--sim", str(work / "sim.json"), "-o", str(work / "edited.jsonl")])
+    return runs, code, stderr.getvalue(), path
+
+
+# drop or duplicate the i-th element or flow, or retarget an end of the i-th
+# flow to the j-th id, of an element, a flow or nothing; each index is taken
+# modulo the number of choices
+_bpmn_edits = st.one_of(
+    st.tuples(st.sampled_from(["drop", "duplicate"]), st.integers(0, 63)),
+    st.tuples(st.just("retarget"), st.integers(0, 63), st.sampled_from(["sourceRef", "targetRef"]),
+              st.integers(0, 63)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bpmn_edits)
+def test_a_one_element_edit_of_the_bpmn_runs_or_is_a_located_error(walkthrough, edit):
+    import xml.etree.ElementTree as ET
+    root = ET.fromstring((walkthrough / "order.bpmn").read_text(encoding="utf-8"))
+    items = _flow_elements(root)
+    ids = list(items)
+    how, i, *retarget = edit
+    if how == "retarget":
+        flows = [item for item, (_, child) in items.items() if child.tag.endswith("}sequenceFlow")]
+        end, j = retarget
+        edit = (how, flows[i % len(flows)], end, (ids + ["nosuch"])[j % (len(ids) + 1)])
+    else:
+        edit = (how, ids[i % len(ids)])
+    runs, code, stderr, path = _run_edited(walkthrough, edit)
+    if runs:
+        assert (code, stderr) == (0, "")
+    else:
+        assert code == 1
+        assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a flow into subProcess u12's task u15 (this fuzz test's first target)
+    (("retarget", "f_u9_u10", "targetRef", "u15"),
+     "sequence flow 'f_u9_u10' references element 'u15' of subProcess 'u12' "
+     "across a subProcess boundary"),
+    (("retarget", "f_u2_u3", "targetRef", "f_u11_u11_exc"),
+     "sequence flow 'f_u2_u3' references unknown element 'f_u11_u11_exc'"),
+    (("drop", "f_u8_u9"), "HandleOrder: gateway 'u8' has no outgoing flow"),
+    (("retarget", "f_u11_u11_exc", "targetRef", "u1"),
+     "HandleOrder: element 'u1' is on a loop that no flow of nonzero probability leaves "
+     "for an end event, a dead end or a fault"),
+    # u9 forks a token to u10 and one round u3, u8 and u9 again, which ran for ever
+    (("retarget", "f_u2_u3", "sourceRef", "u9"),
+     "HandleOrder: element 'u9' sends a token down each of its flows, and the one to 'u3' "
+     "never reaches an end event, a dead end or a fault"),
+], ids=["crossing-flow", "flow-to-a-flow", "gateway-without-flow", "loop", "forking-loop"])
+def test_an_edit_the_fuzz_test_found_is_a_located_error(walkthrough, edit, message):
+    runs, code, stderr, path = _run_edited(walkthrough, edit)
+    assert (runs, code, stderr) == (False, 1, f"error: {path}: {message}\n")

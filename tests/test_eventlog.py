@@ -98,8 +98,13 @@ _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "insta
     # the first bad field in log order is the one reported
     ({"seq": True, "kind": None}, "'seq' has the wrong type"),
     ({"process": None, "instance": "1"}, "'process' missing"),
+    # no number that is not finite, or that no float holds, is a time or a duration
+    ({"ts_ms": math.inf}, "'ts_ms' is Infinity"),
+    ({"duration_ms": -math.inf}, "'duration_ms' is -Infinity"),
+    ({"duration_ms": 10**400}, "'duration_ms' is too large for a float"),
 ], ids=["bool-instance", "bool-seq", "float-seq", "string-ts", "null-kind", "int-status",
-        "bool-duration", "first-of-two", "missing-before-wrong"])
+        "bool-duration", "first-of-two", "missing-before-wrong", "infinite-ts",
+        "minus-infinite-duration", "int-past-the-largest-float"])
 def test_decode_line_rejects_a_bad_field(edit, message):
     with pytest.raises(DsprocError) as exc:
         list(eventlog.read_log([json.dumps({**_VALID, **edit})], ()))

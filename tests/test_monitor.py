@@ -100,6 +100,18 @@ def test_p95_nearest_rank():
     assert monitor.build_report(probes, store)["concepts"]["C"]["p95_ms"] == 3.0
 
 
+@pytest.mark.parametrize("durations", [[1e308, 1e308], [10**308, 10**308, 1.7e308]],
+                         ids=["floats", "ints-then-a-float"])
+def test_durations_that_add_up_past_the_largest_float_are_refused(durations):
+    # each duration is finite; an int sum past the largest float cannot even
+    # take the float added after it
+    store = _single_concept_world()
+    probes = monitor.ingest(_activity_lines(durations), store.am)
+    with pytest.raises(DsprocError) as info:
+        monitor.build_report(probes, store)
+    assert str(info.value) == "durations add up past the largest float"
+
+
 def test_streaming_equals_batch(order_pipeline):
     lines = _simulated_log(order_pipeline, instances=50)
     store = order_pipeline.store
