@@ -171,10 +171,8 @@ def cmd_monitor(args) -> int:
     with reading(args.events), open(args.events, "r", encoding="utf-8") as fh:
         probes = monitor.ingest(fh, store.am)
     propagated = dom.propagate_sla(d, store.am)
-    monitor.register_sla(
-        probes, monitor.propagated_to_concepts(propagated, store.am))
     with reading(args.events):  # the log's durations may add up past the largest float
-        alerts = monitor.evaluate_alerts(probes)
+        alerts = monitor.evaluate_alerts(probes, propagated, store.am)
         report = monitor.build_report(probes, store)
     if args.report:
         _write(args.report, monitor.render_report_json(report))

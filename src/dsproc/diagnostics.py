@@ -1,4 +1,5 @@
-"""Diagnostics, error types and the float arithmetic shared by all pipeline stages."""
+"""Diagnostics, error types, the float arithmetic and the graph walk shared by all
+pipeline stages."""
 
 from __future__ import annotations
 
@@ -31,6 +32,18 @@ def sum_in_order(values: Iterable[float]) -> float:
 def fits_a_float(value: float) -> bool:
     """``value`` is a finite float, or an int no larger than the largest one."""
     return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def reachable(seeds: Iterable[str], edges: dict[str, list[str]]) -> set[str]:
+    """``seeds`` and every node reachable from them along ``edges``."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for node in edges.get(stack.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 def _loc(line: int, column: int | None) -> str:

@@ -20,7 +20,8 @@ from collections import deque, namedtuple
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from .diagnostics import DsprocError, json_check, json_field, json_members, parse_json, sum_in_order
+from .diagnostics import (DsprocError, json_check, json_field, json_members, parse_json,
+                          reachable, sum_in_order)
 # render_log too: bench/spans.py's probe of the writer wraps it as engine.render_log
 from .eventlog import EventRecord, render_log
 
@@ -485,7 +486,7 @@ def _trap(level: _Level, path: tuple[str, ...], cfg: SimulationConfig,
                 if not need[eid]:
                     ends.add(eid)
                     stack.append(eid)
-    trapped = _closure({level.start_id}, nexts) - ends
+    trapped = reachable([level.start_id], nexts) - ends
     if not trapped:
         return None
     # an element is trapped when a successor it needs is: walk to a loop
@@ -502,15 +503,3 @@ def _trap(level: _Level, path: tuple[str, ...], cfg: SimulationConfig,
                 f"{back!r} never reaches an end event, a dead end or a fault")
     return (f"element {eid!r} is on a loop that no flow of nonzero probability leaves "
             "for an end event, a dead end or a fault")
-
-
-def _closure(seeds: set[str], edges: dict[str, list[str]]) -> set[str]:
-    """``seeds`` and every node reachable from them along ``edges``."""
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for t in edges.get(stack.pop(), ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen

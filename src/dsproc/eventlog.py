@@ -26,13 +26,14 @@ in the canonical form both routes give the same values, because
 ``float``; for a record line those values equal its record. A record whose
 ``ts_ms`` or ``duration_ms`` is not finite (NaN, an infinity, or an int
 past the largest float) is malformed: no time order places NaN, and no
-report's sum stays a finite float past the largest one. No canonical line
-holds such a number, so the json route refuses them all.
+report's sum stays a finite float past the largest one. So is a record
+whose ``duration_ms`` is below 0 (``-0.0`` is not): no activity takes less
+than no time. No canonical line holds such a number, so the json route
+refuses them all.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from collections import namedtuple
@@ -57,12 +58,6 @@ _FIELD_TYPES = {"seq": int, "ts_ms": _NUMBER, "kind": str, "process": str, "inst
                 "status": str, "duration_ms": _NUMBER}
 _FIELD_ORDER = tuple(_FIELD_TYPES)
 _REQUIRED = frozenset(_FIELD_ORDER[:5])
-# every exact-type tuple a decoded record may have; json.loads yields exact
-# int/float/str/bool, so this is the isinstance check with bool excluded
-_VALID_TYPES = frozenset(itertools.product(*(
-    (types if isinstance(types, tuple) else (types,))
-    + (() if name in _REQUIRED else (type(None),))
-    for name, types in _FIELD_TYPES.items())))
 # one event; ``seq`` is its line's position in the log, not a field
 EventRecord = namedtuple("EventRecord", _FIELD_ORDER[1:], defaults=(None,) * 6)
 
@@ -72,19 +67,23 @@ EventRecord = namedtuple("EventRecord", _FIELD_ORDER[1:], defaults=(None,) * 6)
 # digits, and an int of at most 20 digits is far below Python's limit on
 # int(text). A positive exponent is at most 288, so that no float of at
 # most 20 integer digits that the pattern matches overflows to infinity.
-# A line outside these bounds is still read, by json.loads.
+# A duration has no sign, so a negative one takes the json route, which
+# refuses it. A line outside these bounds is still read, by json.loads.
 # An optional part is written (?:part|), not (?:part)?: the same matches,
 # which the re module finds about a fifth faster.
-_INT = r"-?(?:0|[1-9][0-9]{0,19})"
+_UINT = r"(?:0|[1-9][0-9]{0,19})"
+_INT = "-?" + _UINT
 _EXPONENT = r"[eE](?:-[0-9]{1,3}|\+?(?:[01]?[0-9]{1,2}|2[0-7][0-9]|28[0-8]))"
-_FLOAT = _INT + rf"(?:\.[0-9]{{1,20}}(?:{_EXPONENT}|)|{_EXPONENT})"
-_NUMBER_RE = f"(?:({_FLOAT})|({_INT}))"  # a float's text in one group, an int's in the next
+_FRACTION = rf"(?:\.[0-9]{{1,20}}(?:{_EXPONENT}|)|{_EXPONENT})"
+# a float's text in one group, an int's in the next
+_NUMBER_RE = f"(?:({_INT}{_FRACTION})|({_INT}))"
+_DURATION_RE = f"(?:({_UINT}{_FRACTION})|({_UINT}))"
 _STRING_RE = r'"([^"\\\x00-\x1f]*)"'
 _CANONICAL_TEXT = (
     f'{{"seq": (?:{_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
     f'"process": {_STRING_RE}, "instance": ({_INT})'
     + "".join(f'(?:, "{name}": {_STRING_RE}|)' for name in _FIELD_ORDER[5:10])
-    + f'(?:, "duration_ms": {_NUMBER_RE}|)}}\n?')
+    + f'(?:, "duration_ms": {_DURATION_RE}|)}}\n?')
 _CANONICAL = None  # the compiled pattern, once a line has been read
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
@@ -117,8 +116,8 @@ def _decode_json(line: str) -> dict | tuple:
     line as the values of its fields after ``seq`` (checked, not returned) in
     log order, ``None`` for an absent one, a tuple equal to its record. Any
     other line (not JSON, not an object, a required field missing, a field of
-    the wrong type, a time or duration that is not finite, an unsupported
-    log version) raises DsprocError."""
+    the wrong type, a time or duration that is not finite, a negative
+    duration, an unsupported log version) raises DsprocError."""
     try:
         doc = parse_json(line)
     except JSONError as exc:
@@ -130,18 +129,19 @@ def _decode_json(line: str) -> dict | tuple:
             raise DsprocError(f"unsupported log version {doc['log_version']!r}")
         return doc
     values = tuple(map(doc.get, _FIELD_ORDER))
-    if tuple(map(type, values)) not in _VALID_TYPES:
-        for (name, types), value in zip(_FIELD_TYPES.items(), values):
-            if value is None:
-                if name in _REQUIRED:
-                    raise DsprocError(f"malformed record: {name!r} missing")
-            elif value.__class__ is bool or not isinstance(value, types):
-                raise DsprocError(f"malformed record: {name!r} has the wrong type")
+    for (name, types), value in zip(_FIELD_TYPES.items(), values):
+        if value is None:
+            if name in _REQUIRED:
+                raise DsprocError(f"malformed record: {name!r} missing")
+        elif value.__class__ is bool or not isinstance(value, types):
+            raise DsprocError(f"malformed record: {name!r} has the wrong type")
     for i in (1, 10):
         value = values[i]
         if value is not None and not fits_a_float(value):
             what = _json_number(value) if value.__class__ is float else "too large for a float"
             raise DsprocError(f"malformed record: {_FIELD_ORDER[i]!r} is {what}")
+    if values[10] is not None and values[10] < 0:
+        raise DsprocError("malformed record: 'duration_ms' is negative")
     return values[1:]
 
 

@@ -1,12 +1,12 @@
-"""Concept-level monitoring: probes, SLA alerts and reports.
+"""Concept-level monitoring: sample tables, SLA alerts and reports.
 
-One probe exists per mapped concept; it collects the BPMS layer (activity
-completions of every activity mapped to the concept, across all processes)
-and the SOA layer (service invocations made by those activities). Events
-whose element has no concept mapping land in a per-process technical
-bucket, so enrichment-time additions are measured but never surface under
-a concept. Ingestion reads a log one line at a time, so a log file is
-never read whole.
+Ingestion replays a log into a :class:`ProbeSet` of plain tables. Each
+mapped concept has a list of BPMS samples (the activity completions of
+every activity mapped to it, across all processes) and of SOA samples (the
+service invocations made by those activities). Events whose element has no
+concept mapping land in a per-process technical bucket, so enrichment-time
+additions are measured but never surface under a concept. Ingestion reads
+a log one line at a time, so a log file is never read whole.
 
 The report gives each concept its count, faults, total, mean, min, max,
 nearest-rank p95 and share of all activity time, with a count, total and
@@ -40,76 +40,46 @@ Sample = namedtuple("Sample", "duration_ms status instance ts_ms uid service",
 _MEASURED = frozenset({"activityEnd", "serviceInvoke", "processStart", "processEnd"})
 
 
-class ConceptProbe:
-    """The BPMS samples (activity completions) and SOA samples (service
-    invocations) of one concept, and the SLAs registered on it."""
-
-    __slots__ = ("concept", "bpms", "soa", "slas")
-
-    def __init__(self, concept: str):
-        self.concept = concept
-        self.bpms: list[Sample] = []
-        self.soa: list[Sample] = []
-        self.slas: dict[str, Sla] = {}
-
-
-class InstanceRecord:
-    __slots__ = ("start_ts", "end_ts", "status")
-
-    def __init__(self, start_ts: float, end_ts: float | None = None,
-                 status: str | None = None):
-        self.start_ts = start_ts
-        self.end_ts = end_ts
-        self.status = status
-
-    @property
-    def duration_ms(self) -> float | None:
-        if self.end_ts is None:
-            return None
-        return self.end_ts - self.start_ts
-
-
-class ProcessProbe:
-    """A process's instances, keyed by (log, instance number) because every
-    log numbers its instances from 1, and its technical bucket."""
-
-    __slots__ = ("process", "instances", "technical")
-
-    def __init__(self, process: str):
-        self.process = process
-        self.instances: dict[tuple[int, int], InstanceRecord] = {}
-        self.technical: list[Sample] = []
-
-
 class ProbeSet:
-    """Every probe of the logs ingested so far; ``logs`` counts their headers."""
+    """The samples of an ingested log, in plain tables.
 
-    __slots__ = ("concepts", "processes", "logs")
+    ``bpms`` and ``soa`` map each mapped concept to its activity completions
+    and its service invocations. ``instances`` maps each process to its
+    instances, ``[start_ts, end_ts, status]`` keyed by (log, instance
+    number) because every log numbers its instances from 1; ``end_ts`` and
+    ``status`` are None until the instance ends. ``technical`` maps each
+    process to its unmapped activity completions. ``logs`` counts the log
+    headers read. Concepts are in mapping order and processes in the order
+    the log first names them.
+    """
+
+    __slots__ = ("bpms", "soa", "instances", "technical", "logs")
 
     def __init__(self):
-        self.concepts: dict[str, ConceptProbe] = {}
-        self.processes: dict[str, ProcessProbe] = {}
+        self.bpms: dict[str, list[Sample]] = {}
+        self.soa: dict[str, list[Sample]] = {}
+        self.instances: dict[str, dict[tuple[int, int], list]] = {}
+        self.technical: dict[str, list[Sample]] = {}
         self.logs = 0
 
 
-def ingest(lines: Iterable[str], am: ActivityMappings,
-           probes: ProbeSet | None = None) -> ProbeSet:
+def ingest(lines: Iterable[str], am: ActivityMappings) -> ProbeSet:
     """Replay an event log (header line included) into a probe set.
 
     ``lines`` may be any iterable, an open file included; it is read once,
-    line by line. Pass an existing ``probes`` to aggregate several logs,
-    e.g. the same concept used by two processes accumulates into one probe.
+    line by line. It may hold several logs, each after its own header: the
+    same concept used by two processes accumulates into one sample list.
     """
-    probes = probes or ProbeSet()
+    probes = ProbeSet()
     known_processes = {e.process for e in am.values()}
-    concepts = probes.concepts
     for e in am.values():
-        concepts.setdefault(e.concept, ConceptProbe(e.concept))
+        if e.concept not in probes.bpms:
+            probes.bpms[e.concept], probes.soa[e.concept] = [], []
     # the sample lists of each mapped activity's concept
-    bpms_of = {uid: concepts[e.concept].bpms for uid, e in am.items()}
-    soa_of = {uid: concepts[e.concept].soa for uid, e in am.items()}
+    bpms_of = {uid: probes.bpms[e.concept] for uid, e in am.items()}
+    soa_of = {uid: probes.soa[e.concept] for uid, e in am.items()}
     header_seen = False
-    pp = None  # the probe of the last record's process
+    last = None  # the last record's process, with its instances and technical bucket
     new = tuple.__new__  # a Sample from its six fields, without a Python-level call
     for line_no, values in read_log(lines, _MEASURED):
         if values.__class__ is dict:
@@ -120,26 +90,28 @@ def ingest(lines: Iterable[str], am: ActivityMappings,
             raise DsprocError(f"line {line_no}: log header missing")
         ts, kind, process, instance, uid, _element_id, _concept, service, status, \
             duration = values
-        if pp is None or process != pp.process:
+        if process != last:
             if known_processes and process not in known_processes:
                 raise DsprocError(f"line {line_no}: unknown process {process!r}")
-            pp = probes.processes.get(process)
-            if pp is None:
-                pp = probes.processes[process] = ProcessProbe(process)
+            technical = probes.technical.get(process)
+            if technical is None:
+                technical = probes.technical[process] = []
+                probes.instances[process] = {}
+            instances = probes.instances[process]
+            last = process
         if kind == "serviceInvoke":
             samples = soa_of.get(uid)
             if samples is not None:
                 samples.append(
                     new(Sample, (duration or 0.0, status or "ok", instance, ts, uid, service)))
         elif kind == "activityEnd":
-            bpms_of.get(uid, pp.technical).append(
+            bpms_of.get(uid, technical).append(
                 new(Sample, (duration or 0.0, status or "ok", instance, ts, uid, None)))
         elif kind == "processStart":
-            pp.instances[probes.logs, instance] = InstanceRecord(start_ts=ts)
+            instances[probes.logs, instance] = [ts, None, None]
         elif kind == "processEnd":
-            rec = pp.instances.setdefault((probes.logs, instance), InstanceRecord(start_ts=0.0))
-            rec.end_ts = ts
-            rec.status = status or "ok"
+            record = instances.setdefault((probes.logs, instance), [0.0, None, None])
+            record[1], record[2] = ts, status or "ok"
         # the other kinds, activityStart and gatewayTaken, carry no aggregated measure
     return probes
 
@@ -178,34 +150,12 @@ def _sum(durations: Iterable[float]) -> float:
     raise DsprocError("durations add up past the largest float")
 
 
-def _faults(samples: Iterable) -> int:
-    return sum(1 for s in samples if s.status == "fault")
+def _faults(statuses: Iterable[str | None]) -> int:
+    return sum(1 for status in statuses if status == "fault")
 
 
 # ---------------------------------------------------------------------------
-# SLA registration and alerts
-
-
-def register_sla(probes: ProbeSet, pairs: Iterable[tuple[str, Sla]]) -> ProbeSet:
-    """Attach SLAs to concept probes; re-registration is idempotent."""
-    for subject, sla in pairs:
-        probe = probes.concepts.get(subject)
-        if probe is None:
-            raise DsprocError(f"cannot register SLA on unknown concept {subject!r}")
-        probe.slas[sla.name] = sla
-    return probes
-
-
-def propagated_to_concepts(propagated: Iterable[tuple[str, Sla]],
-                           am: ActivityMappings) -> list[tuple[str, Sla]]:
-    """Reduce per-activity SLA propagation output to (concept, sla) pairs."""
-    seen = {}
-    for uid, sla in propagated:
-        entry = am.get(uid)
-        if entry is None:
-            raise DsprocError(f"propagated SLA names unmapped activity {uid!r}")
-        seen[(entry.concept, sla.name)] = (entry.concept, sla)
-    return list(seen.values())
+# alerts
 
 
 class Alert(namedtuple("Alert", "sla subject metric observed threshold severity "
@@ -224,20 +174,20 @@ class Alert(namedtuple("Alert", "sla subject metric observed threshold severity 
         })
 
 
-def evaluate_alerts(probes: ProbeSet) -> list[Alert]:
-    alerts: list[Alert] = []
-    for concept in probes.concepts:
-        probe = probes.concepts[concept]
-        for sla in probe.slas.values():
-            alert = _check_sla(probe, sla)
-            if alert is not None:
-                alerts.append(alert)
+def evaluate_alerts(probes: ProbeSet, propagated: Iterable[tuple[str, Sla]],
+                    am: ActivityMappings) -> list[Alert]:
+    """The alerts of the SLAs ``propagated`` to activities, as
+    ``domain.propagate_sla`` gives them: each SLA is checked once per concept
+    of its activities, on that concept's BPMS samples; by severity, then
+    concept, then SLA name."""
+    slas = {(am[uid].concept, sla.name): sla for uid, sla in propagated}
+    alerts = [alert for (concept, _name), sla in slas.items()
+              if (alert := _check_sla(concept, probes.bpms.get(concept, ()), sla)) is not None]
     alerts.sort(key=lambda a: (_SEVERITY_RANK.get(a.severity, 3), a.subject, a.sla))
     return alerts
 
 
-def _check_sla(probe: ConceptProbe, sla: Sla) -> Alert | None:
-    samples = probe.bpms
+def _check_sla(concept: str, samples: list[Sample], sla: Sla) -> Alert | None:
     if not samples:
         return None
     if sla.metric == "max_duration":
@@ -245,7 +195,7 @@ def _check_sla(probe: ConceptProbe, sla: Sla) -> Alert | None:
         violating = [s for s in samples if s.duration_ms > threshold]
         if not violating:
             return None
-        return Alert(sla.name, probe.concept, sla.metric,
+        return Alert(sla.name, concept, sla.metric,
                      max(s.duration_ms for s in violating), threshold, sla.severity,
                      min(s.ts_ms for s in violating), max(s.ts_ms for s in violating),
                      sorted({s.instance for s in violating}))
@@ -254,7 +204,7 @@ def _check_sla(probe: ConceptProbe, sla: Sla) -> Alert | None:
         mean = _stats([s.duration_ms for s in samples])["mean_ms"]
         if mean <= threshold:
             return None
-        return Alert(sla.name, probe.concept, sla.metric, mean, threshold,
+        return Alert(sla.name, concept, sla.metric, mean, threshold,
                      sla.severity, min(s.ts_ms for s in samples),
                      max(s.ts_ms for s in samples), [])
     if sla.metric == "max_fault_rate":
@@ -262,7 +212,7 @@ def _check_sla(probe: ConceptProbe, sla: Sla) -> Alert | None:
         rate = len(faulted) / len(samples)
         if rate <= sla.threshold:
             return None
-        return Alert(sla.name, probe.concept, sla.metric, rate, sla.threshold,
+        return Alert(sla.name, concept, sla.metric, rate, sla.threshold,
                      sla.severity,
                      min((s.ts_ms for s in faulted), default=None),
                      max((s.ts_ms for s in faulted), default=None),
@@ -281,10 +231,10 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     for uid, entry in store.am.items():
         uids_by_concept[entry.concept].append(uid)
 
-    bpms = {concept: _stats([s.duration_ms for s in probe.bpms], _faults(probe.bpms))
-            for concept, probe in probes.concepts.items()}
-    technical = {process: _stats([s.duration_ms for s in pp.technical])
-                 for process, pp in probes.processes.items()}
+    bpms = {concept: _stats([s.duration_ms for s in samples], _faults(s.status for s in samples))
+            for concept, samples in probes.bpms.items()}
+    technical = {process: _stats([s.duration_ms for s in samples])
+                 for process, samples in probes.technical.items()}
     # concepts first, then processes, each in ingest order: the order of the
     # additions fixes the last bits of every contribution_pct
     denom = _sum((_sum(s["total_ms"] for s in bpms.values()),
@@ -298,12 +248,11 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
         return {key: stats[key] for key in ("count", "total_ms", "mean_ms") if key in stats}
 
     concepts: dict = {}
-    for concept in sorted(probes.concepts):
-        probe = probes.concepts[concept]
+    for concept in sorted(probes.bpms):
         by_uid, by_service = defaultdict(list), defaultdict(list)
-        for s in probe.bpms:
+        for s in probes.bpms[concept]:
             by_uid[s.uid].append(s.duration_ms)
-        for s in probe.soa:
+        for s in probes.soa[concept]:
             by_service[s.service].append(s.duration_ms)
         entry = dict(bpms[concept], contribution_pct=pct(bpms[concept]["total_ms"]))
         entry["nodes"] = {path_of.get(uid, uid): brief(by_uid.get(uid, []))
@@ -313,12 +262,12 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
         concepts[concept] = entry
 
     processes: dict = {}
-    for process in sorted(probes.processes):
-        pp = probes.processes[process]
-        finished = [r.duration_ms for r in pp.instances.values() if r.end_ts is not None]
-        entry = _stats(finished, _faults(pp.instances.values()))
+    for process in sorted(probes.instances):
+        instances = probes.instances[process].values()
+        entry = _stats([end - start for start, end, _ in instances if end is not None],
+                       _faults(status for _, _, status in instances))
         del entry["count"], entry["total_ms"]
-        entry["instances"] = len(pp.instances)
+        entry["instances"] = len(instances)
         tech = technical[process]
         entry["technical"] = {"count": tech["count"], "total_ms": tech["total_ms"],
                               "contribution_pct": pct(tech["total_ms"])}

@@ -183,12 +183,12 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
 
     # reachability from start, and every node must be able to reach an end
     if len(starts) == 1:
-        seen = _reachable(["start"], outgoing)
+        seen = diag.reachable(["start"], outgoing)
         for n in body.nodes:
             if n.id not in seen:
                 out.append(diag.error(f"{prefix}node {n.id!r} is unreachable from start", n.line))
         if ends:
-            co_seen = _reachable([e.id for e in ends], incoming)
+            co_seen = diag.reachable([e.id for e in ends], incoming)
             for n in body.nodes:
                 if n.id in seen and n.id not in co_seen:
                     out.append(diag.error(
@@ -206,18 +206,6 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
         out.append(diag.warning(
             f"{prefix}unbalanced parallel gateways ({splits} splits, {joins} joins)"))
     return out
-
-
-def _reachable(seeds: list[str], edges: dict[str, list[str]]) -> set[str]:
-    """``seeds`` and every node reachable from them along ``edges``."""
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for node in edges.get(stack.pop(), ()):
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-    return seen
 
 
 def validate_process(model: ProcessModel, domain: Domain) -> list[Diagnostic]:

@@ -495,19 +495,17 @@ def test_c8_alert_soundness_completeness():
                                  "duration_ms": d}))
     probes = monitor.ingest(lines, am)
     sla = dom.Sla("Cap", "max_duration", 1000.0, "ms", "critical")
-    monitor.register_sla(probes, [("C", sla)])
-    alerts = monitor.evaluate_alerts(probes)
+    alerts = monitor.evaluate_alerts(probes, [("u1", sla)], am)
     assert len(alerts) == 1
     assert alerts[0].instances == [3, 7]  # exactly the planted violators
     assert alerts[0].observed == 5000.0
 
     # nothing fires when the threshold is generous
     relaxed = monitor.ingest(lines, am)
-    monitor.register_sla(relaxed, [
-        ("C", dom.Sla("Cap", "max_duration", 10.0, "s", "critical")),
-        ("C", dom.Sla("Faults", "max_fault_rate", 0.5, "ratio", "warning")),
-    ])
-    assert monitor.evaluate_alerts(relaxed) == []
+    assert monitor.evaluate_alerts(relaxed, [
+        ("u1", dom.Sla("Cap", "max_duration", 10.0, "s", "critical")),
+        ("u1", dom.Sla("Faults", "max_fault_rate", 0.5, "ratio", "warning")),
+    ], am) == []
     _report("C8 alert soundness/completeness (violators [3, 7], zero otherwise)")
 
 
@@ -533,17 +531,18 @@ def test_c9_cross_process_aggregation():
     store.cm = mappings.build_cm(d)
 
     counts = {}
-    probes = None
+    lines = []  # the two logs, one after the other in one file
     for (name, generated), instances in zip(pipelines, (60, 40)):
         manifest = deploy.bind_services(d, fixed_bindings(d), store.am, name)
         cfg = fixed_config(instances=instances, seed=5, value=10.0)
         records = engine.simulate(generated, manifest, cfg)
-        probes = monitor.ingest(log_lines(records, cfg), store.am, probes=probes)
+        lines += log_lines(records, cfg)
         counts[name] = sum(1 for r in records
                            if r.kind == "activityEnd" and r.concept == "A")
+    probes = monitor.ingest(lines, store.am)
 
-    assert len([c for c in probes.concepts if c == "A"]) == 1
+    assert len([c for c in probes.bpms if c == "A"]) == 1
     m = monitor.build_report(probes, store)["concepts"]["A"]
     assert m["count"] == sum(counts.values())  # 60 + 40, exact
     assert m["count"] == 100
-    _report("C9 cross-process aggregation (one probe, 60 + 40 = 100 samples)")
+    _report("C9 cross-process aggregation (one sample list, 60 + 40 = 100 samples)")

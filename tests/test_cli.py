@@ -437,6 +437,23 @@ def test_monitor_rejects_a_duration_that_is_not_finite(work, capsys, text, shown
     assert not (work / "report.json").exists()
 
 
+@pytest.mark.parametrize("text", ["-1e9", "-1", "-0.5"], ids=["float", "int", "fraction"])
+def test_monitor_rejects_a_negative_duration(work, capsys, text):
+    # no activity takes less than no time; the shares of a report with one
+    # would be meaningless (a negative total zeroed every contribution_pct)
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if '"activityEnd"' in line)
+    _set_duration(lines, n, text)
+    log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: line {n + 1}: malformed record: 'duration_ms' is negative\n")
+    assert not (work / "report.json").exists()
+
+
 def test_monitor_rejects_durations_that_add_up_past_the_largest_float(work, capsys):
     # each duration is finite, and the line canonical; their sum is not finite
     assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)

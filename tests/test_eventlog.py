@@ -27,12 +27,12 @@ _int = st.integers(-2**63, 2**63)
 _number = _int | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
 
 
-def _record(text, number, ints=_int):
+def _record(text, number, ints=_int, durations=None):
     def optional(values):
         return st.none() | values
     return st.builds(eventlog.EventRecord, number, text, text, ints,
                      optional(text), optional(text), optional(text), optional(text),
-                     optional(text), optional(number))
+                     optional(text), optional(number if durations is None else durations))
 
 
 def _record_lines(records):
@@ -77,7 +77,13 @@ def test_equal_numbers_that_print_differently_keep_their_own_text(first, second)
                                       for seq, r in enumerate(records, 1)]
 
 
-@given(st.lists(_record(_text, _int | st.floats(allow_nan=False, allow_infinity=False)),
+_finite = _int | st.floats(allow_nan=False, allow_infinity=False)
+
+
+# a record read back is a valid one: its duration is finite and not below 0
+# (a negative one is refused, see test_decode_line_rejects_a_bad_field)
+@given(st.lists(_record(_text, _finite, durations=_int.filter(lambda n: n >= 0)
+                        | st.floats(min_value=0.0, allow_infinity=False)),
                 min_size=1, max_size=3))
 def test_log_line_decodes_to_its_record(records):
     kinds = {record.kind for record in records}
@@ -102,9 +108,14 @@ _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "insta
     ({"ts_ms": math.inf}, "'ts_ms' is Infinity"),
     ({"duration_ms": -math.inf}, "'duration_ms' is -Infinity"),
     ({"duration_ms": 10**400}, "'duration_ms' is too large for a float"),
+    # no activity takes less than no time
+    ({"duration_ms": -1}, "'duration_ms' is negative"),
+    ({"duration_ms": -5e-324}, "'duration_ms' is negative"),
+    ({"duration_ms": -10**400}, "'duration_ms' is too large for a float"),
 ], ids=["bool-instance", "bool-seq", "float-seq", "string-ts", "null-kind", "int-status",
         "bool-duration", "first-of-two", "missing-before-wrong", "infinite-ts",
-        "minus-infinite-duration", "int-past-the-largest-float"])
+        "minus-infinite-duration", "int-past-the-largest-float", "negative-int-duration",
+        "negative-float-duration", "negative-int-past-the-largest-float"])
 def test_decode_line_rejects_a_bad_field(edit, message):
     with pytest.raises(DsprocError) as exc:
         list(eventlog.read_log([json.dumps({**_VALID, **edit})], ()))
@@ -125,6 +136,14 @@ def test_decode_line_accepts_int_times_and_ignores_unknown_keys():
         {"activityEnd"})
     assert record == eventlog.EventRecord(7, "activityEnd", "P", 1, duration_ms=3)
     assert type(record[0]) is int and type(record[-1]) is int
+
+
+@pytest.mark.parametrize("text", ["-0.0", "-0"])
+def test_a_duration_of_minus_zero_is_not_negative(text):
+    line = ('{"seq": 1, "ts_ms": 0.5, "kind": "activityEnd", "process": "P", "instance": 1, '
+            f'"duration_ms": {text}}}')
+    [(_, values)] = eventlog.read_log([line], {"activityEnd"})
+    assert repr(values[-1]) == repr(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

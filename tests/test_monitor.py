@@ -196,14 +196,14 @@ def test_unmapped_activity_lands_in_technical_bucket():
         _line(3, 40.0, "processEnd", element_id="P", status="ok", duration_ms=40.0),
     ]
     probes = monitor.ingest(lines, store.am)
-    assert len(probes.processes["P"].technical) == 1
-    assert probes.concepts["C"].bpms == []
+    assert len(probes.technical["P"]) == 1
+    assert probes.bpms["C"] == []
     tech = monitor.build_report(probes, store)["processes"]["P"]["technical"]
     assert tech["count"] == 1 and tech["contribution_pct"] == pytest.approx(100.0)
 
 
 def test_aggregation_across_logs():
-    # the same concept mapped in two processes accumulates into one probe
+    # the same concept mapped in two processes accumulates into one sample list
     am = {"u1": AmEntry("C", "P", "u1"),
           "u2": AmEntry("C", "Q", "u2")}
     store = MappingStore("D", cm={"C": ["s"]}, am=am)
@@ -216,13 +216,12 @@ def test_aggregation_across_logs():
         _line(3, 30.0, "processEnd", process="Q", element_id="Q",
               status="ok", duration_ms=30.0),
     ]
-    probes = monitor.ingest(log_p, am)
-    probes = monitor.ingest(log_q, am, probes=probes)
-    assert len(probes.concepts) == 1
+    probes = monitor.ingest(log_p + log_q, am)  # one file, two logs
+    assert len(probes.bpms) == 1
     m = monitor.build_report(probes, store)["concepts"]["C"]
     assert m["count"] == 3
     assert m["mean_ms"] == pytest.approx(20.0)
-    assert set(probes.processes) == {"P", "Q"}
+    assert set(probes.instances) == {"P", "Q"}
 
 
 def test_logs_of_one_process_keep_every_instance():
@@ -230,12 +229,10 @@ def test_logs_of_one_process_keep_every_instance():
     store = _single_concept_world()
     first = _activity_lines([10.0] * 10)
     second = _activity_lines([30.0] * 9 + [50.0], statuses=["ok"] * 9 + ["fault"])
-    for probes in (monitor.ingest(first + second, store.am),
-                   monitor.ingest(second, store.am, monitor.ingest(first, store.am))):
-        report = monitor.build_report(probes, store)
-        process = report["processes"]["P"]
-        assert (process["instances"], process["faults"], process["mean_ms"]) == (20, 1, 21.0)
-        assert "process P: instances=20 faults=1 " in monitor.render_report_text(report)
+    report = monitor.build_report(monitor.ingest(first + second, store.am), store)
+    process = report["processes"]["P"]
+    assert (process["instances"], process["faults"], process["mean_ms"]) == (20, 1, 21.0)
+    assert "process P: instances=20 faults=1 " in monitor.render_report_text(report)
 
 
 def test_soa_layer_collects_service_invocations():
@@ -260,12 +257,16 @@ def _sla(name="S", metric="max_duration", threshold=1000.0, unit="ms",
     return dom.Sla(name, metric, threshold, unit, severity)
 
 
+def _alerts(probes, store, sla):
+    """The alerts of ``sla`` propagated to each activity of ``store``."""
+    return monitor.evaluate_alerts(probes, [(uid, sla) for uid in store.am], store.am)
+
+
 def test_max_duration_alert_names_exact_violators():
     store = _single_concept_world()
     durations = [100.0, 100.0, 5000.0, 100.0, 100.0, 100.0, 5000.0, 100.0]
     probes = monitor.ingest(_activity_lines(durations), store.am)
-    monitor.register_sla(probes, [("C", _sla())])
-    alerts = monitor.evaluate_alerts(probes)
+    alerts = _alerts(probes, store, _sla())
     assert len(alerts) == 1
     alert = alerts[0]
     assert alert.instances == [3, 7]
@@ -277,17 +278,14 @@ def test_max_duration_alert_names_exact_violators():
 def test_no_alert_below_threshold():
     store = _single_concept_world()
     probes = monitor.ingest(_activity_lines([10.0, 20.0]), store.am)
-    monitor.register_sla(probes, [("C", _sla(threshold=1.0, unit="s"))])
-    assert monitor.evaluate_alerts(probes) == []
+    assert _alerts(probes, store, _sla(threshold=1.0, unit="s")) == []
 
 
 def test_max_mean_duration_alert_uses_mean():
     store = _single_concept_world()
     durations = [100.0, 300.0]  # mean 200
     probes = monitor.ingest(_activity_lines(durations), store.am)
-    monitor.register_sla(probes, [("C", _sla(metric="max_mean_duration",
-                                             threshold=150.0))])
-    alerts = monitor.evaluate_alerts(probes)
+    alerts = _alerts(probes, store, _sla(metric="max_mean_duration", threshold=150.0))
     assert len(alerts) == 1
     assert alerts[0].observed == pytest.approx(200.0)
     assert alerts[0].instances == []
@@ -297,9 +295,7 @@ def test_mean_alert_observes_the_report_mean():
     store = _single_concept_world()
     # summed in arrival order these give 0.19999999999999998, sorted 0.20000000000000004
     probes = monitor.ingest(_activity_lines([0.3, 0.2, 0.1]), store.am)
-    monitor.register_sla(probes, [("C", _sla(metric="max_mean_duration",
-                                             threshold=0.1))])
-    alerts = monitor.evaluate_alerts(probes)
+    alerts = _alerts(probes, store, _sla(metric="max_mean_duration", threshold=0.1))
     report = monitor.build_report(probes, store)
     assert len(alerts) == 1
     assert alerts[0].observed == report["concepts"]["C"]["mean_ms"]
@@ -309,9 +305,7 @@ def test_max_fault_rate_alert():
     store = _single_concept_world()
     probes = monitor.ingest(
         _activity_lines([10.0] * 4, statuses=["fault", "ok", "ok", "fault"]), store.am)
-    monitor.register_sla(probes, [("C", _sla(metric="max_fault_rate",
-                                             threshold=0.25, unit="ratio"))])
-    alerts = monitor.evaluate_alerts(probes)
+    alerts = _alerts(probes, store, _sla(metric="max_fault_rate", threshold=0.25, unit="ratio"))
     assert len(alerts) == 1
     assert alerts[0].observed == pytest.approx(0.5)
     assert alerts[0].instances == [1, 4]
@@ -326,36 +320,58 @@ def test_alerts_sorted_by_severity_then_subject():
                            element_id=uid, concept=concept, status="ok",
                            duration_ms=9000.0))
     probes = monitor.ingest(lines, am)
-    monitor.register_sla(probes, [
-        ("A", _sla(name="warnSla", severity="warning")),
-        ("B", _sla(name="critSla", severity="critical")),
-    ])
-    alerts = monitor.evaluate_alerts(probes)
+    alerts = monitor.evaluate_alerts(probes, [
+        ("u1", _sla(name="warnSla", severity="warning")),
+        ("u2", _sla(name="critSla", severity="critical")),
+    ], am)
     assert [(a.severity, a.subject) for a in alerts] == \
         [("critical", "B"), ("warning", "A")]
 
 
+def test_an_sla_on_several_activities_of_a_concept_alerts_once():
+    d = dom.parse_domain('domain D {\n  sla Cap { max_duration 1 ms severity critical }\n'
+                         '  concept C { label "c" sla Cap }\n'
+                         '  concept D { label "d" sla Cap }\n'
+                         '  concept E { label "e" }\n}\n')
+    am = {"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("C", "P", "u2"),
+          "u3": AmEntry("D", "P", "u3"), "u4": AmEntry("E", "P", "u4")}
+    lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P")]
+    for seq, uid in enumerate(["u1", "u2", "u3", "u4"], start=2):
+        lines.append(_line(seq, 9000.0, "activityEnd", element_uid=uid, duration_ms=9000.0))
+    propagated = dom.propagate_sla(d, am)
+    assert [uid for uid, _ in propagated] == ["u1", "u2", "u3"]
+    alerts = monitor.evaluate_alerts(monitor.ingest(lines, am), propagated, am)
+    assert [(a.subject, a.sla, a.instances) for a in alerts] == [("C", "Cap", [1]),
+                                                                 ("D", "Cap", [1])]
+
+
 def test_register_sla_is_idempotent_and_checks_concept():
     store = _single_concept_world()
-    probes = monitor.ingest(_activity_lines([1.0]), store.am)
+    probes = monitor.ingest(_activity_lines([5000.0]), store.am)
     sla = _sla()
-    monitor.register_sla(probes, [("C", sla)])
-    monitor.register_sla(probes, [("C", sla)])
-    assert list(probes.concepts["C"].slas) == ["S"]
+    # the same SLA given twice for one activity is checked once
+    alerts = monitor.evaluate_alerts(probes, [("u1", sla), ("u1", sla)], store.am)
+    assert [(a.subject, a.sla) for a in alerts] == [("C", "S")]
+    d = dom.parse_domain('domain D {\n  sla S { max_duration 1 ms severity critical }\n'
+                         '  concept C { label "c" sla S }\n}\n')
     with pytest.raises(DsprocError, match="unknown concept"):
-        monitor.register_sla(probes, [("Nope", sla)])
+        dom.propagate_sla(d, {"u1": AmEntry("Nope", "P", "u1")})
 
 
 def test_propagated_to_concepts(order_pipeline):
-    propagated = dom.propagate_sla(order_pipeline.domain, order_pipeline.am)
-    pairs = monitor.propagated_to_concepts(propagated, order_pipeline.am)
-    concepts = {c for c, _ in pairs}
-    expected = {c.name for c in order_pipeline.domain.concepts
-                if c.sla_ref is not None and any(
-                    e.concept == c.name for e in order_pipeline.am.values())}
-    assert concepts == expected
-    # one pair per (concept, sla), even when several activities share the concept
-    assert len(pairs) == len({(c, s.name) for c, s in pairs})
+    am = order_pipeline.am
+    propagated = dom.propagate_sla(order_pipeline.domain, am)
+    expected = {(c.name, c.sla_ref) for c in order_pipeline.domain.concepts
+                if c.sla_ref is not None and any(e.concept == c.name for e in am.values())}
+    assert {(am[uid].concept, sla.name) for uid, sla in propagated} == expected
+    assert expected
+    # every mapped activity breaks every SLA: one alert per (concept, SLA)
+    lines = [_HEADER]
+    for seq, (uid, entry) in enumerate(am.items(), start=1):
+        lines.append(_line(seq, 1e12, "activityEnd", process=entry.process,
+                           element_uid=uid, duration_ms=1e12))
+    alerts = monitor.evaluate_alerts(monitor.ingest(lines, am), propagated, am)
+    assert sorted((a.subject, a.sla) for a in alerts) == sorted(expected)
 
 
 def test_report_keys_are_model_node_paths(order_pipeline):
