@@ -10,6 +10,13 @@ Activity durations come from per-endpoint duration profiles in the
 deployment manifest; every random draw is taken from one seeded Mersenne
 Twister stream in processing order, so a (model, manifest, config) triple
 always yields a byte-identical event log (its format: :mod:`dsproc.eventlog`).
+
+A scope is one run of a level: each instance's process has one, and so
+does each token that enters a subProcess, as BPMN starts one subprocess
+instance per arriving token. A scope counts its live tokens (queued,
+parked at a join, or inside a scope it started); when the count falls to
+0 the scope ends, and it resumes the token that started it, or passes its
+fault to it, or ends the instance.
 """
 
 from __future__ import annotations
@@ -171,6 +178,23 @@ class _Level:
             if e.kind == "exclusiveGateway" and e.id not in self.outgoing:
                 raise ModelError(f"{where}: gateway {e.id!r} has no outgoing flow")
         self.activities: dict[str, tuple] = {}  # each activity's _activity, from simulate
+        self.inner: dict[str, _Level] = {}  # each subProcess's level, from simulate
+
+
+class _Scope:
+    """One run of ``level`` in instance ``inst``: its process's, or that of
+    the token of ``parent`` that entered subProcess ``elem_id``; ``active``
+    counts its live tokens, and ``fault`` is set once one of them faults."""
+
+    __slots__ = ("inst", "level", "parent", "elem_id", "active", "fault")
+
+    def __init__(self, inst: int, level: _Level, parent: _Scope | None, elem_id: str | None):
+        self.inst = inst
+        self.level = level
+        self.parent = parent
+        self.elem_id = elem_id
+        self.active = 1
+        self.fault = False
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +215,11 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
               for path, (elements, flows) in model.levels.items()}
     _check_probs(levels, cfg, model.process_id)
     rows = {r.uid: r for r in manifest.rows}
-    for level in levels.values():
+    for path, level in levels.items():
         level.activities = {e.id: _activity(e, rows, cfg) for e in level.elements.values()
                             if e.kind not in _CONTROL_KINDS}
+        if path:
+            levels[path[:-1]].inner[path[-1]] = level
     _check_exits(levels, cfg)
     rng = random.Random(cfg.seed)
     process = model.process_id
@@ -201,102 +227,91 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
 
     records: list[EventRecord] = []
     emit = records.append
-    ended: set[int] = set()
     faulted: set[int] = set()
-    ctx_active: dict[tuple[int, tuple[str, ...]], int] = {}
-    ctx_fault: dict[tuple[int, tuple[str, ...]], bool] = {}
-    join_arrivals: dict[tuple[int, tuple[str, ...], str], int] = {}
+    # the tokens parked at each join of a scope; an entry goes when its join fires
+    join_arrivals: dict[tuple[_Scope, str], int] = {}
 
     # the queue: the events after the current time `now` in a heap, and those
     # at `now` in the order they were scheduled, which is their counter order;
-    # an event is (ts, counter, inst, path, elem_id, action), and taking it
-    # calls action(inst, path, elem_id, ts)
+    # an event is (ts, counter, scope, elem_id, action), and taking it calls
+    # action(scope, elem_id, ts)
     heap: list[tuple] = []
     lane: deque[tuple] = deque()
     now = 0.0
     counter = 0
 
-    def schedule(ts: float, inst: int, path: tuple[str, ...], elem_id: str,
-                 action: Callable) -> None:
+    def schedule(ts: float, scope: _Scope, elem_id: str, action: Callable) -> None:
         nonlocal counter
         if ts == now:
-            lane.append((ts, counter, inst, path, elem_id, action))
+            lane.append((ts, counter, scope, elem_id, action))
         else:
-            heappush(heap, (ts, counter, inst, path, elem_id, action))
+            heappush(heap, (ts, counter, scope, elem_id, action))
         counter += 1
 
-    def absorb(inst: int, path: tuple[str, ...], ts: float, fault: bool) -> None:
-        key = (inst, path)
-        ctx_active[key] -= 1
+    def absorb(scope: _Scope, ts: float, fault: bool) -> None:
+        scope.active -= 1
         if fault:
-            ctx_fault[key] = True
-            faulted.add(inst)
-        if ctx_active[key] > 0:
+            scope.fault = True
+            faulted.add(scope.inst)
+        if scope.active:
             return
-        if path == ():
-            if inst not in ended:
-                ended.add(inst)
-                status = "fault" if inst in faulted else "ok"
-                emit(new(EventRecord, (ts, "processEnd", process, inst, None, process, None,
-                                       None, status, ts)))
-            return
-        # inner level drained: resume (or kill) the suspended outer token
-        sub_fault = ctx_fault.pop(key, False)
-        del ctx_active[key]
-        parent = path[:-1]
-        if sub_fault:
-            absorb(inst, parent, ts, fault=True)
+        parent = scope.parent
+        if parent is None:
+            inst = scope.inst
+            status = "fault" if inst in faulted else "ok"
+            emit(new(EventRecord, (ts, "processEnd", process, inst, None, process, None,
+                                   None, status, ts)))
+        elif scope.fault:
+            absorb(parent, ts, fault=True)
         else:
-            move(inst, parent, path[-1], ts)
+            move(parent, scope.elem_id, ts)
 
-    def move(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
-        flows = levels[path].outgoing.get(elem_id, ())
+    def move(scope: _Scope, elem_id: str, ts: float) -> None:
+        flows = scope.level.outgoing.get(elem_id, ())
         if not flows:
             # dead end that is not an end event: token is lost
-            absorb(inst, path, ts, fault=False)
+            absorb(scope, ts, fault=False)
             return
-        if len(flows) > 1:
-            ctx_active[(inst, path)] += len(flows) - 1
+        scope.active += len(flows) - 1
         for f in flows:
-            schedule(ts, inst, path, f.target, enter)
+            schedule(ts, scope, f.target, enter)
 
-    def enter(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
-        level = levels[path]
+    def enter(scope: _Scope, elem_id: str, ts: float) -> None:
+        level = scope.level
         activity = level.activities.get(elem_id)
         if activity is not None:
-            run_activity(inst, path, activity, ts)
+            run_activity(scope, activity, ts)
             return
         kind = level.elements[elem_id].kind
         if kind == "exclusiveGateway":
             flows = level.outgoing[elem_id]
             chosen = _choose(flows, cfg.branch_probs.get(elem_id), rng)
             if len(flows) > 1:
-                emit(new(EventRecord, (ts, "gatewayTaken", process, inst, None, chosen.id, None,
-                                       None, None, None)))
-            schedule(ts, inst, path, chosen.target, enter)
+                emit(new(EventRecord, (ts, "gatewayTaken", process, scope.inst, None, chosen.id,
+                                       None, None, None, None)))
+            schedule(ts, scope, chosen.target, enter)
         elif kind == "parallelGateway":
             incoming = level.incoming_count.get(elem_id, 0)
             if incoming > 1:
-                key = (inst, path, elem_id)
-                arrived = join_arrivals[key] = join_arrivals.get(key, 0) + 1
+                key = (scope, elem_id)
+                arrived = join_arrivals.get(key, 0) + 1
                 if arrived < incoming:
+                    join_arrivals[key] = arrived
                     return  # token waits at the join
-                join_arrivals[key] = 0
-                ctx_active[(inst, path)] -= incoming - 1
-            move(inst, path, elem_id, ts)
+                del join_arrivals[key]
+                scope.active -= incoming - 1
+            move(scope, elem_id, ts)
         elif kind == "startEvent":
-            move(inst, path, elem_id, ts)
+            move(scope, elem_id, ts)
         elif kind == "endEvent":
-            absorb(inst, path, ts, fault=False)
-        else:  # subProcess
-            inner = path + (elem_id,)
-            key = (inst, inner)
-            ctx_active[key] = ctx_active.get(key, 0) + 1
-            ctx_fault.setdefault(key, False)
-            schedule(ts, inst, inner, levels[inner].start_id, enter)
+            absorb(scope, ts, fault=False)
+        else:  # subProcess: the token waits in a run of its own of the inner level
+            inner = _Scope(scope.inst, level.inner[elem_id], scope, elem_id)
+            schedule(ts, inner, inner.level.start_id, enter)
 
-    def run_activity(inst: int, path: tuple[str, ...], activity: tuple, ts: float) -> None:
+    def run_activity(scope: _Scope, activity: tuple, ts: float) -> None:
         uid, elem_id, concept, invokes, sample, fault_p = activity
+        inst = scope.inst
         emit(new(EventRecord, (ts, "activityStart", process, inst, uid, elem_id, concept, None,
                                None, None)))
         total = 0.0
@@ -311,33 +326,38 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
         end = ts + total
         emit(new(EventRecord, (end, "activityEnd", process, inst, uid, elem_id, concept, None,
                                status, total)))
-        schedule(end, inst, path, elem_id, move if status == "ok" else fail)
+        schedule(end, scope, elem_id, move if status == "ok" else fail)
 
-    def fail(inst: int, path: tuple[str, ...], elem_id: str, ts: float) -> None:
-        absorb(inst, path, ts, fault=True)
+    def fail(scope: _Scope, elem_id: str, ts: float) -> None:
+        absorb(scope, ts, fault=True)
 
-    for inst in range(1, cfg.instance_count + 1):
-        ctx_active[(inst, ())] = 1
-        emit(new(EventRecord, (0.0, "processStart", process, inst, None, process, None, None,
-                               "ok", None)))
-        schedule(0.0, inst, (), levels[()].start_id, enter)
+    roots = [_Scope(inst, levels[()], None, None) for inst in range(1, cfg.instance_count + 1)]
+    for root in roots:
+        emit(new(EventRecord, (0.0, "processStart", process, root.inst, None, process, None,
+                               None, "ok", None)))
+        schedule(0.0, root, root.level.start_id, enter)
 
     while lane or heap:
         # the head that sorts first by (ts, counter); the counter is unique
         if lane and not (heap and heap[0] < lane[0]):
-            ts, _, inst, path, elem_id, action = lane.popleft()
+            ts, _, scope, elem_id, action = lane.popleft()
         else:
-            ts, _, inst, path, elem_id, action = heappop(heap)
+            ts, _, scope, elem_id, action = heappop(heap)
             now = ts
-        if inst not in ended:
-            action(inst, path, elem_id, ts)
+        action(scope, elem_id, ts)
 
-    unended = [inst for inst in range(1, cfg.instance_count + 1) if inst not in ended]
-    stuck = [inst for inst in unended if inst not in faulted]
+    # an instance whose tokens are not all spent has some parked at a join
+    unended = [root.inst for root in roots if root.active]
+    stuck = {inst for inst in unended if inst not in faulted}
     if stuck:
-        raise ModelError(
-            "deadlock: join never satisfied for instance(s) "
-            + ", ".join(str(i) for i in stuck))
+        waiting: dict[tuple[str, str], set[int]] = {}
+        for scope, elem_id in join_arrivals:
+            if scope.inst in stuck:
+                waiting.setdefault((scope.level.where, elem_id), set()).add(scope.inst)
+        raise ModelError("deadlock: " + "; ".join(
+            f"join {elem_id!r} of {where} never satisfied for instance(s) "
+            + ", ".join(str(i) for i in sorted(insts))
+            for (where, elem_id), insts in sorted(waiting.items())))
     if unended:
         # sibling branches of a faulted instance may be parked at a join;
         # close the instance at its last observed time

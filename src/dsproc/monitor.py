@@ -111,6 +111,9 @@ def ingest(lines: Iterable[str], am: ActivityMappings) -> ProbeSet:
             instances[probes.logs, instance] = [ts, None, None]
         elif kind == "processEnd":
             record = instances.setdefault((probes.logs, instance), [0.0, None, None])
+            if ts < record[0]:
+                raise DsprocError(f"line {line_no}: processEnd of instance {instance} at "
+                                  f"ts_ms {ts!r} precedes its start at ts_ms {record[0]!r}")
             record[1], record[2] = ts, status or "ok"
         # the other kinds, activityStart and gatewayTaken, carry no aggregated measure
     return probes

@@ -454,6 +454,24 @@ def test_monitor_rejects_a_negative_duration(work, capsys, text):
     assert not (work / "report.json").exists()
 
 
+def test_monitor_rejects_a_process_end_before_its_start(work, capsys):
+    # a negative instance duration would go into the process's mean_ms
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if '"processEnd"' in line)
+    start = lines[n].index('"ts_ms": ')
+    lines[n] = lines[n][:start] + '"ts_ms": -1e12' + lines[n][lines[n].index(",", start):]
+    log.write_text("".join(lines), encoding="utf-8")
+    instance = json.loads(lines[n])["instance"]
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: line {n + 1}: processEnd of instance {instance} at ts_ms "
+            "-1000000000000.0 precedes its start at ts_ms 0.0\n")
+    assert not (work / "report.json").exists()
+
+
 def test_monitor_rejects_durations_that_add_up_past_the_largest_float(work, capsys):
     # each duration is finite, and the line canonical; their sum is not finite
     assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
@@ -950,6 +968,15 @@ def _run_edited(work, edit):
     return runs, code, stderr.getvalue(), path
 
 
+def _kinds_by_instance(log):
+    """The kinds of the records of each instance of ``log``, in log order."""
+    kinds = {}
+    for line in log.read_text(encoding="utf-8").splitlines()[1:]:
+        record = json.loads(line)
+        kinds.setdefault(record["instance"], []).append(record["kind"])
+    return kinds
+
+
 # drop or duplicate the i-th element or flow, or retarget an end of the i-th
 # flow to the j-th id, of an element, a flow or nothing; each index is taken
 # modulo the number of choices
@@ -976,6 +1003,10 @@ def test_a_one_element_edit_of_the_bpmn_runs_or_is_a_located_error(walkthrough, 
     runs, code, stderr, path = _run_edited(walkthrough, edit)
     if runs:
         assert (code, stderr) == (0, "")
+        # each instance starts once and ends once, after all its other records
+        for kinds in _kinds_by_instance(walkthrough / "edited.jsonl").values():
+            assert kinds[0] == "processStart" and "processStart" not in kinds[1:]
+            assert kinds[-1] == "processEnd" and "processEnd" not in kinds[:-1]
     else:
         assert code == 1
         assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
@@ -1000,3 +1031,13 @@ def test_a_one_element_edit_of_the_bpmn_runs_or_is_a_located_error(walkthrough, 
 def test_an_edit_the_fuzz_test_found_is_a_located_error(walkthrough, edit, message):
     runs, code, stderr, path = _run_edited(walkthrough, edit)
     assert (runs, code, stderr) == (False, 1, f"error: {path}: {message}\n")
+
+
+def test_two_tokens_in_one_subprocess_each_run_it(walkthrough):
+    # the start event forks a token to web (u3) and one to route (u2), and
+    # both reach subProcess u12; each runs it, and the instance ends once
+    runs, code, stderr, _ = _run_edited(walkthrough, ("retarget", "f_u2_u3", "sourceRef", "u1"))
+    assert (runs, code, stderr) == (True, 0, "")
+    kinds = _kinds_by_instance(walkthrough / "edited.jsonl")
+    assert sorted(kinds) == list(range(1, 21))
+    assert all(k.count("processEnd") == 1 for k in kinds.values())

@@ -327,8 +327,49 @@ def test_unsatisfied_join_raises_deadlock():
     }"""
     p = compile_sources(_DOMAIN, process)
     manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
-    with pytest.raises(engine.SimulationError, match="deadlock"):
-        engine.simulate(p.generated, manifest, fixed_config(value=1.0))
+    with pytest.raises(engine.SimulationError) as exc:
+        engine.simulate(p.generated, manifest, fixed_config(instances=3, value=1.0))
+    # the message names the join (u5) that each instance's one token waits at
+    assert str(exc.value) == "deadlock: join 'u5' of P never satisfied for instance(s) 1, 2, 3"
+
+
+def test_each_token_entering_a_subprocess_starts_its_own_run_of_it():
+    # the split sends one token into o at once and one after b; o's run for
+    # the first (x, 0-80) is still going when the second enters it (x, 50-130)
+    domain = """
+    domain T {
+      service sa { operation "a" }
+      service sb { operation "b" }
+      concept A { label "A" services [sa] }
+      concept B { label "B" services [sb] }
+      concept Outer {
+        label "outer"
+        subprocess {
+          node x: concept B
+          start -> x
+          x -> end
+        }
+      }
+    }
+    """
+    process = """process P uses T {
+      node split: parallel
+      node o: concept Outer
+      node a: concept A
+      start -> split
+      split -> o
+      split -> a
+      a -> o
+      o -> end
+    }"""
+    p = compile_sources(domain, process)
+    manifest = deploy.bind_services(p.domain, _split_bindings(), p.am, "P")
+    records = engine.simulate(p.generated, manifest, _split_config(instances=2))
+    for inst in (1, 2):
+        trace = [(r.kind, r.concept, r.ts_ms) for r in records
+                 if r.instance == inst and r.kind in ("activityEnd", "processEnd")]
+        assert trace == [("activityEnd", "A", 50.0), ("activityEnd", "B", 80.0),
+                         ("activityEnd", "B", 130.0), ("processEnd", None, 130.0)]
 
 
 def test_multi_service_activity_invokes_each_endpoint_in_order(order_pipeline):

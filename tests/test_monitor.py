@@ -142,6 +142,20 @@ def test_unknown_process_after_a_known_one_rejected():
     assert str(exc.value) == "line 3: unknown process 'Ghost'"
 
 
+def test_a_process_end_before_its_start_is_refused():
+    # an instance that ends before it starts has no duration to report
+    store = _single_concept_world()
+    bad = [_HEADER, _line(1, 5.0, "processStart", element_id="P"),
+           _line(2, 4.5, "processEnd", element_id="P")]
+    with pytest.raises(DsprocError) as exc:
+        monitor.ingest(bad, store.am)
+    assert str(exc.value) == "line 3: processEnd of instance 1 at ts_ms 4.5 precedes its start " \
+                             "at ts_ms 5.0"
+    # an end at the start's own time is an instance of no duration
+    probes = monitor.ingest(bad[:2] + [_line(2, 5.0, "processEnd", element_id="P")], store.am)
+    assert probes.instances["P"] == {(1, 1): [5.0, 5.0, "ok"]}
+
+
 def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
     am = {"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("C", "Q", "u2")}
     store = MappingStore("D", cm={"C": ["s"]}, am=am)
