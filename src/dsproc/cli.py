@@ -148,9 +148,9 @@ def cmd_run(args) -> int:
     cfg = load_input(args.sim, engine.SimulationConfig.from_json) if args.sim \
         else engine.SimulationConfig()
     if args.instances is not None:
-        cfg.instance_count = args.instances
+        cfg = cfg._replace(instance_count=args.instances)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = cfg._replace(seed=args.seed)
     # simulate checks the whole input before the first event: an error names
     # the BPMN file when the model is at fault, and otherwise --sim, or the
     # manifest, whose profile names a run without --sim cannot resolve

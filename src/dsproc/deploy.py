@@ -92,10 +92,7 @@ def emit_manifest(m: DeploymentManifest) -> str:
                 "element": r.element,
                 "concept": r.concept,
                 "services": r.services,
-                "endpoints": [
-                    {"service": e.service, "endpoint": e.endpoint, "profile": e.profile}
-                    for e in r.endpoints
-                ],
+                "endpoints": [e._asdict() for e in r.endpoints],
             }
             for r in m.rows
         },

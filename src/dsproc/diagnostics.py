@@ -61,6 +61,19 @@ class Diagnostic(namedtuple("Diagnostic", "severity message line column",
         return f"{self.severity}: {self.message}"
 
 
+class Located(tuple):
+    """Base of a namedtuple record declared on a source ``line``, e.g.
+    ``class Node(Located, namedtuple("Node", "id kind concept"))``; ``line``
+    takes no part in ==, hash or repr, so a model equals its re-parsed text."""
+
+    line = None
+
+    def __new__(cls, *fields, line: int | None = None, **named):
+        record = super().__new__(cls, *fields, **named)
+        record.line = line
+        return record
+
+
 def error(message: str, line: int | None = None, column: int | None = None) -> Diagnostic:
     return Diagnostic("error", message, line, column)
 

@@ -25,28 +25,12 @@ TIME_UNITS = {"ms": 1.0, "s": 1000.0, "min": 60_000.0, "h": 3_600_000.0, "d": 86
 SLA_UNITS = tuple(TIME_UNITS) + ("ratio",)
 SLA_SEVERITIES = ("info", "warning", "critical")
 
-# DSService, Sla and DSConcept carry the ``line`` they are declared on; it
-# takes no part in ==, hash or repr, so a domain equals its re-parsed text.
+
+class DSService(diag.Located, namedtuple("DSService", "name operation")):
+    """An abstract service, named by the operation it offers."""
 
 
-class DSService(namedtuple("DSService", "name operation")):
-    line = None
-
-    def __new__(cls, name: str, operation: str, line: int | None = None) -> DSService:
-        service = tuple.__new__(cls, (name, operation))
-        service.line = line
-        return service
-
-
-class Sla(namedtuple("Sla", "name metric threshold unit severity")):
-    line = None
-
-    def __new__(cls, name: str, metric: str, threshold: float, unit: str, severity: str,
-                line: int | None = None) -> Sla:
-        sla = tuple.__new__(cls, (name, metric, threshold, unit, severity))
-        sla.line = line
-        return sla
-
+class Sla(diag.Located, namedtuple("Sla", "name metric threshold unit severity")):
     def threshold_ms(self) -> float:
         """Threshold converted to milliseconds (duration metrics only)."""
         if self.unit == "ratio":
@@ -54,18 +38,10 @@ class Sla(namedtuple("Sla", "name metric threshold unit severity")):
         return self.threshold * TIME_UNITS[self.unit]
 
 
-class DSConcept(namedtuple("DSConcept", "name label version service_refs sla_ref "
-                                        "depends_on subprocess")):
-    line = None
-
-    def __new__(cls, name: str, label: str, version: int = 1,
-                service_refs: tuple[str, ...] = (), sla_ref: str | None = None,
-                depends_on: tuple[str, ...] = (), subprocess: proc.ProcessBody | None = None,
-                line: int | None = None) -> DSConcept:
-        concept = tuple.__new__(cls, (name, label, version, service_refs, sla_ref,
-                                      depends_on, subprocess))
-        concept.line = line
-        return concept
+class DSConcept(diag.Located, namedtuple("DSConcept", "name label version service_refs sla_ref "
+                                                      "depends_on subprocess",
+                                         defaults=(1, (), None, (), None))):
+    """A concept: the services it needs or the subprocess body it expands to."""
 
 
 class Domain(namedtuple("Domain", "name concepts services slas")):
@@ -114,7 +90,8 @@ def parse_domain(source: str) -> Domain:
             i = _parse_concept(toks, i + 1, concepts)
         elif word == "service":
             i = lexer.expect(toks, i + 1, "IDENT", "{", "operation", "STRING", "}")
-            services.append(DSService(toks[i - 5], lexer.value(toks[i - 2]), lines[i - 5]))
+            services.append(DSService(toks[i - 5], lexer.value(toks[i - 2]),
+                                      line=lines[i - 5]))
         elif word == "sla":
             at = i + 1
             i = _one_of(toks, lexer.expect(toks, at, "IDENT", "{", "IDENT"), SLA_METRICS, "metric")
@@ -125,7 +102,7 @@ def parse_domain(source: str) -> Domain:
             i = _one_of(toks, lexer.expect(toks, i, "severity", "IDENT"), SLA_SEVERITIES,
                         "severity")
             slas.append(Sla(toks[at], toks[at + 2], threshold, toks[at + 4], toks[at + 6],
-                            lines[at]))
+                            line=lines[at]))
             i = lexer.expect(toks, i, "}")
         else:
             raise toks.expected(i, "'concept', 'service' or 'sla'")
@@ -184,7 +161,7 @@ def _parse_concept(toks: lexer.Tokens, i: int, concepts: list[DSConcept]) -> int
         else:
             raise toks.error(i, f"unknown concept clause {key!r}")
     concepts.append(DSConcept(toks[at], label, version, service_refs, sla_ref, depends_on,
-                              subprocess, toks.lines[at]))
+                              subprocess, line=toks.lines[at]))
     return i + 1
 
 
@@ -208,21 +185,17 @@ def validate_domain(d: Domain) -> list[Diagnostic]:
     A diagnostic about one declaration carries the line it is declared on.
     """
     out: list[Diagnostic] = []
-    seen_c: set = set()
+    # the parser builds each declaration once, so one that is not the first
+    # of its name, which the domain's index keeps, is a later duplicate
     for c in d.concepts:
-        if c.name in seen_c:
+        if d.concept(c.name) is not c:
             out.append(diag.error(f"duplicate concept name {c.name!r}", c.line))
-        seen_c.add(c.name)
-    seen_s: set = set()
     for s in d.services:
-        if s.name in seen_s:
+        if d.service(s.name) is not s:
             out.append(diag.error(f"duplicate service name {s.name!r}", s.line))
-        seen_s.add(s.name)
-    seen_sla: set = set()
     for s in d.slas:
-        if s.name in seen_sla:
+        if d.sla(s.name) is not s:
             out.append(diag.error(f"duplicate SLA name {s.name!r}", s.line))
-        seen_sla.add(s.name)
         if s.threshold < 0:
             out.append(diag.error(f"SLA {s.name!r} threshold must be >= 0", s.line))
         if s.metric == "max_fault_rate":
@@ -237,14 +210,14 @@ def validate_domain(d: Domain) -> list[Diagnostic]:
 
     for c in d.concepts:
         for ref in c.service_refs:
-            if ref not in seen_s:
+            if d.service(ref) is None:
                 out.append(diag.error(
                     f"concept {c.name!r} references undeclared service {ref!r}", c.line))
-        if c.sla_ref is not None and c.sla_ref not in seen_sla:
+        if c.sla_ref is not None and d.sla(c.sla_ref) is None:
             out.append(diag.error(
                 f"concept {c.name!r} references undeclared SLA {c.sla_ref!r}", c.line))
         for dep in c.depends_on:
-            if dep not in seen_c:
+            if d.concept(dep) is None:
                 out.append(diag.error(
                     f"concept {c.name!r} depends on unknown concept {dep!r}", c.line))
         if not c.service_refs and c.subprocess is None:
@@ -255,7 +228,7 @@ def validate_domain(d: Domain) -> list[Diagnostic]:
                      if x.severity == "error"]
             out.extend(inner)
             for node in c.subprocess.concept_refs():
-                if node.concept not in seen_c:
+                if d.concept(node.concept) is None:
                     out.append(diag.error(
                         f"concept {c.name!r} subprocess references unknown concept "
                         f"{node.concept!r}", node.line))

@@ -26,6 +26,7 @@ import random
 from collections import deque, namedtuple
 from heapq import heappop, heappush
 from operator import itemgetter
+from types import MappingProxyType
 
 from .diagnostics import (DsprocError, json_check, json_field, json_members, parse_json,
                           reachable, sum_in_order)
@@ -93,28 +94,22 @@ class DurationProfile(namedtuple("DurationProfile", "kind value low high mean st
     @classmethod
     def from_json(cls, obj: dict, where: str) -> "DurationProfile":
         """A profile from its JSON object at path ``where``; its numbers default to 0."""
-        def number(key: str) -> float:
-            return float(json_field(obj, key, "number", where, 0.0))
-        return cls(kind=json_field(obj, "kind", "string", where), value=number("value"),
-                   low=number("low"), high=number("high"), mean=number("mean"),
-                   stddev=number("stddev"))
+        return cls(json_field(obj, "kind", "string", where),
+                   *(float(json_field(obj, key, "number", where, 0.0))
+                     for key in cls._fields[1:]))
 
 
-class SimulationConfig:
-    __slots__ = ("instance_count", "seed", "profiles", "branch_probs", "fault_probs",
-                 "default_profile")
+_NO_ENTRIES = MappingProxyType({})
 
-    def __init__(self, instance_count: int = 1, seed: int = 0,
-                 profiles: dict[str, DurationProfile] | None = None,
-                 branch_probs: dict[str, dict[str, float]] | None = None,
-                 fault_probs: dict[str, float] | None = None,
-                 default_profile: str | None = None):
-        self.instance_count = instance_count
-        self.seed = seed
-        self.profiles = {} if profiles is None else profiles
-        self.branch_probs = {} if branch_probs is None else branch_probs
-        self.fault_probs = {} if fault_probs is None else fault_probs
-        self.default_profile = default_profile
+
+class SimulationConfig(namedtuple("SimulationConfig", "instance_count seed profiles branch_probs "
+                                                      "fault_probs default_profile",
+                                  defaults=(1, 0, _NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES, None))):
+    """A run's settings: ``profiles`` maps names to :class:`DurationProfile`,
+    ``branch_probs`` each gateway to its flows' probabilities, and
+    ``fault_probs`` activities to theirs."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.instance_count < 1:

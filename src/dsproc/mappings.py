@@ -93,7 +93,7 @@ def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
     by the edit and are reported as broken; the others are new to the model
     since the edited file was generated and are reported as added.
     """
-    from . import bpmn  # local import to avoid a module cycle
+    from . import bpmn  # here, not at the top: bind must run without loading dsproc.bpmn
 
     gen_elements = list(bpmn.walk_elements(generated))
     edited_elements = list(bpmn.walk_elements(edited))
@@ -137,10 +137,7 @@ class MappingStore:
         doc = {
             "domain": self.domain,
             "cm": {k: self.cm[k] for k in sorted(self.cm)},
-            "am": {
-                uid: {"concept": e.concept, "process": e.process, "element": e.element}
-                for uid, e in sorted(self.am.items())
-            },
+            "am": {uid: e._asdict() for uid, e in sorted(self.am.items())},
             "uids": {k: self.uids[k] for k in sorted(self.uids)},
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -148,12 +145,8 @@ class MappingStore:
 
 def store_from_json(text: str) -> MappingStore:
     doc = json_check(parse_json(text), "object")
-    am = {
-        uid: AmEntry(json_field(e, "concept", "string", path),
-                     json_field(e, "process", "string", path),
-                     json_field(e, "element", "string", path))
-        for uid, e, path in json_members(doc, "am", "object")
-    }
+    am = {uid: AmEntry(*(json_field(e, key, "string", path) for key in AmEntry._fields))
+          for uid, e, path in json_members(doc, "am", "object")}
     cm = json_field(doc, "cm", "object", default={})
     return MappingStore(
         domain=json_field(doc, "domain", "string"),

@@ -108,9 +108,16 @@ def ingest(lines: Iterable[str], am: ActivityMappings) -> ProbeSet:
             bpms_of.get(uid, technical).append(
                 new(Sample, (duration or 0.0, status or "ok", instance, ts, uid, None)))
         elif kind == "processStart":
+            if (probes.logs, instance) in instances:
+                raise DsprocError(f"line {line_no}: second processStart of instance {instance}")
             instances[probes.logs, instance] = [ts, None, None]
         elif kind == "processEnd":
-            record = instances.setdefault((probes.logs, instance), [0.0, None, None])
+            record = instances.get((probes.logs, instance))
+            if record is None:
+                raise DsprocError(f"line {line_no}: processEnd of instance {instance} has no "
+                                  f"processStart before it")
+            if record[1] is not None:
+                raise DsprocError(f"line {line_no}: second processEnd of instance {instance}")
             if ts < record[0]:
                 raise DsprocError(f"line {line_no}: processEnd of instance {instance} at "
                                   f"ts_ms {ts!r} precedes its start at ts_ms {record[0]!r}")
@@ -169,12 +176,7 @@ class Alert(namedtuple("Alert", "sla subject metric observed threshold severity 
     __slots__ = ()
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "sla": self.sla, "subject": self.subject, "metric": self.metric,
-            "observed": self.observed, "threshold": self.threshold,
-            "severity": self.severity, "first_ts": self.first_ts,
-            "last_ts": self.last_ts, "instances": self.instances,
-        })
+        return json.dumps(self._asdict())
 
 
 def evaluate_alerts(probes: ProbeSet, propagated: Iterable[tuple[str, Sla]],

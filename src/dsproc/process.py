@@ -24,35 +24,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .domain import Domain
     from .lexer import Tokens
 
-class Node(namedtuple("Node", "id kind concept")):
-    """A node of a process body; ``concept`` is set iff ``kind == "concept"``.
 
-    ``line``, where the node is declared, takes no part in ==, hash or repr.
-    """
-
-    line = None
-
-    def __new__(cls, id: str, kind: str, concept: str | None = None,
-                line: int | None = None) -> Node:
-        node = tuple.__new__(cls, (id, kind, concept))
-        node.line = line
-        return node
+class Node(diag.Located, namedtuple("Node", "id kind concept", defaults=(None,))):
+    """A node of a process body; ``concept`` is set iff ``kind == "concept"``."""
 
     @property
     def is_gateway(self) -> bool:
         return self.kind in ("exclusive", "parallel")
 
 
-class Flow(namedtuple("Flow", "source target condition exceptional")):
-    """A flow between two nodes; ``line`` takes no part in ==, hash or repr."""
-
-    line = None
-
-    def __new__(cls, source: str, target: str, condition: str | None = None,
-                exceptional: bool = False, line: int | None = None) -> Flow:
-        flow = tuple.__new__(cls, (source, target, condition, exceptional))
-        flow.line = line
-        return flow
+class Flow(diag.Located, namedtuple("Flow", "source target condition exceptional",
+                                    defaults=(None, False))):
+    """A flow between two nodes."""
 
 
 class ProcessBody(namedtuple("ProcessBody", "nodes flows", defaults=((), ()))):
@@ -95,7 +78,7 @@ def parse_body(toks: Tokens, i: int) -> tuple[ProcessBody, int]:
             kind = toks[i + 3]
             if kind == "concept":
                 i = lexer.expect(toks, i + 4, "IDENT")
-                nodes.append(Node(name, "concept", toks[i - 1], lines[at + 1]))
+                nodes.append(Node(name, "concept", toks[i - 1], line=lines[at + 1]))
             elif kind in ("exclusive", "parallel"):
                 nodes.append(Node(name, kind, line=lines[at + 1]))
                 i += 4
@@ -118,7 +101,7 @@ def parse_body(toks: Tokens, i: int) -> tuple[ProcessBody, int]:
             i += 1
         if toks[at + 2] == "end" and end_line is None:
             end_line = lines[at]
-        flows.append(Flow(toks[at], toks[at + 2], condition, exceptional, lines[at]))
+        flows.append(Flow(toks[at], toks[at + 2], condition, exceptional, line=lines[at]))
 
     if end_line is not None:
         nodes.append(Node("end", "end", line=end_line))

@@ -454,14 +454,19 @@ def test_monitor_rejects_a_negative_duration(work, capsys, text):
     assert not (work / "report.json").exists()
 
 
+def _dated(line, ts):
+    """``line`` with its ``ts_ms`` set to ``ts``."""
+    start = line.index('"ts_ms": ') + len('"ts_ms": ')
+    return line[:start] + ts + line[line.index(",", start):]
+
+
 def test_monitor_rejects_a_process_end_before_its_start(work, capsys):
     # a negative instance duration would go into the process's mean_ms
     assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
     log = work / "events.jsonl"
     lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
     n = next(i for i, line in enumerate(lines) if '"processEnd"' in line)
-    start = lines[n].index('"ts_ms": ')
-    lines[n] = lines[n][:start] + '"ts_ms": -1e12' + lines[n][lines[n].index(",", start):]
+    lines[n] = _dated(lines[n], "-1e12")
     log.write_text("".join(lines), encoding="utf-8")
     instance = json.loads(lines[n])["instance"]
     capsys.readouterr()
@@ -469,6 +474,41 @@ def test_monitor_rejects_a_process_end_before_its_start(work, capsys):
     assert capsys.readouterr() == (
         "", f"error: {log}: line {n + 1}: processEnd of instance {instance} at ts_ms "
             "-1000000000000.0 precedes its start at ts_ms 0.0\n")
+    assert not (work / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind, ts", [("processStart", "5000.0"), ("processEnd", "9000000.0")])
+def test_monitor_rejects_a_second_start_or_end_of_an_instance(work, capsys, kind, ts):
+    # kept, the second would silently replace the instance's duration in mean_ms
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = next(line for line in lines if f'"{kind}"' in line)
+    lines.append(_dated(first, ts))
+    log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: line {len(lines)}: second {kind} of instance "
+            f"{json.loads(first)['instance']}\n")
+    assert not (work / "report.json").exists()
+
+
+def test_monitor_rejects_a_process_end_with_no_start(work, capsys):
+    # its duration would be counted from a start the log never had
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.remove(next(line for line in lines
+                      if '"processStart"' in line and '"instance": 1,' in line))
+    log.write_text("".join(lines), encoding="utf-8")
+    n = next(i for i, line in enumerate(lines)
+             if '"processEnd"' in line and '"instance": 1,' in line)
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: line {n + 1}: processEnd of instance 1 has no processStart "
+            "before it\n")
     assert not (work / "report.json").exists()
 
 
@@ -501,6 +541,26 @@ def test_monitor_rejects_a_nan_in_the_log(work, capsys, kind, field):
     assert _monitor(work) == 1
     assert capsys.readouterr() == (
         "", f"error: {log}: line {n + 1}: malformed record: {field!r} is NaN\n")
+
+
+def test_run_refuses_no_instances(work, capsys):
+    assert (_gen(work), _bind(work)) == (0, 0)
+    capsys.readouterr()
+    assert cli.main(["run", str(work / "order.bpmn"), "--manifest", str(work / "manifest.json"),
+                     "--sim", str(work / "sim.json"), "--instances", "0",
+                     "-o", str(work / "events.jsonl")]) == 1
+    assert capsys.readouterr() == ("", "error: instance_count must be >= 1\n")
+    assert not (work / "events.jsonl").exists()
+
+
+def test_run_seed_overrides_the_seed_of_the_sim_file(work):
+    assert (_gen(work), _bind(work)) == (0, 0)
+    assert _run(work, seed=7, out="flag.jsonl") == 0
+    sim = json.loads((work / "sim.json").read_text(encoding="utf-8"))
+    assert sim["seed"] != 7
+    (work / "sim.json").write_text(json.dumps(dict(sim, seed=7)), encoding="utf-8")
+    assert _run(work, out="file.jsonl") == 0
+    assert (work / "flag.jsonl").read_bytes() == (work / "file.jsonl").read_bytes()
 
 
 def test_full_pipeline_and_determinism(work):

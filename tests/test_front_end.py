@@ -207,3 +207,18 @@ def test_one_character_off_parses_or_is_a_located_error(tmp_path, capsys, data):
         assert line.split(":")[2].isdigit() and line.split(":")[3].isdigit(), line
     for line in out.splitlines():
         assert ": error: " not in line, line
+
+
+@pytest.mark.parametrize("record", [
+    proc.Node("n", "concept", "A"),
+    proc.Flow("start", "n", "ok", True),
+    dom.DSService("s", "op"),
+    dom.Sla("L", "max_duration", 1.0, "s", "info"),
+    dom.DSConcept("A", "a", service_refs=("s",)),
+], ids=lambda record: type(record).__name__)
+def test_a_declaration_keeps_its_line_out_of_equality_hash_and_repr(record):
+    located = type(record)(*record, line=7)
+    assert located.line == 7 and record.line is None
+    assert located == record and hash(located) == hash(record)
+    assert repr(located) == repr(record) and "line" not in repr(located)
+    assert located._asdict() == record._asdict()

@@ -156,6 +156,35 @@ def test_a_process_end_before_its_start_is_refused():
     assert probes.instances["P"] == {(1, 1): [5.0, 5.0, "ok"]}
 
 
+@pytest.mark.parametrize("kind, ts", [("processStart", 5000.0), ("processEnd", 9e6)])
+def test_a_second_start_or_end_of_an_instance_is_refused(kind, ts):
+    # the second would replace the first, and with it the instance's duration
+    store = _single_concept_world()
+    lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P"),
+             _line(2, 10.0, "processEnd", element_id="P"), _line(3, ts, kind, element_id="P")]
+    with pytest.raises(DsprocError) as exc:
+        monitor.ingest(lines, store.am)
+    assert str(exc.value) == f"line 4: second {kind} of instance 1"
+    # instance 1 of another log is another instance
+    probes = monitor.ingest(lines[:3] + lines[:3], store.am)
+    assert probes.instances["P"] == {(1, 1): [0.0, 10.0, "ok"], (2, 1): [0.0, 10.0, "ok"]}
+
+
+def test_a_process_end_with_no_start_is_refused():
+    # no start ts to measure the instance's duration from
+    store = _single_concept_world()
+    lines = [_HEADER, _line(1, 0.0, "processStart", instance=2, element_id="P"),
+             _line(2, 10.0, "processEnd", element_id="P")]
+    with pytest.raises(DsprocError) as exc:
+        monitor.ingest(lines, store.am)
+    assert str(exc.value) == "line 3: processEnd of instance 1 has no processStart before it"
+    # nor may its start come after it
+    with pytest.raises(DsprocError) as exc:
+        monitor.ingest([_HEADER, lines[2], _line(3, 0.0, "processStart", element_id="P")],
+                       store.am)
+    assert str(exc.value) == "line 2: processEnd of instance 1 has no processStart before it"
+
+
 def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
     am = {"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("C", "Q", "u2")}
     store = MappingStore("D", cm={"C": ["s"]}, am=am)
