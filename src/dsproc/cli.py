@@ -134,9 +134,9 @@ def cmd_bind(args) -> int:
     d = _load(args.domain, dom.parse_domain, dom.validate_domain)
     store = mappings.load_store(args.mappings)
     table = deploy.load_bindings(args.bindings)
-    known = sorted({path.split("/", 1)[0] for path in store.uids})
-    manifest = deploy.bind_services(d, table, store.am, args.process,
-                                    known_processes=known)
+    if args.process not in store.processes():
+        raise DsprocError(f"unknown process {args.process!r}")
+    manifest = deploy.bind_services(d, table, store.am, args.process)
     _write(args.output, deploy.emit_manifest(manifest))
     return EXIT_OK
 
@@ -169,7 +169,7 @@ def cmd_monitor(args) -> int:
     d = _load(args.domain, dom.parse_domain, dom.validate_domain)
     store = mappings.load_store(args.mappings)
     with reading(args.events), open(args.events, "r", encoding="utf-8") as fh:
-        probes = monitor.ingest(fh, store.am)
+        probes = monitor.ingest(fh, store)
     propagated = dom.propagate_sla(d, store.am)
     with reading(args.events):  # the log's durations may add up past the largest float
         alerts = monitor.evaluate_alerts(probes, propagated, store.am)

@@ -49,14 +49,9 @@ DeploymentManifest = namedtuple("DeploymentManifest", "process rows", defaults=(
 
 
 def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
-                  process: str, known_processes: list[str] | None = None) -> DeploymentManifest:
-    """Resolve every mapped activity of ``process`` to concrete endpoints.
-
-    ``known_processes`` (when given) distinguishes a process with no mapped
-    activities from a process that does not exist at all.
-    """
-    if known_processes is not None and process not in known_processes:
-        raise BindingError(f"unknown process {process!r}")
+                  process: str) -> DeploymentManifest:
+    """Resolve every mapped activity of ``process`` to concrete endpoints;
+    a process with no mapped activity has a manifest with no rows."""
     for name in table:
         if d.service(name) is None:
             raise BindingError(f"binding for unknown service {name!r}")

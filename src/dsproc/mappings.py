@@ -125,6 +125,11 @@ class MappingStore:
     def registry(self) -> UidRegistry:
         return UidRegistry(self.uids)
 
+    def processes(self) -> set[str]:
+        """The processes this store holds, those ``gen`` wrote into it: the
+        first segment of each node path in the uid registry."""
+        return {path.partition("/")[0] for path in self.uids}
+
     def update_process(self, process: str, am: ActivityMappings,
                        registry: UidRegistry) -> None:
         """Replace this process's AM entries and absorb new uid allocations."""

@@ -1,9 +1,8 @@
 """Concept-level monitoring: sample tables, SLA alerts and reports.
 
-Ingestion replays a log into a :class:`ProbeSet` of plain tables. Each
-mapped concept has a list of BPMS samples (the activity completions of
-every activity mapped to it, across all processes) and of SOA samples (the
-service invocations made by those activities). Events whose element has no
+Ingestion replays a log into a :class:`ProbeSet` of plain tables, each
+read as it was filled: every mapped activity's BPMS samples, and every
+mapped concept's SOA durations per CM service. Events whose element has no
 concept mapping land in a per-process technical bucket, so enrichment-time
 additions are measured but never surface under a concept. Ingestion reads
 a log one line at a time, so a log file is never read whole.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 from .diagnostics import DsprocError, fits_a_float, sum_in_order
 from .eventlog import read_log
@@ -33,65 +32,58 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
-# one activity completion (``service`` None) or service invocation
-Sample = namedtuple("Sample", "duration_ms status instance ts_ms uid service",
-                    defaults=(None,))
+# one completion of a mapped activity
+Sample = namedtuple("Sample", "duration_ms status instance ts_ms")
 # the kinds of record whose numbers ingest reads
 _MEASURED = frozenset({"activityEnd", "serviceInvoke", "processStart", "processEnd"})
 
 
-class ProbeSet:
-    """The samples of an ingested log, in plain tables.
-
-    ``bpms`` and ``soa`` map each mapped concept to its activity completions
-    and its service invocations. ``instances`` maps each process to its
-    instances, ``[start_ts, end_ts, status]`` keyed by (log, instance
-    number) because every log numbers its instances from 1; ``end_ts`` and
-    ``status`` are None until the instance ends. ``technical`` maps each
-    process to its unmapped activity completions. ``logs`` counts the log
-    headers read. Concepts are in mapping order and processes in the order
-    the log first names them.
-    """
-
-    __slots__ = ("bpms", "soa", "instances", "technical", "logs")
-
-    def __init__(self):
-        self.bpms: dict[str, list[Sample]] = {}
-        self.soa: dict[str, list[Sample]] = {}
-        self.instances: dict[str, dict[tuple[int, int], list]] = {}
-        self.technical: dict[str, list[Sample]] = {}
-        self.logs = 0
+# The tables of an ingested log. ``activities`` maps each mapped concept to
+# its activities, and each activity's uid to its samples; ``services`` maps
+# each mapped concept to its CM services, and each to the durations of the
+# invocations the concept's activities made. ``instances`` maps each process
+# to its instances, ``[start_ts, end_ts, status]`` keyed by (log, instance
+# number), as every log numbers its instances from 1; ``end_ts`` and
+# ``status`` are None until the instance ends. ``technical`` maps each
+# process to the durations of its unmapped activity completions. Concepts
+# and activities are in mapping order, processes in the order the log first
+# names them.
+ProbeSet = namedtuple("ProbeSet", "activities services instances technical")
 
 
-def ingest(lines: Iterable[str], am: ActivityMappings) -> ProbeSet:
+def ingest(lines: Iterable[str], store: MappingStore) -> ProbeSet:
     """Replay an event log (header line included) into a probe set.
 
     ``lines`` may be any iterable, an open file included; it is read once,
-    line by line. It may hold several logs, each after its own header: the
-    same concept used by two processes accumulates into one sample list.
+    line by line. It may hold several logs, each after its own header, of
+    the processes ``store`` holds: the same concept used by two processes
+    accumulates into one concept's tables.
     """
-    probes = ProbeSet()
-    known_processes = {e.process for e in am.values()}
-    for e in am.values():
-        if e.concept not in probes.bpms:
-            probes.bpms[e.concept], probes.soa[e.concept] = [], []
-    # the sample lists of each mapped activity's concept
-    bpms_of = {uid: probes.bpms[e.concept] for uid, e in am.items()}
-    soa_of = {uid: probes.soa[e.concept] for uid, e in am.items()}
-    header_seen = False
+    probes = ProbeSet({}, {}, {}, {})
+    known_processes = store.processes()
+    samples_of = {}  # each mapped activity's samples, by uid
+    for uid, e in store.am.items():
+        activities = probes.activities.get(e.concept)
+        if activities is None:
+            activities = probes.activities[e.concept] = {}
+            probes.services[e.concept] = {svc: [] for svc in store.cm.get(e.concept, ())}
+        samples_of[uid] = activities[uid] = []
+    # the durations of each CM service of a mapped activity's concept, by (uid, service)
+    durations_of = {(uid, svc): durations for uid, e in store.am.items()
+                    for svc, durations in probes.services[e.concept].items()}
+    log = 0  # the log headers read
     last = None  # the last record's process, with its instances and technical bucket
-    new = tuple.__new__  # a Sample from its six fields, without a Python-level call
+    new = tuple.__new__  # a Sample from its four fields, without a Python-level call
     for line_no, values in read_log(lines, _MEASURED):
         if values.__class__ is dict:
-            header_seen = True
-            probes.logs += 1
+            log += 1
             continue
-        if not header_seen:
+        if not log:
             raise DsprocError(f"line {line_no}: log header missing")
         ts, kind, process, instance, uid, _element_id, _concept, service, status, \
             duration = values
         if process != last:
-            if known_processes and process not in known_processes:
+            if process not in known_processes:
                 raise DsprocError(f"line {line_no}: unknown process {process!r}")
             technical = probes.technical.get(process)
             if technical is None:
@@ -100,22 +92,27 @@ def ingest(lines: Iterable[str], am: ActivityMappings) -> ProbeSet:
             instances = probes.instances[process]
             last = process
         if kind == "serviceInvoke":
-            samples = soa_of.get(uid)
-            if samples is not None:
-                samples.append(
-                    new(Sample, (duration or 0.0, status or "ok", instance, ts, uid, service)))
+            if (log, instance) not in instances:
+                raise _unstarted(line_no, kind, instance)
+            durations = durations_of.get((uid, service))
+            if durations is not None:
+                durations.append(duration or 0.0)
         elif kind == "activityEnd":
-            bpms_of.get(uid, technical).append(
-                new(Sample, (duration or 0.0, status or "ok", instance, ts, uid, None)))
+            if (log, instance) not in instances:
+                raise _unstarted(line_no, kind, instance)
+            samples = samples_of.get(uid)
+            if samples is None:
+                technical.append(duration or 0.0)
+            else:
+                samples.append(new(Sample, (duration or 0.0, status or "ok", instance, ts)))
         elif kind == "processStart":
-            if (probes.logs, instance) in instances:
+            if (log, instance) in instances:
                 raise DsprocError(f"line {line_no}: second processStart of instance {instance}")
-            instances[probes.logs, instance] = [ts, None, None]
+            instances[log, instance] = [ts, None, None]
         elif kind == "processEnd":
-            record = instances.get((probes.logs, instance))
+            record = instances.get((log, instance))
             if record is None:
-                raise DsprocError(f"line {line_no}: processEnd of instance {instance} has no "
-                                  f"processStart before it")
+                raise _unstarted(line_no, kind, instance)
             if record[1] is not None:
                 raise DsprocError(f"line {line_no}: second processEnd of instance {instance}")
             if ts < record[0]:
@@ -124,6 +121,16 @@ def ingest(lines: Iterable[str], am: ActivityMappings) -> ProbeSet:
             record[1], record[2] = ts, status or "ok"
         # the other kinds, activityStart and gatewayTaken, carry no aggregated measure
     return probes
+
+
+def _unstarted(line_no: int, kind: str, instance: int) -> DsprocError:
+    return DsprocError(f"line {line_no}: {kind} of instance {instance} has no processStart "
+                       f"before it")
+
+
+def _samples(activities: dict[str, list[Sample]]) -> list[Sample]:
+    """A concept's samples: those of each of its ``activities`` in turn."""
+    return [s for samples in activities.values() for s in samples]
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +190,12 @@ def evaluate_alerts(probes: ProbeSet, propagated: Iterable[tuple[str, Sla]],
                     am: ActivityMappings) -> list[Alert]:
     """The alerts of the SLAs ``propagated`` to activities, as
     ``domain.propagate_sla`` gives them: each SLA is checked once per concept
-    of its activities, on that concept's BPMS samples; by severity, then
-    concept, then SLA name."""
+    of its activities, on the BPMS samples of that concept's activities; by
+    severity, then concept, then SLA name."""
     slas = {(am[uid].concept, sla.name): sla for uid, sla in propagated}
     alerts = [alert for (concept, _name), sla in slas.items()
-              if (alert := _check_sla(concept, probes.bpms.get(concept, ()), sla)) is not None]
+              if (alert := _check_sla(concept, _samples(probes.activities.get(concept, {})),
+                                      sla)) is not None]
     alerts.sort(key=lambda a: (_SEVERITY_RANK.get(a.severity, 3), a.subject, a.sla))
     return alerts
 
@@ -198,31 +206,23 @@ def _check_sla(concept: str, samples: list[Sample], sla: Sla) -> Alert | None:
     if sla.metric == "max_duration":
         threshold = sla.threshold_ms()
         violating = [s for s in samples if s.duration_ms > threshold]
-        if not violating:
-            return None
-        return Alert(sla.name, concept, sla.metric,
-                     max(s.duration_ms for s in violating), threshold, sla.severity,
-                     min(s.ts_ms for s in violating), max(s.ts_ms for s in violating),
-                     sorted({s.instance for s in violating}))
-    if sla.metric == "max_mean_duration":
+        observed = max((s.duration_ms for s in violating), default=threshold)
+    elif sla.metric == "max_mean_duration":
         threshold = sla.threshold_ms()
-        mean = _stats([s.duration_ms for s in samples])["mean_ms"]
-        if mean <= threshold:
-            return None
-        return Alert(sla.name, concept, sla.metric, mean, threshold,
-                     sla.severity, min(s.ts_ms for s in samples),
-                     max(s.ts_ms for s in samples), [])
-    if sla.metric == "max_fault_rate":
-        faulted = [s for s in samples if s.status == "fault"]
-        rate = len(faulted) / len(samples)
-        if rate <= sla.threshold:
-            return None
-        return Alert(sla.name, concept, sla.metric, rate, sla.threshold,
-                     sla.severity,
-                     min((s.ts_ms for s in faulted), default=None),
-                     max((s.ts_ms for s in faulted), default=None),
-                     sorted({s.instance for s in faulted}))
-    raise DsprocError(f"unknown SLA metric {sla.metric!r}")
+        observed = _stats([s.duration_ms for s in samples])["mean_ms"]
+        violating = samples  # a mean is dated by every sample, and names no instance
+    elif sla.metric == "max_fault_rate":
+        threshold = sla.threshold
+        violating = [s for s in samples if s.status == "fault"]
+        observed = len(violating) / len(samples)
+    else:
+        raise DsprocError(f"unknown SLA metric {sla.metric!r}")
+    if observed <= threshold:
+        return None
+    return Alert(sla.name, concept, sla.metric, observed, threshold, sla.severity,
+                 min((s.ts_ms for s in violating), default=None),
+                 max((s.ts_ms for s in violating), default=None),
+                 [] if violating is samples else sorted({s.instance for s in violating}))
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +232,12 @@ def _check_sla(concept: str, samples: list[Sample], sla: Sla) -> Alert | None:
 def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     """Monitoring report keyed by the modelling-level node paths, not BPMN ids."""
     path_of = {uid: path for path, uid in store.uids.items()}
-    uids_by_concept: dict[str, list[str]] = defaultdict(list)
-    for uid, entry in store.am.items():
-        uids_by_concept[entry.concept].append(uid)
-
-    bpms = {concept: _stats([s.duration_ms for s in samples], _faults(s.status for s in samples))
-            for concept, samples in probes.bpms.items()}
-    technical = {process: _stats([s.duration_ms for s in samples])
-                 for process, samples in probes.technical.items()}
+    bpms = {}
+    for concept, activities in probes.activities.items():
+        samples = _samples(activities)
+        bpms[concept] = _stats([s.duration_ms for s in samples],
+                               _faults(s.status for s in samples))
+    technical = {process: _stats(durations) for process, durations in probes.technical.items()}
     # concepts first, then processes, each in ingest order: the order of the
     # additions fixes the last bits of every contribution_pct
     denom = _sum((_sum(s["total_ms"] for s in bpms.values()),
@@ -253,17 +251,13 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
         return {key: stats[key] for key in ("count", "total_ms", "mean_ms") if key in stats}
 
     concepts: dict = {}
-    for concept in sorted(probes.bpms):
-        by_uid, by_service = defaultdict(list), defaultdict(list)
-        for s in probes.bpms[concept]:
-            by_uid[s.uid].append(s.duration_ms)
-        for s in probes.soa[concept]:
-            by_service[s.service].append(s.duration_ms)
+    for concept in sorted(probes.activities):
+        activities = probes.activities[concept]
         entry = dict(bpms[concept], contribution_pct=pct(bpms[concept]["total_ms"]))
-        entry["nodes"] = {path_of.get(uid, uid): brief(by_uid.get(uid, []))
-                          for uid in sorted(uids_by_concept.get(concept, []))}
-        entry["services"] = {svc: brief(by_service.get(svc, []))
-                             for svc in store.cm.get(concept, [])}
+        entry["nodes"] = {path_of.get(uid, uid): brief([s.duration_ms for s in activities[uid]])
+                          for uid in sorted(activities)}
+        entry["services"] = {svc: brief(durations)
+                             for svc, durations in probes.services[concept].items()}
         concepts[concept] = entry
 
     processes: dict = {}

@@ -414,7 +414,7 @@ def test_c7_monitoring_oracle_equivalence():
             "process": "P", "instance": i, "element_id": "A9",
             "status": "ok", "duration_ms": d}))
 
-    probes = monitor.ingest(lines, p.store.am)
+    probes = monitor.ingest(lines, p.store)
     report = monitor.build_report(probes, p.store)
     metrics = report["concepts"]
 
@@ -477,6 +477,7 @@ def test_c7_monitoring_oracle_equivalence():
 def test_c8_alert_soundness_completeness():
     from dsproc.mappings import AmEntry
     am = {"u1": AmEntry("C", "P", "u1")}
+    store = mappings.MappingStore("D", am=am, uids={"P/c": "u1"})
     header = '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}'
     lines = [header]
     durations = {1: 100.0, 2: 900.0, 3: 5000.0, 4: 100.0, 5: 100.0,
@@ -493,7 +494,7 @@ def test_c8_alert_soundness_completeness():
                                  "element_uid": "u1", "element_id": "u1",
                                  "concept": "C", "status": "ok",
                                  "duration_ms": d}))
-    probes = monitor.ingest(lines, am)
+    probes = monitor.ingest(lines, store)
     sla = dom.Sla("Cap", "max_duration", 1000.0, "ms", "critical")
     alerts = monitor.evaluate_alerts(probes, [("u1", sla)], am)
     assert len(alerts) == 1
@@ -501,7 +502,7 @@ def test_c8_alert_soundness_completeness():
     assert alerts[0].observed == 5000.0
 
     # nothing fires when the threshold is generous
-    relaxed = monitor.ingest(lines, am)
+    relaxed = monitor.ingest(lines, store)
     assert monitor.evaluate_alerts(relaxed, [
         ("u1", dom.Sla("Cap", "max_duration", 10.0, "s", "critical")),
         ("u1", dom.Sla("Faults", "max_fault_rate", 0.5, "ratio", "warning")),
@@ -539,10 +540,12 @@ def test_c9_cross_process_aggregation():
         lines += log_lines(records, cfg)
         counts[name] = sum(1 for r in records
                            if r.kind == "activityEnd" and r.concept == "A")
-    probes = monitor.ingest(lines, store.am)
+    probes = monitor.ingest(lines, store)
 
-    assert len([c for c in probes.bpms if c == "A"]) == 1
+    # one concept, with the samples of one activity of each process
+    assert sorted(store.am[uid].process for uid in probes.activities["A"]) == ["Intake", "Refund"]
     m = monitor.build_report(probes, store)["concepts"]["A"]
     assert m["count"] == sum(counts.values())  # 60 + 40, exact
     assert m["count"] == 100
-    _report("C9 cross-process aggregation (one sample list, 60 + 40 = 100 samples)")
+    _report("C9 cross-process aggregation (one concept of two activities, 60 + 40 = 100 "
+            "samples)")

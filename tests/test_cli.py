@@ -28,9 +28,9 @@ def work(tmp_path):
     return tmp_path
 
 
-def _gen(work, out="order.bpmn", mappings="mappings.json"):
+def _gen(work, out="order.bpmn", mappings="mappings.json", process="order_handling.dsproc"):
     return cli.main([
-        "gen", str(work / "order_handling.dsproc"),
+        "gen", str(work / process),
         "--domain", str(work / "order_handling.dsml"),
         "--mappings", str(work / mappings),
         "-o", str(work / out),
@@ -244,6 +244,72 @@ def test_bind_unknown_process_fails(work, capsys):
     assert _gen(work) == 0
     assert _bind(work, process="Ghost") == 1
     assert "unknown process" in capsys.readouterr().err
+
+
+def _gen_empty(work):
+    """``gen`` of Empty, a process of the walkthrough's domain with no activity."""
+    (work / "empty.dsproc").write_text("process Empty uses OrderHandling { start -> end }\n",
+                                       encoding="utf-8")
+    return _gen(work, out="empty.bpmn", process="empty.dsproc")
+
+
+def _run_empty(work):
+    """Empty bound and run for 3 instances into ``events.jsonl``."""
+    assert _bind(work, process="Empty") == 0
+    return cli.main(["run", str(work / "empty.bpmn"), "--manifest", str(work / "manifest.json"),
+                     "--sim", str(work / "sim.json"), "--instances", "3",
+                     "-o", str(work / "events.jsonl")])
+
+
+_EMPTY_STDOUT = """\
+domain: OrderHandling
+
+concept                    count  faults      mean_ms  contrib%
+---------------------------------------------------------------
+ApproveOrder                   0       0            -      0.00
+DetermineLanguage              0       0            -      0.00
+HandlePayment                  0       0            -      0.00
+PackageItems                   0       0            -      0.00
+ReceiveMailOrder               0       0            -      0.00
+ReceiveWebOrder                0       0            -      0.00
+ReviewComment                  0       0            -      0.00
+RunOcr                         0       0            -      0.00
+ScanDocument                   0       0            -      0.00
+SegmentDocument                0       0            -      0.00
+ShipAndConfirm                 0       0            -      0.00
+
+process Empty: instances=3 faults=0 mean_ms=0.0 technical_contrib%=0.00
+"""
+
+
+def test_a_process_of_the_store_with_no_mapped_activity_binds_runs_and_is_monitored(work,
+                                                                                   capsys):
+    # the store holds HandleOrder and Empty, which maps no activity: bind, run and
+    # monitor all take Empty as one of the store's processes, and bind no other name
+    assert (_gen(work), _gen_empty(work)) == (0, 0)
+    assert _run_empty(work) == 0
+    assert (work / "manifest.json").read_text(encoding="utf-8") == \
+        '{\n  "activities": {},\n  "process": "Empty"\n}\n'
+    capsys.readouterr()
+    assert _monitor(work) == 0
+    assert capsys.readouterr() == (_EMPTY_STDOUT, "")
+    assert _bind(work, process="Ghost") == 1
+    assert capsys.readouterr() == ("", "error: unknown process 'Ghost'\n")
+
+
+def test_monitor_refuses_a_log_of_a_process_the_store_does_not_hold(work, capsys):
+    # the store holds Empty only; its log with the process renamed is no log of the store
+    assert _gen_empty(work) == 0
+    assert _run_empty(work) == 0
+    log = work / "events.jsonl"
+    log.write_text(log.read_text(encoding="utf-8").replace('"Empty"', '"Ghost"'),
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == ("", f"error: {log}: line 2: unknown process 'Ghost'\n")
+    assert not (work / "report.json").exists()
+    assert _bind(work, process="Ghost") == 1
+    assert capsys.readouterr() == ("", "error: unknown process 'Ghost'\n")
 
 
 def _run(work, seed=None, out="events.jsonl"):
@@ -495,12 +561,12 @@ def test_monitor_rejects_a_second_start_or_end_of_an_instance(work, capsys, kind
 
 
 def test_monitor_rejects_a_process_end_with_no_start(work, capsys):
-    # its duration would be counted from a start the log never had
+    # its duration would be counted from a start the log never had; instance 1
+    # keeps no other record, as its first measured one would be refused first
     assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
     log = work / "events.jsonl"
-    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines.remove(next(line for line in lines
-                      if '"processStart"' in line and '"instance": 1,' in line))
+    lines = [line for line in log.read_text(encoding="utf-8").splitlines(keepends=True)
+             if '"instance": 1,' not in line or '"processEnd"' in line]
     log.write_text("".join(lines), encoding="utf-8")
     n = next(i for i, line in enumerate(lines)
              if '"processEnd"' in line and '"instance": 1,' in line)
@@ -509,6 +575,23 @@ def test_monitor_rejects_a_process_end_with_no_start(work, capsys):
     assert capsys.readouterr() == (
         "", f"error: {log}: line {n + 1}: processEnd of instance 1 has no processStart "
             "before it\n")
+    assert not (work / "report.json").exists()
+
+
+def test_monitor_rejects_a_measured_record_of_an_unstarted_instance(work, capsys):
+    # the records of instance 1 would be counted for its concepts, and not as an instance
+    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    log = work / "events.jsonl"
+    lines = [line for line in log.read_text(encoding="utf-8").splitlines(keepends=True)
+             if not ('"instance": 1,' in line and '"kind": "process' in line)]
+    log.write_text("".join(lines), encoding="utf-8")
+    n = next(i for i, line in enumerate(lines) if '"instance": 1,' in line
+             and json.loads(line)["kind"] in ("activityEnd", "serviceInvoke"))
+    kind = json.loads(lines[n])["kind"]
+    capsys.readouterr()
+    assert _monitor(work) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {log}: line {n + 1}: {kind} of instance 1 has no processStart before it\n")
     assert not (work / "report.json").exists()
 
 

@@ -60,17 +60,6 @@ def test_binding_for_unknown_service_rejected(order_pipeline, bindings):
         _manifest(order_pipeline, bad)
 
 
-def test_unknown_process_vs_empty_process(order_pipeline, bindings):
-    with pytest.raises(deploy.BindingError, match="unknown process"):
-        deploy.bind_services(order_pipeline.domain, bindings, order_pipeline.am,
-                             "Nope", known_processes=["HandleOrder"])
-    # a known process with no mapped activities yields an empty manifest
-    empty = deploy.bind_services(order_pipeline.domain, bindings,
-                                 order_pipeline.am, "Idle",
-                                 known_processes=["HandleOrder", "Idle"])
-    assert empty.rows == []
-
-
 def test_manifest_json_round_trip(order_pipeline, bindings):
     manifest = _manifest(order_pipeline, bindings)
     text = deploy.emit_manifest(manifest)

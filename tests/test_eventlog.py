@@ -281,7 +281,7 @@ def _ingest_outcome(lines):
     """The report of ``lines`` as JSON text (so -0.0 and NaN count), or the
     text of the DsprocError that ingest raised."""
     try:
-        probes = monitor.ingest(lines, _INGEST_STORE.am)
+        probes = monitor.ingest(lines, _INGEST_STORE)
     except DsprocError as exc:
         return "error", str(exc)
     return "report", monitor.render_report_json(monitor.build_report(probes, _INGEST_STORE))
