@@ -8,7 +8,9 @@ following line is one event record. For ``gatewayTaken`` records
 A record is an immutable :class:`EventRecord` tuple of the fields after
 ``seq`` in log order; a field that does not apply is ``None``. ``seq`` is
 not part of the record: it is the 1-based position of the record's line
-in the log, written by :func:`render_log`.
+in the log, written by :func:`render_log`, and :func:`read_log` refuses a
+record whose ``seq`` is not its position among the records since the last
+header.
 
 Each record line is exactly the bytes ``json.dumps`` gives for an object
 of ``seq`` and the record's fields in ``_FIELD_ORDER``, with every ``None``
@@ -80,7 +82,7 @@ _NUMBER_RE = f"(?:({_INT}{_FRACTION})|({_INT}))"
 _DURATION_RE = f"(?:({_UINT}{_FRACTION})|({_UINT}))"
 _STRING_RE = r'"([^"\\\x00-\x1f]*)"'
 _CANONICAL_TEXT = (
-    f'{{"seq": (?:{_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
+    f'{{"seq": ({_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
     f'"process": {_STRING_RE}, "instance": ({_INT})'
     + "".join(f'(?:, "{name}": {_STRING_RE}|)' for name in _FIELD_ORDER[5:10])
     + f'(?:, "duration_ms": {_DURATION_RE}|)}}\n?')
@@ -103,7 +105,7 @@ def _fullmatch():
 
 def _values(groups: tuple) -> tuple:
     """A record's values from the groups of its canonical line."""
-    ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
+    _seq, ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
         duration, duration_int = groups
     return (float(ts) if ts is not None else int(ts_int), kind, process,
             int(instance), uid, element_id, concept, service, status,
@@ -113,8 +115,8 @@ def _values(groups: tuple) -> tuple:
 
 def _decode_json(line: str) -> dict | tuple:
     """One log line by a single ``json.loads``: the header as a dict, a record
-    line as the values of its fields after ``seq`` (checked, not returned) in
-    log order, ``None`` for an absent one, a tuple equal to its record. Any
+    line as the values of its fields in log order, ``None`` for an absent
+    one, a tuple whose items after ``seq`` equal its record. Any
     other line (not JSON, not an object, a required field missing, a field of
     the wrong type, a time or duration that is not finite, a negative
     duration, an unsupported log version) raises DsprocError."""
@@ -142,19 +144,26 @@ def _decode_json(line: str) -> dict | tuple:
             raise DsprocError(f"malformed record: {_FIELD_ORDER[i]!r} is {what}")
     if values[10] is not None and values[10] < 0:
         raise DsprocError("malformed record: 'duration_ms' is negative")
-    return values[1:]
+    return values
 
 
 def read_log(lines: Iterable[str], kinds: Collection[str]) -> Iterator[tuple[int, dict | tuple]]:
     """``(line_no, values)`` for each line of ``lines`` that is not blank,
     numbered from 1, with the values :func:`_decode_json` gives; except
-    that a record line in the canonical form whose kind is not in ``kinds``
-    has its numbers, ``ts_ms``, ``instance`` and ``duration_ms``, as ``None``.
+    that a record's values leave out its ``seq``, and a record line in the
+    canonical form whose kind is not in ``kinds`` has its numbers, ``ts_ms``,
+    ``instance`` and ``duration_ms``, as ``None``.
 
     ``lines`` is read once, one line at a time. A line that does not decode
-    and is not blank raises :class:`DsprocError`, prefixed ``line N: ``.
+    and is not blank raises :class:`DsprocError`, prefixed ``line N: ``; so
+    does a record after a header whose ``seq`` is not its position among the
+    records since the last header. A record before the first header is not
+    checked: no log holds one, and ``monitor.ingest`` refuses it as a log
+    without its header.
     """
     fullmatch = _fullmatch()
+    headed = False
+    position = 0  # the records since the last header
     for line_no, line in enumerate(lines, 1):
         match = fullmatch(line)
         if match is None:
@@ -164,14 +173,24 @@ def read_log(lines: Iterable[str], kinds: Collection[str]) -> Iterator[tuple[int
                 if not line.strip():
                     continue
                 raise DsprocError(f"line {line_no}: {exc}") from None
+            if values.__class__ is dict:
+                headed, position = True, 0
+                yield line_no, values
+                continue
+            # compared as the text the canonical route captures
+            seq, values = str(values[0]), values[1:]
         else:
             groups = match.groups()
-            if groups[2] in kinds:
+            seq = groups[0]
+            if groups[3] in kinds:
                 values = _values(groups)
             else:
-                _, _, kind, process, _, uid, element_id, concept, service, status, _, _ = groups
+                _, _, _, kind, process, _, uid, element_id, concept, service, status, _, _ = groups
                 values = (None, kind, process, None, uid, element_id, concept, service, status,
                           None)
+        position += 1
+        if seq != str(position) and headed:
+            raise DsprocError(f"line {line_no}: seq {int(seq)}, expected {position}")
         yield line_no, values
 
 

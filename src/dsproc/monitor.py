@@ -92,14 +92,16 @@ def ingest(lines: Iterable[str], store: MappingStore) -> ProbeSet:
             instances = probes.instances[process]
             last = process
         if kind == "serviceInvoke":
-            if (log, instance) not in instances:
-                raise _unstarted(line_no, kind, instance)
+            record = instances.get((log, instance))
+            if record is None or record[1] is not None:
+                raise _outside(line_no, kind, instance, record)
             durations = durations_of.get((uid, service))
             if durations is not None:
                 durations.append(duration or 0.0)
         elif kind == "activityEnd":
-            if (log, instance) not in instances:
-                raise _unstarted(line_no, kind, instance)
+            record = instances.get((log, instance))
+            if record is None or record[1] is not None:
+                raise _outside(line_no, kind, instance, record)
             samples = samples_of.get(uid)
             if samples is None:
                 technical.append(duration or 0.0)
@@ -112,7 +114,7 @@ def ingest(lines: Iterable[str], store: MappingStore) -> ProbeSet:
         elif kind == "processEnd":
             record = instances.get((log, instance))
             if record is None:
-                raise _unstarted(line_no, kind, instance)
+                raise _outside(line_no, kind, instance, record)
             if record[1] is not None:
                 raise DsprocError(f"line {line_no}: second processEnd of instance {instance}")
             if ts < record[0]:
@@ -123,9 +125,13 @@ def ingest(lines: Iterable[str], store: MappingStore) -> ProbeSet:
     return probes
 
 
-def _unstarted(line_no: int, kind: str, instance: int) -> DsprocError:
-    return DsprocError(f"line {line_no}: {kind} of instance {instance} has no processStart "
-                       f"before it")
+def _outside(line_no: int, kind: str, instance: int, record: list | None) -> DsprocError:
+    """The error for a record of an instance that has not started (its
+    ``record`` is None) or has ended."""
+    if record is None:
+        return DsprocError(f"line {line_no}: {kind} of instance {instance} has no "
+                           f"processStart before it")
+    return DsprocError(f"line {line_no}: {kind} of instance {instance} after its processEnd")
 
 
 def _samples(activities: dict[str, list[Sample]]) -> list[Sample]:

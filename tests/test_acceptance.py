@@ -370,7 +370,7 @@ def test_c6_simulated_logs_take_the_canonical_route(order_pipeline, monkeypatch)
         generated = bpmn.generate_bpmn(common, "Rand")
         manifest = deploy.bind_services(_C2_DOMAIN, table, am, model.name)
         logs.append(log_lines(engine.simulate(generated, manifest, cfg), cfg))
-    expected = [list(map(eventlog._decode_json, lines[1:])) for lines in logs]
+    expected = [[eventlog._decode_json(line)[1:] for line in lines[1:]] for lines in logs]
 
     def json_route(line):
         raise AssertionError(f"line not in the canonical form: {line}")
@@ -406,13 +406,14 @@ def test_c7_monitoring_oracle_equivalence():
         fault_probs={a_uid: 0.1})
     cfg.validate()
     records = engine.simulate(p.generated, manifest, cfg)
-    lines = log_lines(records, cfg)
-    # plant a few technical (unmapped) activity completions too
+    # plant a few technical (unmapped) activity completions too, each just
+    # after the start of its instance
     for i, d in enumerate((12.5, 80.0, 9.0), start=1):
-        lines.append(json.dumps({
-            "seq": len(lines) + i, "ts_ms": d, "kind": "activityEnd",
-            "process": "P", "instance": i, "element_id": "A9",
-            "status": "ok", "duration_ms": d}))
+        start = next(n for n, r in enumerate(records)
+                     if r.kind == "processStart" and r.instance == i)
+        records.insert(start + 1, eventlog.EventRecord(
+            d, "activityEnd", "P", i, element_id="A9", status="ok", duration_ms=d))
+    lines = log_lines(records, cfg)
 
     probes = monitor.ingest(lines, p.store)
     report = monitor.build_report(probes, p.store)

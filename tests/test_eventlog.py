@@ -7,7 +7,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dsproc import engine, eventlog, monitor
 from dsproc.diagnostics import DsprocError
@@ -78,16 +78,34 @@ def test_equal_numbers_that_print_differently_keep_their_own_text(first, second)
 
 
 _finite = _int | st.floats(allow_nan=False, allow_infinity=False)
+# records read back as they are: a duration is finite and not below 0 (a
+# negative one is refused, see test_decode_line_rejects_a_bad_field)
+_valid_records = st.lists(_record(_text, _finite, durations=_int.filter(lambda n: n >= 0)
+                                  | st.floats(min_value=0.0, allow_infinity=False)),
+                          min_size=1, max_size=3)
+_HEADER_LINE = '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}'
 
 
-# a record read back is a valid one: its duration is finite and not below 0
-# (a negative one is refused, see test_decode_line_rejects_a_bad_field)
-@given(st.lists(_record(_text, _finite, durations=_int.filter(lambda n: n >= 0)
-                        | st.floats(min_value=0.0, allow_infinity=False)),
-                min_size=1, max_size=3))
-def test_log_line_decodes_to_its_record(records):
+@given(_valid_records, st.integers(1, 3), _int)
+def test_log_line_decodes_to_its_record(records, n, seq):
     kinds = {record.kind for record in records}
     assert [values for _, values in eventlog.read_log(_record_lines(records), kinds)] == records
+    # each log of a file is numbered from 1 after its own header
+    lines = [_HEADER_LINE, *_record_lines(records)] * 2
+    header = json.loads(_HEADER_LINE)
+    assert [values for _, values in eventlog.read_log(lines, kinds)] == [header, *records] * 2
+    # a record whose seq is not its position is refused, by the canonical
+    # pattern and by the json route alike
+    n = min(n, len(records))
+    assume(seq != n)
+    lines[n] = lines[n].replace(f'{{"seq": {n}, ', f'{{"seq": {seq}, ', 1)
+
+    def read(lines):
+        return list(eventlog.read_log(lines, kinds))
+    expected = ("error", f"line {n + 1}: seq {seq}, expected {n}")
+    assert _outcome(read, lines) == expected
+    with mock.patch.object(eventlog, "_fullmatch", lambda: lambda line: None):
+        assert _outcome(read, lines) == expected
 
 
 _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "instance": 1}
@@ -274,7 +292,21 @@ _vocabulary_line = st.builds(
     st.none() | st.sampled_from(["ok", "fault", "x"]),
     st.none() | _int | st.floats() | st.sampled_from([0, -0.0, 1.0]),
 ).map(lambda record: _record_lines([record])[0])
-_HEADER_LINE = '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}'
+
+
+def _numbered(lines):
+    """``lines`` with each record line that starts as render_log writes it
+    numbered by its position among the records since the last header."""
+    numbered, position = [], 0
+    for line in lines:
+        if line == _HEADER_LINE:
+            position = 0
+        elif line.strip():
+            position += 1
+            if line.startswith('{"seq": 1, '):
+                line = f'{{"seq": {position}, ' + line[len('{"seq": 1, '):]
+        numbered.append(line)
+    return numbered
 
 
 def _ingest_outcome(lines):
@@ -292,7 +324,7 @@ def _ingest_outcome(lines):
     *[_vocabulary_line] * 6, _mutated_line(_vocabulary_line),
     st.sampled_from(["", "\n", " \t\n", _HEADER_LINE])), min_size=2, max_size=12))
 def test_ingest_agrees_with_an_ingest_of_every_line_by_json_loads(header, lines):
-    lines = [_HEADER_LINE] + lines if header else lines
+    lines = _numbered([_HEADER_LINE] + lines if header else lines)
     # with a pattern that matches nothing, every line takes the json route
     with mock.patch.object(eventlog, "_fullmatch", lambda: lambda line: None):
         reference = _ingest_outcome(lines)

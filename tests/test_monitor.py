@@ -180,7 +180,8 @@ def test_a_process_end_with_no_start_is_refused():
     assert str(exc.value) == "line 3: processEnd of instance 1 has no processStart before it"
     # nor may its start come after it
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest([_HEADER, lines[2], _line(3, 0.0, "processStart", element_id="P")], store)
+        monitor.ingest([_HEADER, _line(1, 10.0, "processEnd", element_id="P"),
+                        _line(2, 0.0, "processStart", element_id="P")], store)
     assert str(exc.value) == "line 2: processEnd of instance 1 has no processStart before it"
 
 
@@ -188,19 +189,33 @@ def test_a_process_end_with_no_start_is_refused():
 def test_a_measured_record_of_an_unstarted_instance_is_refused(kind):
     # its sample would count for the concept, while the instance counts nowhere
     store = _single_concept_world()
-    record = _line(3, 10.0, kind, instance=2, element_uid="u1", service="s", duration_ms=10.0)
-    lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P"), record]
+
+    def record(seq):
+        return _line(seq, 10.0, kind, instance=2, element_uid="u1", service="s", duration_ms=10.0)
+    lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P"), record(2)]
     with pytest.raises(DsprocError) as exc:
         monitor.ingest(lines, store)
     assert str(exc.value) == f"line 3: {kind} of instance 2 has no processStart before it"
     # nor does a start of instance 2 in an earlier log start it in this one
     started = lines[:2] + [_line(2, 0.0, "processStart", instance=2, element_id="P")]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(started + [_HEADER, record], store)
+        monitor.ingest(started + [_HEADER, record(1)], store)
     assert str(exc.value) == f"line 5: {kind} of instance 2 has no processStart before it"
-    probes = monitor.ingest(started + [record], store)
+    probes = monitor.ingest(started + [record(3)], store)
     assert (probes.activities["C"]["u1"], probes.services["C"]["s"]) == (
         ([monitor.Sample(10.0, "ok", 2, 10.0)], []) if kind == "activityEnd" else ([], [10.0]))
+
+
+@pytest.mark.parametrize("kind", ["activityEnd", "serviceInvoke"])
+def test_a_measured_record_after_its_instance_ends_is_refused(kind):
+    # its sample would count for the concept after the instance was counted
+    store = _single_concept_world()
+    lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P"),
+             _line(2, 10.0, "processEnd", element_id="P"),
+             _line(3, 20.0, kind, element_uid="u1", service="s", duration_ms=10.0)]
+    with pytest.raises(DsprocError) as exc:
+        monitor.ingest(lines, store)
+    assert str(exc.value) == f"line 4: {kind} of instance 1 after its processEnd"
 
 
 def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
@@ -429,8 +444,8 @@ def test_propagated_to_concepts(order_pipeline):
     assert {(am[uid].concept, sla.name) for uid, sla in propagated} == expected
     assert expected
     # every mapped activity breaks every SLA: one alert per (concept, SLA)
-    lines = [_HEADER, _line(0, 0.0, "processStart", process="HandleOrder")]
-    for seq, (uid, entry) in enumerate(am.items(), start=1):
+    lines = [_HEADER, _line(1, 0.0, "processStart", process="HandleOrder")]
+    for seq, (uid, entry) in enumerate(am.items(), start=2):
         lines.append(_line(seq, 1e12, "activityEnd", process=entry.process,
                            element_uid=uid, duration_ms=1e12))
     alerts = monitor.evaluate_alerts(monitor.ingest(lines, order_pipeline.store), propagated,
