@@ -49,14 +49,25 @@ def _load(path: str, parse, validate):
 
 
 def _load_store(path: str, d: Domain) -> MappingStore:
+    """The mapping store at ``path``, which must be domain ``d``'s."""
     from . import mappings
-    if os.path.exists(path):
-        store = mappings.load_store(path)
-        if store.domain != d.name:
-            raise DsprocError(
-                f"{path} belongs to domain {store.domain!r}, not {d.name!r}")
-        return store
-    return mappings.MappingStore(domain=d.name)
+    store = mappings.load_store(path)
+    if store.domain != d.name:
+        raise DsprocError(f"{path} belongs to domain {store.domain!r}, not {d.name!r}")
+    return store
+
+
+def _load_mapped(domain_path: str, store_path: str) -> tuple[Domain, MappingStore]:
+    """The domain and the mapping store that ``bind`` and ``monitor`` read;
+    each concept the store maps must be the domain's."""
+    from . import domain as dom
+    d = _load(domain_path, dom.parse_domain, dom.validate_domain)
+    store = _load_store(store_path, d)
+    for uid, entry in store.am.items():
+        if d.concept(entry.concept) is None:
+            raise DsprocError(f"{store_path}: uid {uid} maps concept {entry.concept!r}, "
+                              f"which {domain_path} does not declare")
+    return d, store
 
 
 def _generate(proc_path: str, domain_path: str, mappings_path: str
@@ -69,7 +80,9 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
     d = _load(domain_path, dom.parse_domain, dom.validate_domain)
     model = _load(proc_path, lambda text: proc.parse_process(text, d),
                   lambda m: proc.validate_process(m, d))
-    store = _load_store(mappings_path, d)
+    # the first gen of a domain starts its store
+    store = _load_store(mappings_path, d) if os.path.exists(mappings_path) \
+        else mappings.MappingStore(domain=d.name)
     loaded_am = store.am
     registry = store.registry()
     common = pivot.to_common(model, d, registry)
@@ -130,9 +143,8 @@ def cmd_sync(args) -> int:
 
 
 def cmd_bind(args) -> int:
-    from . import deploy, domain as dom, mappings
-    d = _load(args.domain, dom.parse_domain, dom.validate_domain)
-    store = mappings.load_store(args.mappings)
+    from . import deploy
+    d, store = _load_mapped(args.domain, args.mappings)
     table = deploy.load_bindings(args.bindings)
     if args.process not in store.processes():
         raise DsprocError(f"unknown process {args.process!r}")
@@ -165,9 +177,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    from . import domain as dom, mappings, monitor
-    d = _load(args.domain, dom.parse_domain, dom.validate_domain)
-    store = mappings.load_store(args.mappings)
+    from . import domain as dom, monitor
+    d, store = _load_mapped(args.domain, args.mappings)
     with reading(args.events), open(args.events, "r", encoding="utf-8") as fh:
         probes = monitor.ingest(fh, store)
     propagated = dom.propagate_sla(d, store.am)

@@ -4,11 +4,22 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 import pytest
+from hypothesis import strategies as st
 
 from dsproc import bpmn, deploy, domain as dom, engine, mappings, pivot
 from dsproc import process as proc
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def utf8_table():
+    """Hypothesis builds its table of the characters UTF-8 encodes when a
+    strategy first needs it (``st.from_regex`` does), in about 2 s where
+    ``.hypothesis/`` holds no copy yet. Built before the first test, that
+    one-time cost falls in no test's draw timing, which the ``too_slow``
+    health check bounds at 1 s."""
+    st.characters(codec="utf-8").validate()
 
 
 @pytest.fixture(scope="session")

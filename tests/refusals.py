@@ -263,6 +263,14 @@ _NEVER_TO_U3 = _set_sim(branch_probs={"u2": {"f_u2_u3": 0.0, "f_u2_u4": 1.0}})
 _NO_U3_PROFILE = _set_manifest(lambda u3: u3["endpoints"][0].update(profile="nosuch"))
 _CROSSING = ("sequence flow '{}' references element 'u15' of subProcess 'u12' "
              "across a subProcess boundary")
+# a store that gen wrote for another domain, and one that maps a concept
+# (ReviewComment, uid u10) the domain no longer declares
+_OTHER_DOMAIN = _replace("mappings.json", '"domain": "OrderHandling"', '"domain": "Other"')
+_FOREIGN_STORE = "error: mappings.json belongs to domain 'Other', not 'OrderHandling'\n"
+_CONCEPT_RENAMED = _replace("order_handling.dsml", "concept ReviewComment {",
+                            "concept ReviewNote {")
+_UNDECLARED = ("error: mappings.json: uid u10 maps concept 'ReviewComment', which "
+               "order_handling.dsml does not declare\n")
 _RUN_EDITED = "run edited.bpmn --manifest manifest.json --sim sim.json -o edited.jsonl"
 _NOT_UTF8 = "error: {}: not UTF-8 text: invalid start byte\n"
 _BAD_JSON = ("malformed JSON: Expecting property name enclosed in double quotes: line 1 "
@@ -313,6 +321,8 @@ ROWS = [
     Row("test_missing_file_is_an_error_not_a_traceback", None,
         GEN.replace("order_handling.dsproc", "nope.dsproc"), 1,
         "error: [Errno 2] No such file or directory: 'nope.dsproc'\n", absent=("out.bpmn",)),
+    Row("test_a_store_of_another_domain_is_refused[gen]", _OTHER_DOMAIN, GEN, 1, _FOREIGN_STORE,
+        absent=("out.bpmn",)),
     Row("test_unwritable_output_exits_one_without_traceback[gen]", None,
         GEN.replace("out.bpmn", "nodir/out"), 1,
         "error: [Errno 2] No such file or directory: 'nodir/out'\n"),
@@ -337,7 +347,14 @@ ROWS = [
     Row("test_subprocesses_nested_too_deep_are_a_located_error[sync]",
         _write("deep.bpmn", nested_bpmn(3000)), SYNC.replace("edited.bpmn", "deep.bpmn"), 1,
         f"error: deep.bpmn: {_TOO_DEEP}\n", absent=("merged.bpmn",)),
-    # bind: the bindings and the mapping store
+    # bind: the bindings and the mapping store; bind and monitor read the store
+    # as gen left it, which must be the domain's and map no concept it lacks
+    *[Row(f"{name}[{id}]", edit, command, 1, stderr, absent=(out,))
+      for name, edit, stderr in [
+          ("test_a_store_of_another_domain_is_refused", _OTHER_DOMAIN, _FOREIGN_STORE),
+          ("test_a_store_mapping_a_concept_the_domain_lacks_is_refused", _CONCEPT_RENAMED,
+           _UNDECLARED)]
+      for id, command, out in [("bind", BIND, "out.json"), ("monitor", REPORT, "report.json")]],
     Row("test_bind_unknown_process_fails", None, BIND.replace("HandleOrder", "Ghost"), 1,
         "error: unknown process 'Ghost'\n", absent=("out.json",)),
     *[Row(f"test_malformed_json_input_names_the_file[{name}]", _write(f"{name}.json", "{bad"),

@@ -7,12 +7,12 @@ surfaces as a normal assertion error. Run with ``pytest -v tests/test_acceptance
 import difflib
 import json
 import math
-import random
 import shutil
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from dsproc import bpmn, cli, deploy, diagnostics, domain as dom, engine, eventlog, mappings
 from dsproc import monitor, pivot
@@ -20,6 +20,7 @@ from dsproc import process as proc
 
 from conftest import (FIXTURES, compile_pipeline, compile_sources,
                       fixed_bindings, fixed_config, log_lines)
+from models import worlds
 
 
 def _report(label: str) -> None:
@@ -70,81 +71,25 @@ def test_c1_use_case_reproduction(order_domain_text, order_process_text):
 # C2: BPMN round-trip over random process models
 
 
-_C2_DOMAIN = dom.parse_domain("""
-domain Rand {
-  service s1 { operation "one" }
-  service s2 { operation "two" }
-  concept K1 { label "k one" services [s1] }
-  concept K2 { label "k two" services [s2] }
-  concept K3 { label "k three" services [s1, s2] }
-}
-""")
-
-
-def _random_process(rng: random.Random, name: str) -> proc.ProcessModel:
-    concepts = ("K1", "K2", "K3")
-    nodes, flows = [], []
-    prev = "start"
-    n = 0
-
-    def fresh(prefix):
-        nonlocal n
-        n += 1
-        return f"{prefix}{n}"
-
-    # 2 nodes are start/end; blocks add 1 or 4 nodes, so stop near the cap
-    while len(nodes) + 2 < 20:
-        kind = rng.choice(("task", "task", "choice", "fork"))
-        if kind == "task":
-            nid = fresh("t")
-            nodes.append(proc.Node(nid, "concept", rng.choice(concepts)))
-            flows.append(proc.Flow(prev, nid))
-            prev = nid
-        else:
-            if len(nodes) + 6 > 20:
-                break
-            gw = "exclusive" if kind == "choice" else "parallel"
-            split, join = fresh("s"), fresh("j")
-            nodes.append(proc.Node(split, gw))
-            flows.append(proc.Flow(prev, split))
-            for _ in range(2):
-                nid = fresh("t")
-                nodes.append(proc.Node(nid, "concept", rng.choice(concepts)))
-                flows.append(proc.Flow(split, nid))
-                flows.append(proc.Flow(nid, join))
-            nodes.append(proc.Node(join, gw))
-            prev = join
-        if rng.random() < 0.25:
-            break
-    if not nodes:
-        nid = fresh("t")
-        nodes.append(proc.Node(nid, "concept", rng.choice(concepts)))
-        flows.append(proc.Flow(prev, nid))
-        prev = nid
-    flows.append(proc.Flow(prev, "end"))
-    body = proc.ProcessBody(
-        (proc.Node("start", "start"), *nodes, proc.Node("end", "end")), tuple(flows))
-    model = proc.ProcessModel(name, "Rand", body)
-    assert len(body.nodes) <= 20
-    return model
-
-
 def test_c2_round_trip_uid_multiset():
+    """Each drawn model's activities' conceptRef uids, read back from its BPMN, are its AM's."""
     started = time.perf_counter()
-    rng = random.Random(20260824)
-    for i in range(200):
-        model = _random_process(rng, f"P{i}")
-        registry = mappings.UidRegistry()
-        common = pivot.to_common(model, _C2_DOMAIN, registry)
-        am = mappings.build_am(common)
-        xml = bpmn.serialize_bpmn(bpmn.generate_bpmn(common, "Rand"))
-        parsed = bpmn.parse_bpmn(xml)
-        recovered = Counter(e.concept_uid for e in bpmn.walk_elements(parsed)
-                            if e.concept_uid is not None)
-        assert recovered == Counter(list(am)), f"mismatch in model {i}"
+    models = []
+
+    @settings(max_examples=70, deadline=None)
+    @given(worlds(least=3))
+    def round_trip(world):
+        for model in world.processes:
+            p = compile_pipeline(world.domain, model)
+            recovered = Counter(e.concept_uid for e in bpmn.walk_elements(bpmn.parse_bpmn(p.xml))
+                                if e.concept_uid is not None and e.kind != "subProcess")
+            assert recovered == Counter(list(p.am))
+            models.append(model)
+    round_trip()
     elapsed = time.perf_counter() - started
-    assert elapsed < 30.0, f"200 round trips took {elapsed:.2f}s"
-    _report(f"C2 round-trip uid multiset over 200 random models ({elapsed:.2f}s)")
+    assert len(models) >= 200
+    assert elapsed < 30.0, f"{len(models)} round trips took {elapsed:.2f}s"
+    _report(f"C2 round-trip uid multiset over {len(models)} random models ({elapsed:.2f}s)")
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +294,29 @@ def test_c6_simulator_determinism_and_semantics():
 
 def test_c6_simulated_logs_take_the_canonical_route(order_pipeline, monkeypatch):
     """Every record line that simulate and render_log write, for the fixtures
-    and for random C2 models with sampled durations and faults, is in the
+    and for drawn models with sampled durations and faults, is in the
     canonical form, so monitor reads dsproc's own logs by the pattern."""
     sim = diagnostics.load_input(FIXTURES / "sim.json", engine.SimulationConfig.from_json)
     manifest = deploy.bind_services(order_pipeline.domain,
                                     deploy.load_bindings(FIXTURES / "bindings.json"),
                                     order_pipeline.am, order_pipeline.model.name)
     logs = [log_lines(engine.simulate(order_pipeline.generated, manifest, sim), sim)]
-    rng = random.Random(20261018)
-    table = {"s1": deploy.Binding("sim://one", "u"), "s2": deploy.Binding("sim://two", "n")}
-    for i in range(10):
-        model = _random_process(rng, f"P{i}")
-        common = pivot.to_common(model, _C2_DOMAIN, mappings.UidRegistry())
-        am = mappings.build_am(common)
-        cfg = engine.SimulationConfig(
-            instance_count=20, seed=i,
-            profiles={"u": engine.DurationProfile("uniform", low=0.0, high=2e-4),
-                      "n": engine.DurationProfile("normal", mean=3e-5, stddev=1e4)},
-            fault_probs={uid: 0.1 for uid in am})
-        generated = bpmn.generate_bpmn(common, "Rand")
-        manifest = deploy.bind_services(_C2_DOMAIN, table, am, model.name)
-        logs.append(log_lines(engine.simulate(generated, manifest, cfg), cfg))
+    profiles = {"u": engine.DurationProfile("uniform", low=0.0, high=2e-4),
+                "n": engine.DurationProfile("normal", mean=3e-5, stddev=1e4)}
+
+    @settings(max_examples=10, deadline=None)
+    @given(worlds())
+    def simulate(world):
+        d = world.domain
+        table = {s.name: deploy.Binding(f"sim://{s.name}", "un"[i % 2])
+                 for i, s in enumerate(d.services)}
+        for model in world.processes:
+            p = compile_pipeline(d, model)
+            cfg = engine.SimulationConfig(instance_count=20, seed=len(logs), profiles=profiles,
+                                          fault_probs={uid: 0.1 for uid in p.am})
+            manifest = deploy.bind_services(d, table, p.am, model.name)
+            logs.append(log_lines(engine.simulate(p.generated, manifest, cfg), cfg))
+    simulate()
     expected = [[eventlog._decode_json(line)[1:] for line in lines[1:]] for lines in logs]
 
     def json_route(line):

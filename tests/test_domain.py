@@ -1,10 +1,12 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings
 
 from dsproc import domain as dom
 from dsproc.diagnostics import ParseError
+
+from models import worlds
 
 
 def test_concept_with_two_services():
@@ -158,41 +160,12 @@ def test_fixture_round_trip(order_domain):
     assert again == order_domain
 
 
-_ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
-_label = st.text(
-    alphabet=st.characters(whitelist_categories=("L", "N"), whitelist_characters=" _-"),
-    min_size=1, max_size=20)
-
-
-@st.composite
-def _domains(draw):
-    svc_names = draw(st.lists(_ident, min_size=1, max_size=4, unique=True))
-    services = tuple(dom.DSService(n, draw(_label)) for n in svc_names)
-    sla_names = draw(st.lists(_ident, min_size=0, max_size=2, unique=True))
-    slas = tuple(
-        dom.Sla(n, draw(st.sampled_from(("max_duration", "max_mean_duration"))),
-                float(draw(st.integers(0, 1000))),
-                draw(st.sampled_from(("ms", "s", "min", "h", "d"))),
-                draw(st.sampled_from(dom.SLA_SEVERITIES)))
-        for n in sla_names)
-    concept_names = draw(st.lists(_ident, min_size=0, max_size=5, unique=True))
-    concepts = []
-    for n in concept_names:
-        refs = tuple(draw(st.lists(st.sampled_from(svc_names), min_size=1,
-                                   max_size=3, unique=True)))
-        sla_ref = draw(st.sampled_from(sla_names)) if sla_names and draw(st.booleans()) \
-            else None
-        deps = tuple(x for x in draw(st.lists(st.sampled_from(concept_names),
-                                              min_size=0, max_size=2, unique=True))
-                     if x != n and concept_names.index(x) < concept_names.index(n))
-        concepts.append(dom.DSConcept(n, draw(_label),
-                                      draw(st.integers(1, 5)), refs, sla_ref, deps))
-    return dom.Domain(draw(_ident), tuple(concepts), services, slas)
-
-
-@given(_domains())
-def test_round_trip_property(d):
-    assert dom.parse_domain(dom.serialize_domain(d)) == d
+@settings(deadline=None)
+@given(worlds())
+def test_round_trip_property(world):
+    again = dom.parse_domain(dom.serialize_domain(world.domain))
+    assert again == world.domain
+    assert [x for x in dom.validate_domain(again) if x.severity == "error"] == []
 
 
 def test_propagate_sla_empty_when_no_slas():

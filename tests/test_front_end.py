@@ -144,6 +144,7 @@ def test_whole_model_errors_are_located(tmp_path, capsys, dsml, dsproc, stdout):
 _CHARS = list("aZ_09.{}[],:->\" \t\n") + ["@", "é", '"', "\\", "\r", "#"]
 
 
+# not tests/models.py's worlds(): the one-character fuzz needs invalid domains (cycles) too
 @st.composite
 def _generated_domain(draw) -> str:
     names = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))

@@ -1,11 +1,12 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings
 
-from dsproc import domain as dom
 from dsproc import process as proc
 from dsproc.diagnostics import ParseError
+
+from models import worlds
 
 
 def test_minimal_process(order_domain):
@@ -155,61 +156,14 @@ def test_concept_refs_all_resolve(order_domain, order_process):
         assert order_domain.concept(node.concept) is not None
 
 
-_TINY_DOMAIN = dom.parse_domain("""
-domain Tiny {
-  service s { operation "op" }
-  concept C1 { label "c one" services [s] }
-  concept C2 { label "c two" services [s] }
-  concept C3 { label "c three" services [s] }
-}
-""")
-
-_concepts = st.sampled_from(("C1", "C2", "C3"))
-
-
-@st.composite
-def _processes(draw):
-    # structured generator: a chain of blocks is always a valid process
-    n_blocks = draw(st.integers(1, 4))
-    nodes, flows = [], []
-    prev = "start"
-    counter = [0]
-
-    def fresh(prefix):
-        counter[0] += 1
-        return f"{prefix}{counter[0]}"
-
-    for _ in range(n_blocks):
-        kind = draw(st.sampled_from(("task", "choice", "fork")))
-        if kind == "task":
-            nid = fresh("t")
-            nodes.append(proc.Node(nid, "concept", draw(_concepts)))
-            flows.append(proc.Flow(prev, nid))
-            prev = nid
-        else:
-            gw_kind = "exclusive" if kind == "choice" else "parallel"
-            split, join = fresh("s"), fresh("j")
-            nodes.append(proc.Node(split, gw_kind))
-            flows.append(proc.Flow(prev, split))
-            for b in range(2):
-                nid = fresh("t")
-                nodes.append(proc.Node(nid, "concept", draw(_concepts)))
-                cond = draw(st.sampled_from((None, "yes", "no"))) \
-                    if gw_kind == "exclusive" else None
-                flows.append(proc.Flow(split, nid, condition=cond))
-                flows.append(proc.Flow(nid, join))
-            nodes.append(proc.Node(join, gw_kind))
-            prev = join
-    flows.append(proc.Flow(prev, "end"))
-    body = proc.ProcessBody(
-        (proc.Node("start", "start"), *nodes, proc.Node("end", "end")), tuple(flows))
-    return proc.ProcessModel(draw(st.sampled_from(("P", "Q"))), "Tiny", body)
-
-
-@given(_processes())
-def test_round_trip_property(model):
-    text = proc.serialize_process(model)
-    assert proc.parse_process(text, _TINY_DOMAIN) == model
+@settings(max_examples=34, deadline=None)  # 102 processes
+@given(worlds(least=3))
+def test_round_trip_property(world):
+    for model in world.processes:
+        again = proc.parse_process(proc.serialize_process(model), world.domain)
+        assert again == model
+        assert [x for x in proc.validate_process(again, world.domain)
+                if x.severity == "error"] == []
 
 
 def test_foreign_domain_is_a_located_error(order_domain):
