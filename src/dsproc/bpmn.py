@@ -69,7 +69,7 @@ def generate_bpmn(m: CommonModel, domain_name: str) -> BpmnModel:
         levels[path] = _lower_level(level)
         work.extend((path + (ce.uid,), ce.inner) for ce in reversed(level.elements)
                     if ce.inner is not None)
-    return BpmnModel(_ncname(m.name), levels, domain_name)
+    return BpmnModel(m.name, levels, domain_name)
 
 
 def _lower_level(m: CommonModel) -> tuple[list[BpmnElement], list[SequenceFlow]]:
@@ -266,9 +266,3 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1] if "}" in tag else tag
 
-
-def _ncname(name: str) -> str:
-    safe = "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in name)
-    if not safe or safe[0].isdigit() or safe[0] in ".-":
-        safe = "_" + safe
-    return safe

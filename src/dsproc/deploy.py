@@ -43,7 +43,7 @@ def load_bindings(path) -> BindingTable:
 
 EndpointRef = namedtuple("EndpointRef", "service endpoint profile", defaults=(None,))
 # one mapped activity: its abstract ``services`` and their ``endpoints``
-ManifestRow = namedtuple("ManifestRow", "uid element concept services endpoints")
+ManifestRow = namedtuple("ManifestRow", "uid concept services endpoints")
 # ``rows`` are ordered by uid
 DeploymentManifest = namedtuple("DeploymentManifest", "process rows", defaults=((),))
 
@@ -62,8 +62,6 @@ def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
         if entry.process != process:
             continue
         concept = d.concept(entry.concept)
-        if concept is None:
-            raise BindingError(f"mapped concept {entry.concept!r} missing from domain")
         endpoints: list[EndpointRef] = []
         for svc in concept.service_refs:
             binding = table.get(svc)
@@ -72,8 +70,7 @@ def bind_services(d: Domain, table: BindingTable, am: ActivityMappings,
                     missing.append(svc)
                 continue
             endpoints.append(EndpointRef(svc, binding.endpoint, binding.profile))
-        rows.append(ManifestRow(uid, entry.element, entry.concept,
-                                list(concept.service_refs), endpoints))
+        rows.append(ManifestRow(uid, entry.concept, list(concept.service_refs), endpoints))
     if missing:
         raise BindingError("unbound abstract services: " + ", ".join(sorted(missing)))
     return DeploymentManifest(process, rows)
@@ -84,7 +81,6 @@ def emit_manifest(m: DeploymentManifest) -> str:
         "process": m.process,
         "activities": {
             r.uid: {
-                "element": r.element,
                 "concept": r.concept,
                 "services": r.services,
                 "endpoints": [e._asdict() for e in r.endpoints],
@@ -106,10 +102,8 @@ def parse_manifest(text: str) -> DeploymentManifest:
             endpoints.append(EndpointRef(json_field(e, "service", "string", where),
                                          json_field(e, "endpoint", "string", where),
                                          json_field(e, "profile", "string", where, None)))
-        rows.append(ManifestRow(
-            uid, json_field(entry, "element", "string", path),
-            json_field(entry, "concept", "string", path),
-            json_elements(entry, "services", "string", path), endpoints))
+        rows.append(ManifestRow(uid, json_field(entry, "concept", "string", path),
+                                json_elements(entry, "services", "string", path), endpoints))
     rows.sort(key=lambda r: r.uid)
     return DeploymentManifest(process, rows)
 

@@ -33,8 +33,6 @@ class DSService(diag.Located, namedtuple("DSService", "name operation")):
 class Sla(diag.Located, namedtuple("Sla", "name metric threshold unit severity")):
     def threshold_ms(self) -> float:
         """Threshold converted to milliseconds (duration metrics only)."""
-        if self.unit == "ratio":
-            raise DsprocError(f"SLA {self.name!r} has no duration threshold")
         return self.threshold * TIME_UNITS[self.unit]
 
 
@@ -196,8 +194,6 @@ def validate_domain(d: Domain) -> list[Diagnostic]:
     for s in d.slas:
         if d.sla(s.name) is not s:
             out.append(diag.error(f"duplicate SLA name {s.name!r}", s.line))
-        if s.threshold < 0:
-            out.append(diag.error(f"SLA {s.name!r} threshold must be >= 0", s.line))
         if s.metric == "max_fault_rate":
             if s.unit != "ratio":
                 out.append(diag.error(
@@ -336,11 +332,7 @@ def propagate_sla(d: Domain, am) -> list[tuple[str, Sla]]:
             raise DsprocError(f"activity mapping references unknown concept {entry.concept!r}")
         if concept.sla_ref is None:
             continue
-        sla = d.sla(concept.sla_ref)
-        if sla is None:
-            raise DsprocError(f"concept {entry.concept!r} references undeclared SLA "
-                              f"{concept.sla_ref!r}")
-        out.append((uid, sla))
+        out.append((uid, d.sla(concept.sla_ref)))
     return out
 
 

@@ -25,11 +25,12 @@ class UidRegistry:
 
     def __init__(self, entries: dict[str, str] | None = None):
         self._entries: dict[str, str] = dict(entries or {})
-        self._taken = set(self._entries.values())
-        if len(self._taken) != len(self._entries):
+        taken = set(self._entries.values())
+        if len(taken) != len(self._entries):
             raise MappingError("uid registry is not injective")
+        # past every numeric uid taken, so no uid it makes is taken
         self._next = 1 + max(
-            (int(u[1:]) for u in self._taken if u.startswith("u") and u[1:].isdigit()),
+            (int(u[1:]) for u in taken if u.startswith("u") and u[1:].isdecimal()),
             default=0,
         )
         self.new_allocations = 0
@@ -38,12 +39,9 @@ class UidRegistry:
         uid = self._entries.get(path)
         if uid is not None:
             return uid
-        while f"u{self._next}" in self._taken:
-            self._next += 1
         uid = f"u{self._next}"
         self._next += 1
         self._entries[path] = uid
-        self._taken.add(uid)
         self.new_allocations += 1
         return uid
 
@@ -52,7 +50,8 @@ class UidRegistry:
         return dict(self._entries)
 
 
-AmEntry = namedtuple("AmEntry", "concept process element")
+# a mapped activity: its concept and its process; the uid keys it
+AmEntry = namedtuple("AmEntry", "concept process")
 
 # The union of per-process activity -> concept maps, keyed by uid
 ActivityMappings = dict[str, AmEntry]
@@ -76,7 +75,7 @@ def build_am(model) -> ActivityMappings:
             if element.inner is not None:
                 levels.append(element.inner)
             elif element.concept is not None:
-                am[element.uid] = AmEntry(element.concept, model.name, element.uid)
+                am[element.uid] = AmEntry(element.concept, model.name)
     return am
 
 

@@ -217,12 +217,10 @@ def _check_sla(concept: str, samples: list[Sample], sla: Sla) -> Alert | None:
         threshold = sla.threshold_ms()
         observed = _stats([s.duration_ms for s in samples])["mean_ms"]
         violating = samples  # a mean is dated by every sample, and names no instance
-    elif sla.metric == "max_fault_rate":
+    else:  # max_fault_rate, the last of SLA_METRICS
         threshold = sla.threshold
         violating = [s for s in samples if s.status == "fault"]
         observed = len(violating) / len(samples)
-    else:
-        raise DsprocError(f"unknown SLA metric {sla.metric!r}")
     if observed <= threshold:
         return None
     return Alert(sla.name, concept, sla.metric, observed, threshold, sla.severity,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .diagnostics import DsprocError
-
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from .domain import Domain
@@ -61,17 +59,13 @@ def _lower_body(body: ProcessBody, d: Domain, registry: UidRegistry,
             elements.append(CommonElement(uid, END))
         elif node.kind in ("exclusive", "parallel"):
             elements.append(CommonElement(uid, node.kind, label=node.id))
-        elif node.kind == "concept":
+        else:  # a concept, which validate_process or validate_domain resolved
             concept = d.concept(node.concept)
-            if concept is None:
-                raise DsprocError(f"unresolved concept {node.concept!r} in {path}")
             inner = None
             if concept.subprocess is not None:
                 inner = _lower_body(concept.subprocess, d, registry, node_path, node_path)
             kind = ACTIVITY if inner is None else SUBPROCESS
             elements.append(CommonElement(uid, kind, concept.label, concept.name, inner))
-        else:  # pragma: no cover - parser only emits the kinds above
-            raise DsprocError(f"unknown node kind {node.kind!r}")
 
     flows = tuple(
         CommonFlow(uid_of[f.source], uid_of[f.target], f.condition, f.exceptional)

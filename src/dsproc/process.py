@@ -131,12 +131,10 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
     prefix = f"{where}: " if where else ""
     ids = {n.id: n for n in body.nodes}  # parse_body rejects a duplicate id
 
-    starts = [n for n in body.nodes if n.kind == "start"]
+    # parse_body puts the one start first, and refuses a second
     ends = [n for n in body.nodes if n.kind == "end"]
-    if len(starts) != 1:
-        out.append(diag.error(f"{prefix}expected exactly one start node, found {len(starts)}"))
     if not ends:
-        out.append(diag.error(f"{prefix}no flow reaches 'end'", starts[0].line if starts else None))
+        out.append(diag.error(f"{prefix}no flow reaches 'end'", body.nodes[0].line))
 
     outgoing: dict = {n.id: [] for n in body.nodes}  # each node's flow targets
     incoming: dict = {n.id: [] for n in body.nodes}  # and flow sources
@@ -165,17 +163,16 @@ def validate_body(body: ProcessBody, domain: Domain | None, where: str = "") -> 
                 out.append(diag.error(f"{prefix}unknown concept {n.concept!r}", n.line))
 
     # reachability from start, and every node must be able to reach an end
-    if len(starts) == 1:
-        seen = diag.reachable(["start"], outgoing)
+    seen = diag.reachable(["start"], outgoing)
+    for n in body.nodes:
+        if n.id not in seen:
+            out.append(diag.error(f"{prefix}node {n.id!r} is unreachable from start", n.line))
+    if ends:
+        co_seen = diag.reachable([e.id for e in ends], incoming)
         for n in body.nodes:
-            if n.id not in seen:
-                out.append(diag.error(f"{prefix}node {n.id!r} is unreachable from start", n.line))
-        if ends:
-            co_seen = diag.reachable([e.id for e in ends], incoming)
-            for n in body.nodes:
-                if n.id in seen and n.id not in co_seen:
-                    out.append(diag.error(
-                        f"{prefix}node {n.id!r} lies on no path to an end node", n.line))
+            if n.id in seen and n.id not in co_seen:
+                out.append(diag.error(
+                    f"{prefix}node {n.id!r} lies on no path to an end node", n.line))
 
     for n in body.nodes:
         if n.kind != "end" and not outgoing.get(n.id):

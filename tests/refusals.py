@@ -271,6 +271,21 @@ _CONCEPT_RENAMED = _replace("order_handling.dsml", "concept ReviewComment {",
                             "concept ReviewNote {")
 _UNDECLARED = ("error: mappings.json: uid u10 maps concept 'ReviewComment', which "
                "order_handling.dsml does not declare\n")
+# three SLAs whose threshold does not fit their metric
+_BAD_SLAS = """  sla FaultsInMs { max_fault_rate 1 ms severity info }
+  sla FaultsAboveOne { max_fault_rate 2 ratio severity info }
+  sla DurationInRatio { max_duration 1 ratio severity info }
+"""
+# a parallel split with no join, and a node of a concept the domain lacks
+_UNBALANCED = """process P uses OrderHandling {
+  node fork: parallel
+  node a: concept Nope
+  start -> fork
+  fork -> a
+  fork -> end
+  a -> end
+}
+"""
 _RUN_EDITED = "run edited.bpmn --manifest manifest.json --sim sim.json -o edited.jsonl"
 _NOT_UTF8 = "error: {}: not UTF-8 text: invalid start byte\n"
 _BAD_JSON = ("malformed JSON: Expecting property name enclosed in double quotes: line 1 "
@@ -314,6 +329,47 @@ ROWS = [
                              "  node a: exclusive\n}\n"),
         "check order_handling.dsml dup.dsproc", 1,
         "error: dup.dsproc:3:8: duplicate node id 'a'\n"),
+    Row("test_check_locates_a_services_clause_without_its_list",
+        _replace("order_handling.dsml", "services [svcWebOrder]", "services x"),
+        "check order_handling.dsml", 1,
+        "error: order_handling.dsml:21:14: expected '[', found 'x'\n"),
+    Row("test_check_reports_each_sla_threshold_that_does_not_fit_its_metric",
+        _replace("order_handling.dsml", "\n\n  concept ReceiveWebOrder", "\n" + _BAD_SLAS
+                 + "\n  concept ReceiveWebOrder"),
+        "check order_handling.dsml", 1, stdout=(
+            "order_handling.dsml: error at 18: SLA 'FaultsInMs': fault-rate threshold needs "
+            "unit 'ratio'\n"
+            "order_handling.dsml: error at 19: SLA 'FaultsAboveOne': fault-rate threshold "
+            "must be <= 1\n"
+            "order_handling.dsml: error at 20: SLA 'DurationInRatio': duration metric needs a "
+            "time unit\n")),
+    # ReviewComment and HandlePayment depend on it; the subprocess's node uses another
+    Row("test_check_reports_each_reference_to_an_unknown_concept",
+        _all(_replace("order_handling.dsml", "ReceiveMailOrder]", "ReceiveFaxOrder]"),
+             _replace("order_handling.dsml", "concept PackageItems\n", "concept PackItems\n")),
+        "check order_handling.dsml", 1, stdout=(
+            "order_handling.dsml: error at 43: concept 'ReviewComment' depends on unknown "
+            "concept 'ReceiveFaxOrder'\n"
+            "order_handling.dsml: error at 52: concept 'HandlePayment' depends on unknown "
+            "concept 'ReceiveFaxOrder'\n"
+            "order_handling.dsml: error at 72: concept 'ProcessShippingCost' subprocess "
+            "references unknown concept 'PackItems'\n")),
+    *[Row(f"test_check_locates_a_malformed_statement[{id}]",
+          _replace("order_handling.dsproc", old, new),
+          "check order_handling.dsml order_handling.dsproc", 1,
+          f"error: order_handling.dsproc:{where}: expected {what}\n")
+      for id, old, new, where, what in [
+          ("node-name", "node route: exclusive", 'node "x": exclusive', "3:8",
+           "IDENT, found 'x'"),
+          ("node-colon", "node route: exclusive", "node route exclusive", "3:14",
+           "':', found 'exclusive'"),
+          ("node-kind", "node route: exclusive", 'node route: "x"', "3:15", "IDENT, found 'x'"),
+          ("flow-arrow", "web -> merge", "web merge", "18:7", "'->', found 'merge'")]],
+    # a diagnostic of the whole body, such as this warning, has no line
+    Row("test_check_lists_a_warning_without_a_line",
+        _write("p.dsproc", _UNBALANCED), "check order_handling.dsml p.dsproc", 1, stdout=(
+            "p.dsproc: error at 3: unknown concept 'Nope'\n"
+            "p.dsproc: warning: unbalanced parallel gateways (1 splits, 0 joins)\n")),
     Row("test_input_that_is_not_utf8_is_named_without_traceback[check-domain]",
         _edit("order_handling.dsml", lambda text: text.replace(
             "domain OrderHandling {", "domain OrderHandling {\n  # Pr\xfcfung").encode("latin-1")),
@@ -377,7 +433,24 @@ ROWS = [
           ("gateway-by-node-name", "branch_probs", {"route": {"x": 1.0}},
            "field 'branch_probs.route' names no exclusive gateway of process 'HandleOrder'"),
           ("activity-as-gateway", "branch_probs", {"u3": {"f_u3_u8": 1.0}},
-           "field 'branch_probs.u3' names no exclusive gateway of process 'HandleOrder'")]],
+           "field 'branch_probs.u3' names no exclusive gateway of process 'HandleOrder'"),
+          ("unknown-flow", "branch_probs", {"u2": {"f_u2_u3": 0.5, "f_u2_u4": 0.5, "zz": 0.0}},
+           "branch probabilities for 'u2' name unknown flows: zz")]],
+    # a probability outside [0, 1] (these two add up to 1), and a uniform
+    # profile whose range is empty
+    *[_run_fails(f"test_run_rejects_a_probability_or_range_it_cannot_draw_from[{id}]", edit,
+                 message)
+      for id, edit, message in [
+          ("branch-probability", _set_sim(branch_probs={"u2": {"f_u2_u3": -0.5, "f_u2_u4": 1.5}}),
+           "branch probability u2/f_u2_u3 out of [0, 1]"),
+          ("fault-probability", _set_sim(fault_probs={"u3": 1.5}),
+           "fault probability for 'u3' out of [0, 1]"),
+          ("uniform-low-above-high", _replace("sim.json", '"low": 10, "high": 50',
+                                              '"low": 50, "high": 10'),
+           "uniform profile requires 0 <= low <= high")]],
+    _run_fails("test_run_rejects_an_endpoint_it_cannot_time",
+               _set_manifest(lambda u3: u3["endpoints"][0].pop("profile")),
+               "endpoint has no duration profile and no default is set"),
     # an infinite duration made report.json hold Infinity and NaN, which JSON has not
     _run_fails("test_run_rejects_a_fixed_profile_of_infinite_value",
                _replace("sim.json", '"fast": {"kind": "uniform", "low": 10, "high": 50}',
@@ -407,6 +480,11 @@ ROWS = [
         "error: instance_count must be >= 1\n", absent=("out.jsonl",)),
     _run_fails("test_run_names_a_malformed_bpmn_file", _write("order.bpmn", "<bad"),
                "malformed XML: unclosed token: line 1, column 0", "order.bpmn"),
+    *[_run_fails(f"test_run_names_a_bpmn_file_without_its_process[{id}]",
+                 _write("order.bpmn", f'<{root} xmlns="{BPMN_NS}"/>'), message, "order.bpmn")
+      for id, root, message in [
+          ("process-as-root", "process", "expected definitions root, found 'process'"),
+          ("no-process", "definitions", "no process element found")]],
     _run_fails("test_subprocesses_nested_too_deep_are_a_located_error[run]",
                _all(_write("deep.bpmn", nested_bpmn(3000)),
                     _write("empty.json", '{"process": "P", "activities": {}}')),
@@ -425,7 +503,9 @@ ROWS = [
           ("number-profile", _write("sim.json", '{"profiles": {"p": 3}}'), "sim.json",
            "field 'profiles.p' must be an object, found number"),
           ("activity-without-concept", _set_manifest(lambda u3: u3.pop("concept")),
-           "manifest.json", "missing field 'activities.u3.concept'")]],
+           "manifest.json", "missing field 'activities.u3.concept'"),
+          ("number-service", _set_manifest(lambda u3: u3.update(services=[1])),
+           "manifest.json", "field 'activities.u3.services[0]' must be a string, found number")]],
     Row("test_unwritable_output_exits_one_without_traceback[run]", None,
         RUN.replace("out.jsonl", "nodir/out"), 1,
         "error: [Errno 2] No such file or directory: 'nodir/out'\n"),

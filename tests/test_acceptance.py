@@ -424,7 +424,7 @@ def test_c7_monitoring_oracle_equivalence():
 
 def test_c8_alert_soundness_completeness():
     from dsproc.mappings import AmEntry
-    am = {"u1": AmEntry("C", "P", "u1")}
+    am = {"u1": AmEntry("C", "P")}
     store = mappings.MappingStore("D", am=am, uids={"P/c": "u1"})
     header = '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}'
     lines = [header]

@@ -357,10 +357,11 @@ def test_monitor_writes_report_and_alerts(work, capsys):
 
 
 def test_module_entry_point(work):
+    # dsproc from this checkout, whether or not it is installed
     result = subprocess.run(
         [sys.executable, "-m", "dsproc.cli", "check",
          str(work / "order_handling.dsml")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC})
     assert result.returncode == 0
 
 

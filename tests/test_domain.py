@@ -172,7 +172,7 @@ def test_propagate_sla_empty_when_no_slas():
     from dsproc.mappings import AmEntry
     d = dom.Domain("D", concepts=(dom.DSConcept("A", "a", service_refs=("s",)),),
                    services=(dom.DSService("s", "op"),))
-    am = {"u1": AmEntry("A", "P", "u1")}
+    am = {"u1": AmEntry("A", "P")}
     assert dom.propagate_sla(d, am) == []
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -457,6 +458,16 @@ def test_branch_probabilities_are_added_left_to_right():
     assert str(exc.value) == "branch probabilities for gateway 'g' sum to 1.001, not 1"
 
 
+def test_a_draw_past_the_rounded_sum_of_the_branch_probabilities_takes_the_last_flow():
+    # ten flows at 0.1 add up to 0.9999999999999999, which is 1 - 2**-53, the
+    # largest draw random() can give; no flow's share holds it
+    flows = [bpmn.SequenceFlow(f"f{i}", "g", f"t{i}") for i in range(10)]
+    probs = {f.id: 0.1 for f in flows}
+    assert engine.sum_in_order(probs.values()) == 1 - 2**-53
+    largest_draw = SimpleNamespace(random=lambda: 1 - 2**-53)
+    assert engine._choose(flows, probs, largest_draw) is flows[-1]
+
+
 @pytest.mark.parametrize("kind, numbers, message", [
     ("fixed", {"value": math.nan}, "fixed duration must be >= 0"),
     ("fixed", {"value": math.inf}, "fixed profile requires a finite value"),
@@ -504,6 +515,17 @@ def test_fault_probs_name_a_technical_task_by_its_id():
     records = engine.simulate(model, manifest, fixed_config(instances=2, fault_probs={"A9": 1.0}))
     ends = [r.status for r in records if r.kind == "processEnd"]
     assert ends == ["fault", "fault"]
+
+
+def test_a_token_at_an_element_without_outgoing_flow_ends_there():
+    p = compile_sources(_DOMAIN, _LINEAR)
+    manifest = deploy.bind_services(p.domain, fixed_bindings(p.domain), p.am, "P")
+    (a_uid,) = p.am
+    flows = p.generated.levels[()][1]
+    flows[:] = [f for f in flows if f.source != a_uid]
+    records = engine.simulate(p.generated, manifest, fixed_config(instances=2))
+    assert [(r.instance, r.ts_ms, r.status) for r in records if r.kind == "processEnd"] == \
+        [(1, 100.0, "ok"), (2, 100.0, "ok")]
 
 
 def test_config_json_round_trip(tmp_path):

@@ -279,7 +279,7 @@ def test_decode_line_agrees_with_the_json_route(line):
 # logs of two mapped processes: canonical record lines of a small vocabulary,
 # the same lines mutated, blank lines and headers, in any order
 _INGEST_STORE = MappingStore("D", cm={"C": ["s1"], "D": ["s2"]},
-                             am={"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("D", "Q", "u2")},
+                             am={"u1": AmEntry("C", "P"), "u2": AmEntry("D", "Q")},
                              uids={"P/a": "u1", "Q/b": "u2"})
 _vocabulary_line = st.builds(
     eventlog.EventRecord,

@@ -138,6 +138,100 @@ def test_an_alerting_run_is_pinned(tmp_path, capsys):
     assert _sha256(tmp_path / "report.json") == _PINNED_REPORT_SHA256
 
 
+# ---------------------------------------------------------------------------
+# a technical task: the modeller adds a serviceTask with no conceptRef to the
+# generated file, sync keeps it, and run times it by the default profile
+
+TECHNICAL = FIXTURES / "technical"
+_AUDIT_EDIT = (
+    '    <bpmn:sequenceFlow id="f_u9_u10" sourceRef="u9" targetRef="u10"/>\n',
+    '    <bpmn:serviceTask id="audit" name="Audit"/>\n'
+    '    <bpmn:sequenceFlow id="f_u9_audit" sourceRef="u9" targetRef="audit"/>\n'
+    '    <bpmn:sequenceFlow id="f_audit_u10" sourceRef="audit" targetRef="u10"/>\n')
+
+
+def test_a_technical_task_timed_by_the_default_profile_is_pinned(walkthrough, tmp_path,
+                                                                  capsys):
+    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json",
+                 "mappings.json"):
+        shutil.copy(walkthrough / name, tmp_path / name)
+    xml = (walkthrough / "order.bpmn").read_text(encoding="utf-8")
+    assert xml.count(_AUDIT_EDIT[0]) == 1
+    (tmp_path / "edited.bpmn").write_text(xml.replace(*_AUDIT_EDIT), encoding="utf-8")
+    sim = (FIXTURES / "sim.json").read_text(encoding="utf-8")
+    (tmp_path / "sim.json").write_text(
+        sim.replace('"branch_probs": {}', '"branch_probs": {},\n  "default_profile": "medium"'),
+        encoding="utf-8")
+    store = ["--domain", str(tmp_path / "order_handling.dsml"),
+             "--mappings", str(tmp_path / "mappings.json")]
+    capsys.readouterr()
+    assert cli.main(["sync", str(tmp_path / "order_handling.dsproc"), *store,
+                     "--edited", str(tmp_path / "edited.bpmn"),
+                     "-o", str(tmp_path / "merged.bpmn")]) == 0
+    assert capsys.readouterr() == ("technical addition: audit\n", "")
+    for argv in (
+        ["bind", *store, "--bindings", str(tmp_path / "bindings.json"),
+         "--process", "HandleOrder", "-o", str(tmp_path / "manifest.json")],
+        ["run", str(tmp_path / "merged.bpmn"), "--manifest", str(tmp_path / "manifest.json"),
+         "--sim", str(tmp_path / "sim.json"), "-o", str(tmp_path / "events.jsonl")],
+        ["monitor", str(tmp_path / "events.jsonl"), *store,
+         "--report", str(tmp_path / "report.json")],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    # every instance runs the audit once, between u9 and u10
+    assert report["processes"]["HandleOrder"]["technical"]["count"] == 100
+    digests = dict(line.split()[::-1] for line in
+                   (TECHNICAL / "SHA256SUMS").read_text(encoding="utf-8").splitlines())
+    assert {name: _sha256(tmp_path / name) for name in digests} == digests
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
+        (TECHNICAL / "report.json").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# a store and a manifest as dsproc wrote them when each AM entry and manifest
+# row repeated its uid as "element"
+
+def _with_element(path, key):
+    """Rewrite the JSON file ``path`` with each member of its ``key`` object
+    given its own uid as ``element``, in the layout dsproc writes."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for uid, entry in doc[key].items():
+        entry["element"] = uid
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def test_a_store_and_a_manifest_that_repeat_each_uid_as_element_give_the_same_outputs(
+        walkthrough, tmp_path, capsys):
+    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json",
+                 "mappings.json", "manifest.json", "order.bpmn"):
+        shutil.copy(walkthrough / name, tmp_path / name)
+    _with_element(tmp_path / "mappings.json", "am")
+    _with_element(tmp_path / "manifest.json", "activities")
+    store = ["--domain", str(tmp_path / "order_handling.dsml"),
+             "--mappings", str(tmp_path / "mappings.json")]
+    assert cli.main(["bind", *store, "--bindings", str(tmp_path / "bindings.json"),
+                     "--process", "HandleOrder", "-o", str(tmp_path / "bound.json")]) == 0
+    assert (tmp_path / "bound.json").read_bytes() == (walkthrough / "manifest.json").read_bytes()
+    assert cli.main(["run", str(tmp_path / "order.bpmn"),
+                     "--manifest", str(tmp_path / "manifest.json"),
+                     "--sim", str(tmp_path / "sim.json"),
+                     "-o", str(tmp_path / "events.jsonl")]) == 0
+    assert (tmp_path / "events.jsonl").read_bytes() == (walkthrough / "events.jsonl").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["monitor", str(tmp_path / "events.jsonl"), *store,
+                     "--report", str(tmp_path / "report.json"),
+                     "--alert-out", str(tmp_path / "alerts.jsonl")]) == 0
+    assert capsys.readouterr() == (
+        (GOLDEN / "monitor_stdout.txt").read_text(encoding="utf-8"), "")
+    assert (tmp_path / "report.json").read_bytes() == (GOLDEN / "report.json").read_bytes()
+    assert _sha256(tmp_path / "alerts.jsonl") == _pinned()["alerts.jsonl"]
+    # gen writes the store back without them
+    assert cli.main(["gen", str(tmp_path / "order_handling.dsproc"), *store,
+                     "-o", str(tmp_path / "order.bpmn")]) == 0
+    assert (tmp_path / "mappings.json").read_bytes() == (walkthrough / "mappings.json").read_bytes()
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

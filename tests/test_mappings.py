@@ -41,6 +41,12 @@ def test_registry_resumes_after_persisted_entries():
     assert r.new_allocations == 1
 
 
+def test_registry_resumes_past_uids_of_any_decimal_digits():
+    # "²" is a digit but no decimal one, which int() refuses; "٣" is a decimal 3
+    r = UidRegistry({"P/a": "u²", "P/b": "u٣", "P/c": "u2"})
+    assert r.uid_for("P/d") == "u4"
+
+
 def test_registry_rejects_non_injective_state():
     with pytest.raises(MappingError):
         UidRegistry({"P/a": "u1", "P/b": "u1"})
@@ -77,8 +83,7 @@ def test_build_am_defaults_to_leaf_activities(order_pipeline):
 
 
 def test_am_entries_record_process_and_element(order_pipeline):
-    for uid, entry in order_pipeline.am.items():
-        assert entry.element == uid
+    for entry in order_pipeline.am.values():
         assert entry.process == order_pipeline.model.name
 
 
@@ -148,11 +153,11 @@ def test_store_file_round_trip(tmp_path, order_pipeline):
 def test_update_process_keeps_other_processes():
     store = mappings.MappingStore(domain="D")
     store.am = {
-        "u1": AmEntry("A", "P", "u1"),
-        "u2": AmEntry("B", "Q", "u2"),
+        "u1": AmEntry("A", "P"),
+        "u2": AmEntry("B", "Q"),
     }
     registry = UidRegistry({"P/a": "u1", "Q/b": "u2"})
-    store.update_process("P", {"u3": AmEntry("C", "P", "u3")}, registry)
+    store.update_process("P", {"u3": AmEntry("C", "P")}, registry)
     assert "u2" in store.am
     assert "u1" not in store.am
     assert "u3" in store.am

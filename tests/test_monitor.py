@@ -20,7 +20,7 @@ def _line(seq, ts, kind, process="P", instance=1, **fields):
 
 
 def _single_concept_world():
-    am = {"u1": AmEntry("C", "P", "u1")}
+    am = {"u1": AmEntry("C", "P")}
     return MappingStore("D", cm={"C": ["s"]}, am=am, uids={"P/c": "u1"})
 
 
@@ -219,7 +219,7 @@ def test_a_measured_record_after_its_instance_ends_is_refused(kind):
 
 
 def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
-    am = {"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("C", "Q", "u2")}
+    am = {"u1": AmEntry("C", "P"), "u2": AmEntry("C", "Q")}
     store = MappingStore("D", cm={"C": ["s"]}, am=am, uids={"P/a": "u1", "Q/b": "u2"})
     lines = [
         "\n", _HEADER, "",
@@ -280,8 +280,8 @@ def test_unmapped_activity_lands_in_technical_bucket():
 
 def test_aggregation_across_logs():
     # the same concept mapped in two processes accumulates into one sample list
-    am = {"u1": AmEntry("C", "P", "u1"),
-          "u2": AmEntry("C", "Q", "u2")}
+    am = {"u1": AmEntry("C", "P"),
+          "u2": AmEntry("C", "Q")}
     store = MappingStore("D", cm={"C": ["s"]}, am=am, uids={"P/a": "u1", "Q/b": "u2"})
     log_p = _activity_lines([10.0, 20.0])
     log_q = [
@@ -388,8 +388,8 @@ def test_max_fault_rate_alert():
 
 
 def test_alerts_sorted_by_severity_then_subject():
-    am = {"u1": AmEntry("A", "P", "u1"),
-          "u2": AmEntry("B", "P", "u2")}
+    am = {"u1": AmEntry("A", "P"),
+          "u2": AmEntry("B", "P")}
     store = MappingStore("D", am=am, uids={"P/a": "u1", "P/b": "u2"})
     lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P", status="ok")]
     for seq, (uid, concept) in enumerate([("u1", "A"), ("u2", "B")], start=2):
@@ -410,8 +410,8 @@ def test_an_sla_on_several_activities_of_a_concept_alerts_once():
                          '  concept C { label "c" sla Cap }\n'
                          '  concept D { label "d" sla Cap }\n'
                          '  concept E { label "e" }\n}\n')
-    am = {"u1": AmEntry("C", "P", "u1"), "u2": AmEntry("C", "P", "u2"),
-          "u3": AmEntry("D", "P", "u3"), "u4": AmEntry("E", "P", "u4")}
+    am = {"u1": AmEntry("C", "P"), "u2": AmEntry("C", "P"),
+          "u3": AmEntry("D", "P"), "u4": AmEntry("E", "P")}
     store = MappingStore("D", am=am, uids={f"P/{uid}": uid for uid in am})
     lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P")]
     for seq, uid in enumerate(["u1", "u2", "u3", "u4"], start=2):
@@ -433,7 +433,7 @@ def test_register_sla_is_idempotent_and_checks_concept():
     d = dom.parse_domain('domain D {\n  sla S { max_duration 1 ms severity critical }\n'
                          '  concept C { label "c" sla S }\n}\n')
     with pytest.raises(DsprocError, match="unknown concept"):
-        dom.propagate_sla(d, {"u1": AmEntry("Nope", "P", "u1")})
+        dom.propagate_sla(d, {"u1": AmEntry("Nope", "P")})
 
 
 def test_propagated_to_concepts(order_pipeline):
