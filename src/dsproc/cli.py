@@ -88,7 +88,6 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
     common = pivot.to_common(model, d, registry)
     generated = bpmn.generate_bpmn(common, d.name)
     am = mappings.build_am(common)
-    store.cm = mappings.build_cm(d)
     store.update_process(model.name, am, registry)
     return generated, store, loaded_am
 
@@ -177,10 +176,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    from . import domain as dom, monitor
+    from . import domain as dom, mappings, monitor
     d, store = _load_mapped(args.domain, args.mappings)
     with reading(args.events), open(args.events, "r", encoding="utf-8") as fh:
-        probes = monitor.ingest(fh, store)
+        probes = monitor.ingest(fh, store, mappings.build_cm(d))
     propagated = dom.propagate_sla(d, store.am)
     with reading(args.events):  # the log's durations may add up past the largest float
         alerts = monitor.evaluate_alerts(probes, propagated, store.am)

@@ -340,6 +340,8 @@ def simulate(model: BpmnModel, manifest: DeploymentManifest,
             ts, _, scope, elem_id, action = heappop(heap)
             now = ts
         action(scope, elem_id, ts)
+    # break the handlers' reference cycle, which holds the records through emit
+    del schedule, absorb, move, enter, run_activity, fail
 
     # an instance whose tokens are not all spent has some parked at a join
     unended = [root.inst for root in roots if root.active]

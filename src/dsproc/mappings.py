@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .diagnostics import (DsprocError, json_check, json_elements, json_field, json_members,
-                          load_input, parse_json)
+from .diagnostics import (DsprocError, json_check, json_field, json_members, load_input,
+                          parse_json)
 
 
 class MappingError(DsprocError):
@@ -110,14 +110,13 @@ def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
 
 
 class MappingStore:
-    """Everything ``mappings.json`` holds: CM, AM and the uid registry."""
+    """Everything ``mappings.json`` holds: its domain's name, the AM and the uid registry."""
 
-    __slots__ = ("domain", "cm", "am", "uids")
+    __slots__ = ("domain", "am", "uids")
 
-    def __init__(self, domain: str, cm: dict[str, list[str]] | None = None,
-                 am: ActivityMappings | None = None, uids: dict[str, str] | None = None):
+    def __init__(self, domain: str, am: ActivityMappings | None = None,
+                 uids: dict[str, str] | None = None):
         self.domain = domain
-        self.cm = {} if cm is None else cm
         self.am = {} if am is None else am
         self.uids = {} if uids is None else uids
 
@@ -140,9 +139,8 @@ class MappingStore:
     def to_json(self) -> str:
         doc = {
             "domain": self.domain,
-            "cm": {k: self.cm[k] for k in sorted(self.cm)},
-            "am": {uid: e._asdict() for uid, e in sorted(self.am.items())},
-            "uids": {k: self.uids[k] for k in sorted(self.uids)},
+            "am": {uid: e._asdict() for uid, e in self.am.items()},
+            "uids": self.uids,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -151,10 +149,8 @@ def store_from_json(text: str) -> MappingStore:
     doc = json_check(parse_json(text), "object")
     am = {uid: AmEntry(*(json_field(e, key, "string", path) for key in AmEntry._fields))
           for uid, e, path in json_members(doc, "am", "object")}
-    cm = json_field(doc, "cm", "object", default={})
     return MappingStore(
         domain=json_field(doc, "domain", "string"),
-        cm={k: json_elements(cm, k, "string", "cm") for k in cm},
         am=am,
         uids={node_path: uid for node_path, uid, _ in json_members(doc, "uids", "string")},
     )

@@ -51,13 +51,14 @@ _MEASURED = frozenset({"activityEnd", "serviceInvoke", "processStart", "processE
 ProbeSet = namedtuple("ProbeSet", "activities services instances technical")
 
 
-def ingest(lines: Iterable[str], store: MappingStore) -> ProbeSet:
+def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) -> ProbeSet:
     """Replay an event log (header line included) into a probe set.
 
     ``lines`` may be any iterable, an open file included; it is read once,
     line by line. It may hold several logs, each after its own header, of
     the processes ``store`` holds: the same concept used by two processes
-    accumulates into one concept's tables.
+    accumulates into one concept's tables. ``cm`` gives each concept's
+    services, as ``mappings.build_cm`` derives them from the domain.
     """
     probes = ProbeSet({}, {}, {}, {})
     known_processes = store.processes()
@@ -66,7 +67,7 @@ def ingest(lines: Iterable[str], store: MappingStore) -> ProbeSet:
         activities = probes.activities.get(e.concept)
         if activities is None:
             activities = probes.activities[e.concept] = {}
-            probes.services[e.concept] = {svc: [] for svc in store.cm.get(e.concept, ())}
+            probes.services[e.concept] = {svc: [] for svc in cm.get(e.concept, ())}
         samples_of[uid] = activities[uid] = []
     # the durations of each CM service of a mapped activity's concept, by (uid, service)
     durations_of = {(uid, svc): durations for uid, e in store.am.items()

@@ -62,7 +62,6 @@ def compile_pipeline(d: dom.Domain, model: proc.ProcessModel,
     common = pivot.to_common(model, d, registry)
     generated = bpmn.generate_bpmn(common, d.name)
     am = mappings.build_am(common)
-    store.cm = mappings.build_cm(d)
     store.update_process(model.name, am, registry)
     return Pipeline(d, model, common, generated, bpmn.serialize_bpmn(generated),
                     am, store, registry)

@@ -119,8 +119,8 @@ def test_c3_enrichment_sync(tmp_path, capsys):
         encoding="utf-8")
     generated = bpmn.parse_bpmn(xml)
     store = mappings.load_store(tmp_path / "mappings.json")
-    result = mappings.merge_enriched(
-        generated, bpmn.parse_bpmn((tmp_path / "added.bpmn").read_text()), store.am)
+    added = (tmp_path / "added.bpmn").read_text(encoding="utf-8")
+    result = mappings.merge_enriched(generated, bpmn.parse_bpmn(added), store.am)
     assert result.technical_additions == ["A9"]
     assert result.broken == []
     assert sync("added.bpmn") == 0
@@ -129,8 +129,8 @@ def test_c3_enrichment_sync(tmp_path, capsys):
     victim = list(store.am)[0]
     (tmp_path / "stripped.bpmn").write_text(
         xml.replace(f'<dsml:conceptRef uid="{victim}" ', "<skip "), encoding="utf-8")
-    result = mappings.merge_enriched(
-        generated, bpmn.parse_bpmn((tmp_path / "stripped.bpmn").read_text()), store.am)
+    stripped = (tmp_path / "stripped.bpmn").read_text(encoding="utf-8")
+    result = mappings.merge_enriched(generated, bpmn.parse_bpmn(stripped), store.am)
     assert result.broken == [victim]
     assert sync("stripped.bpmn") == 2
     capsys.readouterr()
@@ -362,7 +362,7 @@ def test_c7_monitoring_oracle_equivalence():
             d, "activityEnd", "P", i, element_id="A9", status="ok", duration_ms=d))
     lines = log_lines(records, cfg)
 
-    probes = monitor.ingest(lines, p.store)
+    probes = monitor.ingest(lines, p.store, mappings.build_cm(p.domain))
     report = monitor.build_report(probes, p.store)
     metrics = report["concepts"]
 
@@ -442,7 +442,7 @@ def test_c8_alert_soundness_completeness():
                                  "element_uid": "u1", "element_id": "u1",
                                  "concept": "C", "status": "ok",
                                  "duration_ms": d}))
-    probes = monitor.ingest(lines, store)
+    probes = monitor.ingest(lines, store, {})
     sla = dom.Sla("Cap", "max_duration", 1000.0, "ms", "critical")
     alerts = monitor.evaluate_alerts(probes, [("u1", sla)], am)
     assert len(alerts) == 1
@@ -450,7 +450,7 @@ def test_c8_alert_soundness_completeness():
     assert alerts[0].observed == 5000.0
 
     # nothing fires when the threshold is generous
-    relaxed = monitor.ingest(lines, store)
+    relaxed = monitor.ingest(lines, store, {})
     assert monitor.evaluate_alerts(relaxed, [
         ("u1", dom.Sla("Cap", "max_duration", 10.0, "s", "critical")),
         ("u1", dom.Sla("Faults", "max_fault_rate", 0.5, "ratio", "warning")),
@@ -477,7 +477,6 @@ def test_c9_cross_process_aggregation():
         generated = bpmn.generate_bpmn(common, d.name)
         store.update_process(name, mappings.build_am(common), registry)
         pipelines.append((name, generated))
-    store.cm = mappings.build_cm(d)
 
     counts = {}
     lines = []  # the two logs, one after the other in one file
@@ -488,7 +487,7 @@ def test_c9_cross_process_aggregation():
         lines += log_lines(records, cfg)
         counts[name] = sum(1 for r in records
                            if r.kind == "activityEnd" and r.concept == "A")
-    probes = monitor.ingest(lines, store)
+    probes = monitor.ingest(lines, store, mappings.build_cm(d))
 
     # one concept, with the samples of one activity of each process
     assert sorted(store.am[uid].process for uid in probes.activities["A"]) == ["Intake", "Refund"]

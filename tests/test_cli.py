@@ -66,7 +66,7 @@ def test_gen_writes_bpmn_and_mappings(work):
     xml = (work / "order.bpmn").read_text(encoding="utf-8")
     assert "<bpmn:definitions" in xml and "dsml:conceptRef" in xml
     store = json.loads((work / "mappings.json").read_text(encoding="utf-8"))
-    assert set(store) == {"am", "cm", "domain", "uids"}
+    assert set(store) == {"am", "domain", "uids"}
 
 
 def test_gen_is_idempotent(work):
@@ -356,12 +356,29 @@ def test_monitor_writes_report_and_alerts(work, capsys):
     assert "HandlePayment" in out
 
 
+def test_monitor_reads_each_concepts_services_from_the_domain_as_bind_does(work):
+    # a service given to a concept after gen: bind binds it, run calls it, and
+    # the report counts every call, with no gen in between
+    assert _gen(work) == 0
+    domain = work / "order_handling.dsml"
+    domain.write_text(domain.read_text(encoding="utf-8").replace(
+        "services [svcApprove]", "services [svcApprove, svcReview]"), encoding="utf-8")
+    assert cli.main(["check", str(domain), str(work / "order_handling.dsproc")]) == 0
+    assert (_bind(work), _run(work), _monitor(work)) == (0, 0, 0)
+    records = [json.loads(line) for line in
+               (work / "events.jsonl").read_text(encoding="utf-8").splitlines()[1:]]
+    calls = sum(1 for r in records if r["kind"] == "serviceInvoke"
+                and r["concept"] == "ApproveOrder" and r["service"] == "svcReview")
+    report = json.loads((work / "report.json").read_text(encoding="utf-8"))
+    assert report["concepts"]["ApproveOrder"]["services"]["svcReview"]["count"] == calls == 100
+
+
 def test_module_entry_point(work):
     # dsproc from this checkout, whether or not it is installed
     result = subprocess.run(
         [sys.executable, "-m", "dsproc.cli", "check",
          str(work / "order_handling.dsml")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC})
+        capture_output=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": _SRC})
     assert result.returncode == 0
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -94,6 +95,12 @@ def test_same_seed_is_byte_identical():
     _, _, first = _sim(_PARALLEL, cfg)
     _, _, second = _sim(_PARALLEL, cfg)
     assert engine.render_log(first, cfg) == engine.render_log(second, cfg)
+
+
+def test_no_handler_of_the_run_keeps_its_records_alive():
+    _, _, records = _sim(_PARALLEL, fixed_config(instances=3))
+    # the caller's name and getrefcount's own argument: nothing else holds them
+    assert sys.getrefcount(records) == 2
 
 
 def test_different_seed_changes_the_log():

@@ -278,9 +278,9 @@ def test_decode_line_agrees_with_the_json_route(line):
 
 # logs of two mapped processes: canonical record lines of a small vocabulary,
 # the same lines mutated, blank lines and headers, in any order
-_INGEST_STORE = MappingStore("D", cm={"C": ["s1"], "D": ["s2"]},
-                             am={"u1": AmEntry("C", "P"), "u2": AmEntry("D", "Q")},
+_INGEST_STORE = MappingStore("D", am={"u1": AmEntry("C", "P"), "u2": AmEntry("D", "Q")},
                              uids={"P/a": "u1", "Q/b": "u2"})
+_INGEST_CM = {"C": ["s1"], "D": ["s2"]}
 _vocabulary_line = st.builds(
     eventlog.EventRecord,
     _int | st.floats(allow_nan=False) | st.sampled_from([0, -0.0, 1.0]),
@@ -313,7 +313,7 @@ def _ingest_outcome(lines):
     """The report of ``lines`` as JSON text (so -0.0 and NaN count), or the
     text of the DsprocError that ingest raised."""
     try:
-        probes = monitor.ingest(lines, _INGEST_STORE)
+        probes = monitor.ingest(lines, _INGEST_STORE, _INGEST_CM)
     except DsprocError as exc:
         return "error", str(exc)
     return "report", monitor.render_report_json(monitor.build_report(probes, _INGEST_STORE))

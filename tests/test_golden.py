@@ -16,7 +16,7 @@ import shutil
 
 import pytest
 
-from dsproc import cli
+from dsproc import cli, domain as dom, mappings
 
 from conftest import FIXTURES
 
@@ -189,47 +189,68 @@ def test_a_technical_task_timed_by_the_default_profile_is_pinned(walkthrough, tm
 
 
 # ---------------------------------------------------------------------------
-# a store and a manifest as dsproc wrote them when each AM entry and manifest
-# row repeated its uid as "element"
+# stores and manifests as earlier versions of dsproc wrote them
 
-def _with_element(path, key):
-    """Rewrite the JSON file ``path`` with each member of its ``key`` object
-    given its own uid as ``element``, in the layout dsproc writes."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    for uid, entry in doc[key].items():
-        entry["element"] = uid
+def _copy_walkthrough(walkthrough, work):
+    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json",
+                 "mappings.json", "manifest.json", "order.bpmn"):
+        shutil.copy(walkthrough / name, work / name)
+
+
+def _write_json(path, doc):
+    """Write ``doc`` to ``path`` in the layout dsproc writes."""
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _gives_the_walkthrough_outputs(walkthrough, work, capsys):
+    """``bind``, ``run`` and ``monitor`` of the copy ``work`` write the
+    walkthrough's bytes, and ``gen`` writes its store back as the walkthrough's."""
+    store = ["--domain", str(work / "order_handling.dsml"),
+             "--mappings", str(work / "mappings.json")]
+    assert cli.main(["bind", *store, "--bindings", str(work / "bindings.json"),
+                     "--process", "HandleOrder", "-o", str(work / "bound.json")]) == 0
+    assert (work / "bound.json").read_bytes() == (walkthrough / "manifest.json").read_bytes()
+    assert cli.main(["run", str(work / "order.bpmn"),
+                     "--manifest", str(work / "manifest.json"),
+                     "--sim", str(work / "sim.json"),
+                     "-o", str(work / "events.jsonl")]) == 0
+    assert (work / "events.jsonl").read_bytes() == (walkthrough / "events.jsonl").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["monitor", str(work / "events.jsonl"), *store,
+                     "--report", str(work / "report.json"),
+                     "--alert-out", str(work / "alerts.jsonl")]) == 0
+    assert capsys.readouterr() == (
+        (GOLDEN / "monitor_stdout.txt").read_text(encoding="utf-8"), "")
+    assert (work / "report.json").read_bytes() == (GOLDEN / "report.json").read_bytes()
+    assert _sha256(work / "alerts.jsonl") == _pinned()["alerts.jsonl"]
+    assert cli.main(["gen", str(work / "order_handling.dsproc"), *store,
+                     "-o", str(work / "order.bpmn")]) == 0
+    assert (work / "mappings.json").read_bytes() == (walkthrough / "mappings.json").read_bytes()
 
 
 def test_a_store_and_a_manifest_that_repeat_each_uid_as_element_give_the_same_outputs(
         walkthrough, tmp_path, capsys):
-    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json",
-                 "mappings.json", "manifest.json", "order.bpmn"):
-        shutil.copy(walkthrough / name, tmp_path / name)
-    _with_element(tmp_path / "mappings.json", "am")
-    _with_element(tmp_path / "manifest.json", "activities")
-    store = ["--domain", str(tmp_path / "order_handling.dsml"),
-             "--mappings", str(tmp_path / "mappings.json")]
-    assert cli.main(["bind", *store, "--bindings", str(tmp_path / "bindings.json"),
-                     "--process", "HandleOrder", "-o", str(tmp_path / "bound.json")]) == 0
-    assert (tmp_path / "bound.json").read_bytes() == (walkthrough / "manifest.json").read_bytes()
-    assert cli.main(["run", str(tmp_path / "order.bpmn"),
-                     "--manifest", str(tmp_path / "manifest.json"),
-                     "--sim", str(tmp_path / "sim.json"),
-                     "-o", str(tmp_path / "events.jsonl")]) == 0
-    assert (tmp_path / "events.jsonl").read_bytes() == (walkthrough / "events.jsonl").read_bytes()
-    capsys.readouterr()
-    assert cli.main(["monitor", str(tmp_path / "events.jsonl"), *store,
-                     "--report", str(tmp_path / "report.json"),
-                     "--alert-out", str(tmp_path / "alerts.jsonl")]) == 0
-    assert capsys.readouterr() == (
-        (GOLDEN / "monitor_stdout.txt").read_text(encoding="utf-8"), "")
-    assert (tmp_path / "report.json").read_bytes() == (GOLDEN / "report.json").read_bytes()
-    assert _sha256(tmp_path / "alerts.jsonl") == _pinned()["alerts.jsonl"]
-    # gen writes the store back without them
-    assert cli.main(["gen", str(tmp_path / "order_handling.dsproc"), *store,
-                     "-o", str(tmp_path / "order.bpmn")]) == 0
-    assert (tmp_path / "mappings.json").read_bytes() == (walkthrough / "mappings.json").read_bytes()
+    _copy_walkthrough(walkthrough, tmp_path)
+    for name, key in (("mappings.json", "am"), ("manifest.json", "activities")):
+        doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        for uid, entry in doc[key].items():
+            entry["element"] = uid
+        _write_json(tmp_path / name, doc)
+    _gives_the_walkthrough_outputs(walkthrough, tmp_path, capsys)
+
+
+def test_a_store_with_a_stale_copy_of_each_concepts_services_gives_the_same_outputs(
+        walkthrough, tmp_path, capsys):
+    # each concept's services as the store held them, written before the
+    # domain gave ApproveOrder svcApprove in place of svcReview
+    _copy_walkthrough(walkthrough, tmp_path)
+    cm = mappings.build_cm(dom.parse_domain(
+        (tmp_path / "order_handling.dsml").read_text(encoding="utf-8")))
+    assert cm["ApproveOrder"] == ["svcApprove"]
+    doc = json.loads((tmp_path / "mappings.json").read_text(encoding="utf-8"))
+    doc["cm"] = dict(cm, ApproveOrder=["svcReview"])
+    _write_json(tmp_path / "mappings.json", doc)
+    _gives_the_walkthrough_outputs(walkthrough, tmp_path, capsys)
 
 
 def _sha256(path) -> str:

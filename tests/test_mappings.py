@@ -139,7 +139,7 @@ def test_store_json_round_trip(order_pipeline):
     again = mappings.store_from_json(text)
     assert again.to_json() == text
     doc = json.loads(text)
-    assert set(doc) == {"domain", "cm", "am", "uids"}
+    assert set(doc) == {"domain", "am", "uids"}
     assert doc["domain"] == "OrderHandling"
 
 

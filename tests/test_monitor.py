@@ -5,7 +5,7 @@ import pytest
 
 from dsproc import deploy, domain as dom, engine, monitor
 from dsproc.diagnostics import DsprocError
-from dsproc.mappings import AmEntry, MappingStore
+from dsproc.mappings import AmEntry, MappingStore, build_cm
 
 from conftest import fixed_bindings, log_lines
 
@@ -19,9 +19,13 @@ def _line(seq, ts, kind, process="P", instance=1, **fields):
     return json.dumps(doc)
 
 
+# the services of concept C
+_CM = {"C": ["s"]}
+
+
 def _single_concept_world():
     am = {"u1": AmEntry("C", "P")}
-    return MappingStore("D", cm={"C": ["s"]}, am=am, uids={"P/c": "u1"})
+    return MappingStore("D", am=am, uids={"P/c": "u1"})
 
 
 def _activity_lines(durations, statuses=None, instances=None):
@@ -58,7 +62,7 @@ def _simulated_log(order_pipeline, instances=200, seed=3):
 def test_ingest_matches_brute_force_replay(order_pipeline):
     lines = _simulated_log(order_pipeline)
     store = order_pipeline.store
-    probes = monitor.ingest(lines, store)
+    probes = monitor.ingest(lines, store, build_cm(order_pipeline.domain))
     metrics = monitor.build_report(probes, store)["concepts"]
 
     # independent oracle: group the raw JSON lines by concept directly
@@ -85,7 +89,8 @@ def test_ingest_matches_brute_force_replay(order_pipeline):
 def test_contributions_sum_to_one_hundred(order_pipeline):
     lines = _simulated_log(order_pipeline)
     store = order_pipeline.store
-    report = monitor.build_report(monitor.ingest(lines, store), store)
+    probes = monitor.ingest(lines, store, build_cm(order_pipeline.domain))
+    report = monitor.build_report(probes, store)
     total = sum(m["contribution_pct"] for m in report["concepts"].values())
     total += sum(p["technical"]["contribution_pct"] for p in report["processes"].values())
     assert total == pytest.approx(100.0, abs=1e-6)
@@ -93,9 +98,9 @@ def test_contributions_sum_to_one_hundred(order_pipeline):
 
 def test_p95_nearest_rank():
     store = _single_concept_world()
-    probes = monitor.ingest(_activity_lines([float(i) for i in range(1, 101)]), store)
+    probes = monitor.ingest(_activity_lines([float(i) for i in range(1, 101)]), store, _CM)
     assert monitor.build_report(probes, store)["concepts"]["C"]["p95_ms"] == 95.0
-    probes = monitor.ingest(_activity_lines([1.0, 2.0, 3.0]), store)
+    probes = monitor.ingest(_activity_lines([1.0, 2.0, 3.0]), store, _CM)
     # ceil(0.95 * 3) = 3rd of 3
     assert monitor.build_report(probes, store)["concepts"]["C"]["p95_ms"] == 3.0
 
@@ -106,7 +111,7 @@ def test_durations_that_add_up_past_the_largest_float_are_refused(durations):
     # each duration is finite; an int sum past the largest float cannot even
     # take the float added after it
     store = _single_concept_world()
-    probes = monitor.ingest(_activity_lines(durations), store)
+    probes = monitor.ingest(_activity_lines(durations), store, _CM)
     with pytest.raises(DsprocError) as info:
         monitor.build_report(probes, store)
     assert str(info.value) == "durations add up past the largest float"
@@ -115,22 +120,23 @@ def test_durations_that_add_up_past_the_largest_float_are_refused(durations):
 def test_streaming_equals_batch(order_pipeline):
     lines = _simulated_log(order_pipeline, instances=50)
     store = order_pipeline.store
-    batch = monitor.ingest(lines, store)
-    streamed = monitor.ingest((line for line in lines), store)
+    cm = build_cm(order_pipeline.domain)
+    batch = monitor.ingest(lines, store, cm)
+    streamed = monitor.ingest((line for line in lines), store, cm)
     assert monitor.build_report(streamed, store) == monitor.build_report(batch, store)
 
 
 def test_missing_header_reports_line_number():
     store = _single_concept_world()
     with pytest.raises(DsprocError, match="line 1.*header"):
-        monitor.ingest([_line(1, 0.0, "processStart", element_id="P")], store)
+        monitor.ingest([_line(1, 0.0, "processStart", element_id="P")], store, _CM)
 
 
 def test_unknown_process_rejected():
     store = _single_concept_world()
     bad = [_HEADER, _line(1, 0.0, "processStart", process="Ghost", element_id="G")]
     with pytest.raises(DsprocError, match="Ghost"):
-        monitor.ingest(bad, store)
+        monitor.ingest(bad, store, _CM)
 
 
 def test_unknown_process_after_a_known_one_rejected():
@@ -138,7 +144,7 @@ def test_unknown_process_after_a_known_one_rejected():
     bad = [_HEADER, _line(1, 0.0, "processStart", element_id="P"),
            _line(2, 0.0, "processStart", process="Ghost", element_id="G")]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(bad, store)
+        monitor.ingest(bad, store, _CM)
     assert str(exc.value) == "line 3: unknown process 'Ghost'"
 
 
@@ -148,11 +154,11 @@ def test_a_process_end_before_its_start_is_refused():
     bad = [_HEADER, _line(1, 5.0, "processStart", element_id="P"),
            _line(2, 4.5, "processEnd", element_id="P")]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(bad, store)
+        monitor.ingest(bad, store, _CM)
     assert str(exc.value) == "line 3: processEnd of instance 1 at ts_ms 4.5 precedes its start " \
                              "at ts_ms 5.0"
     # an end at the start's own time is an instance of no duration
-    probes = monitor.ingest(bad[:2] + [_line(2, 5.0, "processEnd", element_id="P")], store)
+    probes = monitor.ingest(bad[:2] + [_line(2, 5.0, "processEnd", element_id="P")], store, _CM)
     assert probes.instances["P"] == {(1, 1): [5.0, 5.0, "ok"]}
 
 
@@ -163,10 +169,10 @@ def test_a_second_start_or_end_of_an_instance_is_refused(kind, ts):
     lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P"),
              _line(2, 10.0, "processEnd", element_id="P"), _line(3, ts, kind, element_id="P")]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(lines, store)
+        monitor.ingest(lines, store, _CM)
     assert str(exc.value) == f"line 4: second {kind} of instance 1"
     # instance 1 of another log is another instance
-    probes = monitor.ingest(lines[:3] + lines[:3], store)
+    probes = monitor.ingest(lines[:3] + lines[:3], store, _CM)
     assert probes.instances["P"] == {(1, 1): [0.0, 10.0, "ok"], (2, 1): [0.0, 10.0, "ok"]}
 
 
@@ -176,12 +182,12 @@ def test_a_process_end_with_no_start_is_refused():
     lines = [_HEADER, _line(1, 0.0, "processStart", instance=2, element_id="P"),
              _line(2, 10.0, "processEnd", element_id="P")]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(lines, store)
+        monitor.ingest(lines, store, _CM)
     assert str(exc.value) == "line 3: processEnd of instance 1 has no processStart before it"
     # nor may its start come after it
     with pytest.raises(DsprocError) as exc:
         monitor.ingest([_HEADER, _line(1, 10.0, "processEnd", element_id="P"),
-                        _line(2, 0.0, "processStart", element_id="P")], store)
+                        _line(2, 0.0, "processStart", element_id="P")], store, _CM)
     assert str(exc.value) == "line 2: processEnd of instance 1 has no processStart before it"
 
 
@@ -194,14 +200,14 @@ def test_a_measured_record_of_an_unstarted_instance_is_refused(kind):
         return _line(seq, 10.0, kind, instance=2, element_uid="u1", service="s", duration_ms=10.0)
     lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P"), record(2)]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(lines, store)
+        monitor.ingest(lines, store, _CM)
     assert str(exc.value) == f"line 3: {kind} of instance 2 has no processStart before it"
     # nor does a start of instance 2 in an earlier log start it in this one
     started = lines[:2] + [_line(2, 0.0, "processStart", instance=2, element_id="P")]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(started + [_HEADER, record(1)], store)
+        monitor.ingest(started + [_HEADER, record(1)], store, _CM)
     assert str(exc.value) == f"line 5: {kind} of instance 2 has no processStart before it"
-    probes = monitor.ingest(started + [record(3)], store)
+    probes = monitor.ingest(started + [record(3)], store, _CM)
     assert (probes.activities["C"]["u1"], probes.services["C"]["s"]) == (
         ([monitor.Sample(10.0, "ok", 2, 10.0)], []) if kind == "activityEnd" else ([], [10.0]))
 
@@ -214,13 +220,13 @@ def test_a_measured_record_after_its_instance_ends_is_refused(kind):
              _line(2, 10.0, "processEnd", element_id="P"),
              _line(3, 20.0, kind, element_uid="u1", service="s", duration_ms=10.0)]
     with pytest.raises(DsprocError) as exc:
-        monitor.ingest(lines, store)
+        monitor.ingest(lines, store, _CM)
     assert str(exc.value) == f"line 4: {kind} of instance 1 after its processEnd"
 
 
 def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
     am = {"u1": AmEntry("C", "P"), "u2": AmEntry("C", "Q")}
-    store = MappingStore("D", cm={"C": ["s"]}, am=am, uids={"P/a": "u1", "Q/b": "u2"})
+    store = MappingStore("D", am=am, uids={"P/a": "u1", "Q/b": "u2"})
     lines = [
         "\n", _HEADER, "",
         _line(1, 0.0, "processStart", element_id="P"),
@@ -233,7 +239,7 @@ def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
         _line(6, 40.0, "processEnd", process="Q", element_id="Q", status="fault"),
         _line(7, 50.0, "processEnd", element_id="P"),
     ]
-    report = monitor.build_report(monitor.ingest(lines, store), store)
+    report = monitor.build_report(monitor.ingest(lines, store, _CM), store)
     assert report["concepts"]["C"]["count"] == 2
     assert report["concepts"]["C"]["total_ms"] == 40.0
     p, q = report["processes"]["P"], report["processes"]["Q"]
@@ -244,7 +250,7 @@ def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
 def test_malformed_line_reports_position():
     store = _single_concept_world()
     with pytest.raises(DsprocError, match="line 2"):
-        monitor.ingest([_HEADER, "{not json"], store)
+        monitor.ingest([_HEADER, "{not json"], store, _CM)
 
 
 @pytest.mark.parametrize("line", [
@@ -260,7 +266,7 @@ def test_malformed_line_reports_position():
 def test_malformed_record_rejected_with_line_number(line):
     store = _single_concept_world()
     with pytest.raises(DsprocError, match="^line 2: malformed record"):
-        monitor.ingest([_HEADER, line], store)
+        monitor.ingest([_HEADER, line], store, _CM)
 
 
 def test_unmapped_activity_lands_in_technical_bucket():
@@ -271,7 +277,7 @@ def test_unmapped_activity_lands_in_technical_bucket():
         _line(2, 40.0, "activityEnd", element_id="A9", status="ok", duration_ms=40.0),
         _line(3, 40.0, "processEnd", element_id="P", status="ok", duration_ms=40.0),
     ]
-    probes = monitor.ingest(lines, store)
+    probes = monitor.ingest(lines, store, _CM)
     assert probes.technical["P"] == [40.0]
     assert probes.activities["C"] == {"u1": []}
     tech = monitor.build_report(probes, store)["processes"]["P"]["technical"]
@@ -282,7 +288,7 @@ def test_aggregation_across_logs():
     # the same concept mapped in two processes accumulates into one sample list
     am = {"u1": AmEntry("C", "P"),
           "u2": AmEntry("C", "Q")}
-    store = MappingStore("D", cm={"C": ["s"]}, am=am, uids={"P/a": "u1", "Q/b": "u2"})
+    store = MappingStore("D", am=am, uids={"P/a": "u1", "Q/b": "u2"})
     log_p = _activity_lines([10.0, 20.0])
     log_q = [
         _HEADER,
@@ -292,7 +298,7 @@ def test_aggregation_across_logs():
         _line(3, 30.0, "processEnd", process="Q", element_id="Q",
               status="ok", duration_ms=30.0),
     ]
-    probes = monitor.ingest(log_p + log_q, store)  # one file, two logs
+    probes = monitor.ingest(log_p + log_q, store, _CM)  # one file, two logs
     assert list(probes.activities) == ["C"]
     m = monitor.build_report(probes, store)["concepts"]["C"]
     assert m["count"] == 3
@@ -305,7 +311,7 @@ def test_logs_of_one_process_keep_every_instance():
     store = _single_concept_world()
     first = _activity_lines([10.0] * 10)
     second = _activity_lines([30.0] * 9 + [50.0], statuses=["ok"] * 9 + ["fault"])
-    report = monitor.build_report(monitor.ingest(first + second, store), store)
+    report = monitor.build_report(monitor.ingest(first + second, store, _CM), store)
     process = report["processes"]["P"]
     assert (process["instances"], process["faults"], process["mean_ms"]) == (20, 1, 21.0)
     assert "process P: instances=20 faults=1 " in monitor.render_report_text(report)
@@ -322,7 +328,7 @@ def test_soa_layer_collects_service_invocations():
               concept="C", status="ok", duration_ms=15.0),
         _line(4, 15.0, "processEnd", element_id="P", status="ok", duration_ms=15.0),
     ]
-    probes = monitor.ingest(lines, store)
+    probes = monitor.ingest(lines, store, _CM)
     soa = monitor.build_report(probes, store)["concepts"]["C"]["services"]["s"]
     assert soa["count"] == 1
     assert soa["total_ms"] == 15.0
@@ -341,7 +347,7 @@ def _alerts(probes, store, sla):
 def test_max_duration_alert_names_exact_violators():
     store = _single_concept_world()
     durations = [100.0, 100.0, 5000.0, 100.0, 100.0, 100.0, 5000.0, 100.0]
-    probes = monitor.ingest(_activity_lines(durations), store)
+    probes = monitor.ingest(_activity_lines(durations), store, _CM)
     alerts = _alerts(probes, store, _sla())
     assert len(alerts) == 1
     alert = alerts[0]
@@ -353,14 +359,14 @@ def test_max_duration_alert_names_exact_violators():
 
 def test_no_alert_below_threshold():
     store = _single_concept_world()
-    probes = monitor.ingest(_activity_lines([10.0, 20.0]), store)
+    probes = monitor.ingest(_activity_lines([10.0, 20.0]), store, _CM)
     assert _alerts(probes, store, _sla(threshold=1.0, unit="s")) == []
 
 
 def test_max_mean_duration_alert_uses_mean():
     store = _single_concept_world()
     durations = [100.0, 300.0]  # mean 200
-    probes = monitor.ingest(_activity_lines(durations), store)
+    probes = monitor.ingest(_activity_lines(durations), store, _CM)
     alerts = _alerts(probes, store, _sla(metric="max_mean_duration", threshold=150.0))
     assert len(alerts) == 1
     assert alerts[0].observed == pytest.approx(200.0)
@@ -370,7 +376,7 @@ def test_max_mean_duration_alert_uses_mean():
 def test_mean_alert_observes_the_report_mean():
     store = _single_concept_world()
     # summed in arrival order these give 0.19999999999999998, sorted 0.20000000000000004
-    probes = monitor.ingest(_activity_lines([0.3, 0.2, 0.1]), store)
+    probes = monitor.ingest(_activity_lines([0.3, 0.2, 0.1]), store, _CM)
     alerts = _alerts(probes, store, _sla(metric="max_mean_duration", threshold=0.1))
     report = monitor.build_report(probes, store)
     assert len(alerts) == 1
@@ -380,7 +386,7 @@ def test_mean_alert_observes_the_report_mean():
 def test_max_fault_rate_alert():
     store = _single_concept_world()
     probes = monitor.ingest(
-        _activity_lines([10.0] * 4, statuses=["fault", "ok", "ok", "fault"]), store)
+        _activity_lines([10.0] * 4, statuses=["fault", "ok", "ok", "fault"]), store, _CM)
     alerts = _alerts(probes, store, _sla(metric="max_fault_rate", threshold=0.25, unit="ratio"))
     assert len(alerts) == 1
     assert alerts[0].observed == pytest.approx(0.5)
@@ -396,7 +402,7 @@ def test_alerts_sorted_by_severity_then_subject():
         lines.append(_line(seq, 9000.0, "activityEnd", element_uid=uid,
                            element_id=uid, concept=concept, status="ok",
                            duration_ms=9000.0))
-    probes = monitor.ingest(lines, store)
+    probes = monitor.ingest(lines, store, {})
     alerts = monitor.evaluate_alerts(probes, [
         ("u1", _sla(name="warnSla", severity="warning")),
         ("u2", _sla(name="critSla", severity="critical")),
@@ -418,14 +424,14 @@ def test_an_sla_on_several_activities_of_a_concept_alerts_once():
         lines.append(_line(seq, 9000.0, "activityEnd", element_uid=uid, duration_ms=9000.0))
     propagated = dom.propagate_sla(d, am)
     assert [uid for uid, _ in propagated] == ["u1", "u2", "u3"]
-    alerts = monitor.evaluate_alerts(monitor.ingest(lines, store), propagated, am)
+    alerts = monitor.evaluate_alerts(monitor.ingest(lines, store, {}), propagated, am)
     assert [(a.subject, a.sla, a.instances) for a in alerts] == [("C", "Cap", [1]),
                                                                  ("D", "Cap", [1])]
 
 
 def test_register_sla_is_idempotent_and_checks_concept():
     store = _single_concept_world()
-    probes = monitor.ingest(_activity_lines([5000.0]), store)
+    probes = monitor.ingest(_activity_lines([5000.0]), store, _CM)
     sla = _sla()
     # the same SLA given twice for one activity is checked once
     alerts = monitor.evaluate_alerts(probes, [("u1", sla), ("u1", sla)], store.am)
@@ -448,17 +454,18 @@ def test_propagated_to_concepts(order_pipeline):
     for seq, (uid, entry) in enumerate(am.items(), start=2):
         lines.append(_line(seq, 1e12, "activityEnd", process=entry.process,
                            element_uid=uid, duration_ms=1e12))
-    alerts = monitor.evaluate_alerts(monitor.ingest(lines, order_pipeline.store), propagated,
-                                     am)
+    probes = monitor.ingest(lines, order_pipeline.store, build_cm(order_pipeline.domain))
+    alerts = monitor.evaluate_alerts(probes, propagated, am)
     assert sorted((a.subject, a.sla) for a in alerts) == sorted(expected)
 
 
 def test_report_keys_are_model_node_paths(order_pipeline):
     lines = _simulated_log(order_pipeline, instances=20)
     store = order_pipeline.store
-    probes = monitor.ingest(lines, store)
+    cm = build_cm(order_pipeline.domain)
+    probes = monitor.ingest(lines, store, cm)
     report = monitor.build_report(probes, store)
-    assert set(report["concepts"]) >= set(store.cm) - {"ProcessShippingCost"}
+    assert set(report["concepts"]) >= set(cm) - {"ProcessShippingCost"}
     payment = report["concepts"]["HandlePayment"]
     assert list(payment["nodes"]) == ["HandleOrder/fulfill/pay"]
     assert set(payment["services"]) == {"s1", "s2"}
@@ -467,7 +474,7 @@ def test_report_keys_are_model_node_paths(order_pipeline):
 
 def test_report_includes_zero_count_concepts():
     store = _single_concept_world()
-    probes = monitor.ingest([_HEADER], store)
+    probes = monitor.ingest([_HEADER], store, _CM)
     report = monitor.build_report(probes, store)
     entry = report["concepts"]["C"]
     assert entry["count"] == 0
@@ -477,7 +484,7 @@ def test_report_includes_zero_count_concepts():
 def test_report_renderers_smoke(order_pipeline):
     lines = _simulated_log(order_pipeline, instances=10)
     store = order_pipeline.store
-    probes = monitor.ingest(lines, store)
+    probes = monitor.ingest(lines, store, build_cm(order_pipeline.domain))
     report = monitor.build_report(probes, store)
     as_json = monitor.render_report_json(report)
     assert json.loads(as_json) == json.loads(as_json)  # valid JSON
