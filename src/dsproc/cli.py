@@ -84,11 +84,9 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
     store = _load_store(mappings_path, d) if os.path.exists(mappings_path) \
         else mappings.MappingStore(domain=d.name)
     loaded_am = store.am
-    registry = store.registry()
-    common = pivot.to_common(model, d, registry)
+    common = pivot.to_common(model, d, store)
     generated = bpmn.generate_bpmn(common, d.name)
-    am = mappings.build_am(common)
-    store.update_process(model.name, am, registry)
+    store.update_process(model.name, mappings.build_am(common))
     return generated, store, loaded_am
 
 
@@ -134,9 +132,8 @@ def cmd_sync(args) -> int:
         print(f"technical addition: {element_id}")
     for uid in result.broken:
         print(f"broken mapping: uid {uid} was removed from the edited model", file=sys.stderr)
-    path_of = {uid: path for path, uid in store.uids.items()}
     for uid in result.added:
-        print(f"model addition: uid {uid} ({path_of[uid]}) is missing from the edited model",
+        print(f"model addition: uid {uid} ({store.path_of[uid]}) is missing from the edited model",
               file=sys.stderr)
     return EXIT_BROKEN if result.broken or result.added else EXIT_OK
 

@@ -1,6 +1,6 @@
 """Concept/activity mappings, the persistent UID registry and sync merge.
 
-The registry keys every generated element by its path
+The mapping store's registry keys every generated element by its path
 ``<process>/<node id>[/<inner node id>...]`` and hands out stable opaque
 uids, so regenerating an unchanged process allocates nothing new and edits
 to a generated BPMN file can be reconciled against the original mapping.
@@ -18,36 +18,6 @@ from .diagnostics import (DsprocError, json_check, json_field, json_members, loa
 
 class MappingError(DsprocError):
     pass
-
-
-class UidRegistry:
-    """Injective path -> uid map; persisted entries are never reassigned."""
-
-    def __init__(self, entries: dict[str, str] | None = None):
-        self._entries: dict[str, str] = dict(entries or {})
-        taken = set(self._entries.values())
-        if len(taken) != len(self._entries):
-            raise MappingError("uid registry is not injective")
-        # past every numeric uid taken, so no uid it makes is taken
-        self._next = 1 + max(
-            (int(u[1:]) for u in taken if u.startswith("u") and u[1:].isdecimal()),
-            default=0,
-        )
-        self.new_allocations = 0
-
-    def uid_for(self, path: str) -> str:
-        uid = self._entries.get(path)
-        if uid is not None:
-            return uid
-        uid = f"u{self._next}"
-        self._next += 1
-        self._entries[path] = uid
-        self.new_allocations += 1
-        return uid
-
-    @property
-    def entries(self) -> dict[str, str]:
-        return dict(self._entries)
 
 
 # a mapped activity: its concept and its process; the uid keys it
@@ -110,31 +80,61 @@ def merge_enriched(generated, edited, am: ActivityMappings) -> MergeResult:
 
 
 class MappingStore:
-    """Everything ``mappings.json`` holds: its domain's name, the AM and the uid registry."""
+    """Everything ``mappings.json`` holds: its domain's name, the AM and the
+    uid registry. Each uid is that of one node path, and each AM entry's uid
+    that of a node of its process: a store is checked where it is made."""
 
-    __slots__ = ("domain", "am", "uids")
+    __slots__ = ("domain", "am", "uids", "path_of", "new_allocations", "_next")
 
     def __init__(self, domain: str, am: ActivityMappings | None = None,
                  uids: dict[str, str] | None = None):
         self.domain = domain
         self.am = {} if am is None else am
         self.uids = {} if uids is None else uids
+        # the inverse of uids: each uid's node path
+        self.path_of = {uid: path for path, uid in self.uids.items()}
+        if len(self.path_of) != len(self.uids):
+            seen: dict[str, str] = {}
+            for path, uid in self.uids.items():
+                if seen.setdefault(uid, path) != path:
+                    raise MappingError(f"uid {uid} is the uid of both {seen[uid]} and {path}")
+        for uid, entry in self.am.items():
+            path = self.path_of.get(uid)
+            if path is None:
+                raise MappingError(f"uid {uid} maps concept {entry.concept!r}, "
+                                   f"but no node path has it")
+            if path.partition("/")[0] != entry.process:
+                raise MappingError(f"uid {uid} maps an activity of process {entry.process!r}, "
+                                   f"but is the uid of node path {path}")
+        self.new_allocations = 0
+        self._next = None  # the next uid's number, found at the first allocation
 
-    def registry(self) -> UidRegistry:
-        return UidRegistry(self.uids)
+    def uid_for(self, path: str) -> str:
+        """The uid of node ``path``; a new one if it has none yet."""
+        uid = self.uids.get(path)
+        if uid is not None:
+            return uid
+        if self._next is None:
+            # past every numeric uid taken, so no uid it makes is taken
+            self._next = 1 + max((int(u[1:]) for u in self.path_of
+                                  if u.startswith("u") and u[1:].isdecimal()), default=0)
+        uid = f"u{self._next}"
+        self._next += 1
+        self.uids[path] = uid
+        self.path_of[uid] = path
+        self.new_allocations += 1
+        return uid
 
     def processes(self) -> set[str]:
         """The processes this store holds, those ``gen`` wrote into it: the
         first segment of each node path in the uid registry."""
         return {path.partition("/")[0] for path in self.uids}
 
-    def update_process(self, process: str, am: ActivityMappings,
-                       registry: UidRegistry) -> None:
-        """Replace this process's AM entries and absorb new uid allocations."""
+    def update_process(self, process: str, am: ActivityMappings) -> None:
+        """Replace this process's AM entries by those of ``am``."""
         kept = {u: e for u, e in self.am.items() if e.process != process}
         kept.update((u, e) for u, e in am.items() if e.process == process)
         self.am = kept
-        self.uids = registry.entries
 
     def to_json(self) -> str:
         doc = {

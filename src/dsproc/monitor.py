@@ -58,7 +58,9 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
     line by line. It may hold several logs, each after its own header, of
     the processes ``store`` holds: the same concept used by two processes
     accumulates into one concept's tables. ``cm`` gives each concept's
-    services, as ``mappings.build_cm`` derives them from the domain.
+    services, as ``mappings.build_cm`` derives them from the domain; a
+    ``serviceInvoke`` of a service that is not its mapped activity's
+    concept's is an error, so no call goes uncounted.
     """
     probes = ProbeSet({}, {}, {}, {})
     known_processes = store.processes()
@@ -97,8 +99,9 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
             if record is None or record[1] is not None:
                 raise _outside(line_no, kind, instance, record)
             durations = durations_of.get((uid, service))
-            if durations is not None:
-                durations.append(duration or 0.0)
+            if durations is None:
+                raise _stray_call(line_no, uid, service, store.am)
+            durations.append(duration or 0.0)
         elif kind == "activityEnd":
             record = instances.get((log, instance))
             if record is None or record[1] is not None:
@@ -133,6 +136,18 @@ def _outside(line_no: int, kind: str, instance: int, record: list | None) -> Dsp
         return DsprocError(f"line {line_no}: {kind} of instance {instance} has no "
                            f"processStart before it")
     return DsprocError(f"line {line_no}: {kind} of instance {instance} after its processEnd")
+
+
+def _stray_call(line_no: int, uid: str | None, service: str | None,
+              am: ActivityMappings) -> DsprocError:
+    """The error for a serviceInvoke that is no call of a service of a mapped
+    activity's concept: of an unmapped ``uid``, or of another ``service``."""
+    entry = am.get(uid)
+    if entry is None:
+        return DsprocError(f"line {line_no}: serviceInvoke of {uid} calls {service}, "
+                           f"but {uid} is no mapped activity")
+    return DsprocError(f"line {line_no}: serviceInvoke of {uid} calls {service}, "
+                       f"which concept {entry.concept!r} does not use")
 
 
 def _samples(activities: dict[str, list[Sample]]) -> list[Sample]:
@@ -236,7 +251,6 @@ def _check_sla(concept: str, samples: list[Sample], sla: Sla) -> Alert | None:
 
 def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     """Monitoring report keyed by the modelling-level node paths, not BPMN ids."""
-    path_of = {uid: path for path, uid in store.uids.items()}
     bpms = {}
     for concept, activities in probes.activities.items():
         samples = _samples(activities)
@@ -259,7 +273,7 @@ def build_report(probes: ProbeSet, store: MappingStore) -> dict:
     for concept in sorted(probes.activities):
         activities = probes.activities[concept]
         entry = dict(bpms[concept], contribution_pct=pct(bpms[concept]["total_ms"]))
-        entry["nodes"] = {path_of.get(uid, uid): brief([s.duration_ms for s in activities[uid]])
+        entry["nodes"] = {store.path_of[uid]: brief([s.duration_ms for s in activities[uid]])
                           for uid in sorted(activities)}
         entry["services"] = {svc: brief(durations)
                              for svc, durations in probes.services[concept].items()}

@@ -51,20 +51,18 @@ class Pipeline:
     xml: str
     am: mappings.ActivityMappings
     store: mappings.MappingStore
-    registry: mappings.UidRegistry
 
 
 def compile_pipeline(d: dom.Domain, model: proc.ProcessModel,
                      store: Optional[mappings.MappingStore] = None) -> Pipeline:
     """Run parse -> pivot -> BPMN -> mappings, mirroring the gen command."""
     store = store or mappings.MappingStore(domain=d.name)
-    registry = store.registry()
-    common = pivot.to_common(model, d, registry)
+    common = pivot.to_common(model, d, store)
     generated = bpmn.generate_bpmn(common, d.name)
     am = mappings.build_am(common)
-    store.update_process(model.name, am, registry)
+    store.update_process(model.name, am)
     return Pipeline(d, model, common, generated, bpmn.serialize_bpmn(generated),
-                    am, store, registry)
+                    am, store)
 
 
 @pytest.fixture

@@ -68,12 +68,17 @@ def _set_sim(**fields):
     return _edit("sim.json", lambda text: json.dumps({**json.loads(text), **fields}))
 
 
-def _set_manifest(change):
+def _set_json(name, change):
+    """An edit of the JSON document of file ``name`` by ``change``."""
     def edit(text):
         doc = json.loads(text)
-        change(doc["activities"]["u3"])
+        change(doc)
         return json.dumps(doc)
-    return _edit("manifest.json", edit)
+    return _edit(name, edit)
+
+
+def _set_manifest(change):
+    return _set_json("manifest.json", lambda doc: change(doc["activities"]["u3"]))
 
 
 def flow_elements(root):
@@ -206,12 +211,18 @@ def _both_u4_ends_huge(lines):
         _set_duration(lines, n, "1e+308")
 
 
-def _nan(kind, field):
+def _set_fields(texts, **fields):
+    """The first line that holds each of ``texts``, with ``fields`` set."""
     def change(lines):
-        n = _first(lines, f'"kind": "{kind}"')
-        lines[n] = json.dumps({**json.loads(lines[n]), field: float("nan")}) + "\n"
+        n = next(i for i, line in enumerate(lines) if all(text in line for text in texts))
+        lines[n] = json.dumps({**json.loads(lines[n]), **fields}) + "\n"
         return {"n": n + 1}
     return _log(change)
+
+
+def _set_call(uid, **fields):
+    """The first serviceInvoke of ``uid`` with ``fields`` set."""
+    return _set_fields(('"serviceInvoke"', f'"element_uid": "{uid}"'), **fields)
 
 
 def _swap(lines):  # lines 10 and 11
@@ -271,6 +282,15 @@ _CONCEPT_RENAMED = _replace("order_handling.dsml", "concept ReviewComment {",
                             "concept ReviewNote {")
 _UNDECLARED = ("error: mappings.json: uid u10 maps concept 'ReviewComment', which "
                "order_handling.dsml does not declare\n")
+# a store that breaks one of its invariants: two node paths of one uid; an
+# activity's uid (u11, ApproveOrder's node approve) that no node path has; and
+# that uid mapped to an activity of another process than its node path's
+_TWO_PATHS = _set_json("mappings.json",
+                       lambda doc: doc["uids"].update({"HandleOrder/fulfill/pack": "u11"}))
+_TWO_PATHS_ERROR = ("error: mappings.json: uid u11 is the uid of both HandleOrder/approve "
+                    "and HandleOrder/fulfill/pack\n")
+_PATHLESS = _set_json("mappings.json", lambda doc: doc["uids"].pop("HandleOrder/approve"))
+_OTHER_PROCESS = _set_json("mappings.json", lambda doc: doc["am"]["u11"].update(process="Other"))
 # three SLAs whose threshold does not fit their metric
 _BAD_SLAS = """  sla FaultsInMs { max_fault_rate 1 ms severity info }
   sla FaultsAboveOne { max_fault_rate 2 ratio severity info }
@@ -379,6 +399,8 @@ ROWS = [
         "error: [Errno 2] No such file or directory: 'nope.dsproc'\n", absent=("out.bpmn",)),
     Row("test_a_store_of_another_domain_is_refused[gen]", _OTHER_DOMAIN, GEN, 1, _FOREIGN_STORE,
         absent=("out.bpmn",)),
+    Row("test_a_store_giving_one_uid_two_node_paths_is_refused[gen]", _TWO_PATHS, GEN, 1,
+        _TWO_PATHS_ERROR, absent=("out.bpmn",)),
     Row("test_unwritable_output_exits_one_without_traceback[gen]", None,
         GEN.replace("out.bpmn", "nodir/out"), 1,
         "error: [Errno 2] No such file or directory: 'nodir/out'\n"),
@@ -404,12 +426,21 @@ ROWS = [
         _write("deep.bpmn", nested_bpmn(3000)), SYNC.replace("edited.bpmn", "deep.bpmn"), 1,
         f"error: deep.bpmn: {_TOO_DEEP}\n", absent=("merged.bpmn",)),
     # bind: the bindings and the mapping store; bind and monitor read the store
-    # as gen left it, which must be the domain's and map no concept it lacks
+    # as gen left it, which must be the domain's, map no concept it lacks and
+    # keep its invariants
     *[Row(f"{name}[{id}]", edit, command, 1, stderr, absent=(out,))
       for name, edit, stderr in [
           ("test_a_store_of_another_domain_is_refused", _OTHER_DOMAIN, _FOREIGN_STORE),
           ("test_a_store_mapping_a_concept_the_domain_lacks_is_refused", _CONCEPT_RENAMED,
-           _UNDECLARED)]
+           _UNDECLARED),
+          ("test_a_store_giving_one_uid_two_node_paths_is_refused", _TWO_PATHS,
+           _TWO_PATHS_ERROR),
+          ("test_a_store_mapping_a_uid_of_no_node_path_is_refused", _PATHLESS,
+           "error: mappings.json: uid u11 maps concept 'ApproveOrder', but no node path "
+           "has it\n"),
+          ("test_a_store_mapping_a_node_of_another_process_is_refused", _OTHER_PROCESS,
+           "error: mappings.json: uid u11 maps an activity of process 'Other', but is the "
+           "uid of node path HandleOrder/approve\n")]
       for id, command, out in [("bind", BIND, "out.json"), ("monitor", REPORT, "report.json")]],
     Row("test_bind_unknown_process_fails", None, BIND.replace("HandleOrder", "Ghost"), 1,
         "error: unknown process 'Ghost'\n", absent=("out.json",)),
@@ -536,7 +567,8 @@ ROWS = [
     *[_monitor_fails(f"test_monitor_rejects_a_negative_duration[{id}]", _duration(text),
                      "line {n}: malformed record: 'duration_ms' is negative")
       for id, text in [("float", "-1e9"), ("int", "-1"), ("fraction", "-0.5")]],
-    *[_monitor_fails(f"test_monitor_rejects_a_nan_in_the_log[{kind}-{field}]", _nan(kind, field),
+    *[_monitor_fails(f"test_monitor_rejects_a_nan_in_the_log[{kind}-{field}]",
+                     _set_fields((f'"kind": "{kind}"',), **{field: float("nan")}),
                      f"line {{n}}: malformed record: {field!r} is NaN")
       for kind, field in [("activityEnd", "duration_ms"), ("processEnd", "ts_ms")]],
     # each duration is finite, and the line canonical; their sum is not finite
@@ -569,6 +601,15 @@ ROWS = [
                    _appended('"activityEnd", "process": "HandleOrder", "instance": 67, '
                              '"element_uid": "u10"'),
                    "line {n}: activityEnd of instance {instance} after its processEnd"),
+    # a call the report would drop: of a service that ApproveOrder (u11) does not
+    # use, as logged by a run under a domain where it did, or by an unmapped uid
+    *[_monitor_fails(f"test_monitor_rejects_a_call_of_no_mapped_concepts_service[{id}]", edit,
+                     f"line {{n}}: serviceInvoke of {message}")
+      for id, edit, message in [
+          ("unused-service", _set_call("u11", service="svcReview"),
+           "u11 calls svcReview, which concept 'ApproveOrder' does not use"),
+          ("unmapped-uid", _set_call("u3", element_uid="u2"),
+           "u2 calls svcWebOrder, but u2 is no mapped activity")]],
     # a record's seq is its position among the records since the last header
     *[_monitor_fails(f"test_monitor_rejects_a_seq_that_is_not_the_position[{id}]", _log(change),
                      message)

@@ -146,8 +146,10 @@ def test_c4_uid_stability(order_domain_text, order_process_text):
     renamed = order_domain_text.replace('label "Approve Order"',
                                         'label "Authorize Order"')
     assert renamed != order_domain_text
-    second = compile_sources(renamed, order_process_text, store=first.store)
-    assert second.registry.new_allocations == 0
+    # the store as the next gen loads it, which counts its own allocations
+    second = compile_sources(renamed, order_process_text,
+                             store=mappings.store_from_json(first.store.to_json()))
+    assert second.store.new_allocations == 0
     assert set(second.store.uids.values()) == set(first.store.uids.values())
 
     diff = [l for l in difflib.unified_diff(
@@ -183,11 +185,11 @@ _C5_PROCESS = """process %s uses Logistics {
 
 def test_c5_sla_propagation_locality():
     d = dom.parse_domain(_C5_DOMAIN)
-    registry = mappings.UidRegistry()
+    store = mappings.MappingStore(d.name)
     am = {}
     for name in ("Sales", "Returns", "Wholesale"):
         model = proc.parse_process(_C5_PROCESS % name, d)
-        am.update(mappings.build_am(pivot.to_common(model, d, registry)))
+        am.update(mappings.build_am(pivot.to_common(model, d, store)))
 
     propagated = dom.propagate_sla(d, am)
     assert len(propagated) == 3  # one per process sharing the concept
@@ -465,7 +467,6 @@ def test_c8_alert_soundness_completeness():
 def test_c9_cross_process_aggregation():
     d = dom.parse_domain(_C6_DOMAIN)
     store = mappings.MappingStore(domain=d.name)
-    registry = store.registry()
     pipelines = []
     for name, extra in (("Intake", "a -> end"), ("Refund", "a -> b\n  b -> end")):
         nodes = "node a: concept A\n"
@@ -473,9 +474,9 @@ def test_c9_cross_process_aggregation():
             nodes += "  node b: concept B\n"
         model = proc.parse_process(
             f"process {name} uses Sim {{\n  {nodes}  start -> a\n  {extra}\n}}", d)
-        common = pivot.to_common(model, d, registry)
+        common = pivot.to_common(model, d, store)
         generated = bpmn.generate_bpmn(common, d.name)
-        store.update_process(name, mappings.build_am(common), registry)
+        store.update_process(name, mappings.build_am(common))
         pipelines.append((name, generated))
 
     counts = {}

@@ -99,7 +99,7 @@ def _tiny_domain():
 def _compile(src, d=None):
     d = d or _tiny_domain()
     model = proc.parse_process(src, d)
-    common = pivot.to_common(model, d, mappings.UidRegistry())
+    common = pivot.to_common(model, d, mappings.MappingStore(d.name))
     return common, bpmn.generate_bpmn(common, d.name)
 
 

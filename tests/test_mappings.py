@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from dsproc import bpmn, mappings
 from dsproc import process as proc
-from dsproc.mappings import AmEntry, MappingError, UidRegistry, build_cm, merge_enriched
+from dsproc.mappings import AmEntry, MappingError, MappingStore, build_cm, merge_enriched
 
 from conftest import compile_pipeline
 
@@ -25,15 +25,17 @@ def test_cm_keys_are_exactly_service_backed_concepts(order_domain):
 
 
 def test_registry_hands_out_sequential_uids():
-    r = UidRegistry()
+    r = MappingStore("D")
     assert r.uid_for("P/a") == "u1"
     assert r.uid_for("P/b") == "u2"
     assert r.uid_for("P/a") == "u1"
     assert r.new_allocations == 2
+    assert r.uids == {"P/a": "u1", "P/b": "u2"}
+    assert r.path_of == {"u1": "P/a", "u2": "P/b"}
 
 
 def test_registry_resumes_after_persisted_entries():
-    r = UidRegistry({"P/a": "u1", "P/b": "u7"})
+    r = MappingStore("D", uids={"P/a": "u1", "P/b": "u7"})
     assert r.uid_for("P/a") == "u1"
     assert r.new_allocations == 0
     fresh = r.uid_for("P/c")
@@ -43,24 +45,27 @@ def test_registry_resumes_after_persisted_entries():
 
 def test_registry_resumes_past_uids_of_any_decimal_digits():
     # "²" is a digit but no decimal one, which int() refuses; "٣" is a decimal 3
-    r = UidRegistry({"P/a": "u²", "P/b": "u٣", "P/c": "u2"})
+    r = MappingStore("D", uids={"P/a": "u²", "P/b": "u٣", "P/c": "u2"})
     assert r.uid_for("P/d") == "u4"
 
 
 def test_registry_rejects_non_injective_state():
-    with pytest.raises(MappingError):
-        UidRegistry({"P/a": "u1", "P/b": "u1"})
+    with pytest.raises(MappingError) as exc:
+        MappingStore("D", uids={"P/a": "u1", "P/b": "u2", "P/c": "u1"})
+    assert str(exc.value) == "uid u1 is the uid of both P/a and P/c"
 
 
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=0, max_size=30))
 def test_registry_is_injective_property(paths):
-    r = UidRegistry()
+    r = MappingStore("D")
     assigned = {p: r.uid_for(p) for p in paths}
     uids = list(assigned.values())
     assert len(set(uids)) == len(uids)
     # idempotent: asking again changes nothing
     for p, uid in assigned.items():
         assert r.uid_for(p) == uid
+    # the registry as saved loads again: a store checks its registry when made
+    assert MappingStore("D", uids=dict(r.uids)).path_of == r.path_of
 
 
 def _pivot_elements(m):
@@ -151,13 +156,11 @@ def test_store_file_round_trip(tmp_path, order_pipeline):
 
 
 def test_update_process_keeps_other_processes():
-    store = mappings.MappingStore(domain="D")
-    store.am = {
+    store = mappings.MappingStore(domain="D", am={
         "u1": AmEntry("A", "P"),
         "u2": AmEntry("B", "Q"),
-    }
-    registry = UidRegistry({"P/a": "u1", "Q/b": "u2"})
-    store.update_process("P", {"u3": AmEntry("C", "P")}, registry)
+    }, uids={"P/a": "u1", "Q/b": "u2", "P/c": "u3"})
+    store.update_process("P", {"u3": AmEntry("C", "P")})
     assert "u2" in store.am
     assert "u1" not in store.am
     assert "u3" in store.am

@@ -38,7 +38,7 @@ def test_subprocess_recursion(order_pipeline):
     inner_concepts = {e.concept for e in inner.elements if e.concept is not None}
     assert inner_concepts == {"HandlePayment", "PackageItems", "ShipAndConfirm"}
     # inner uids are registered under the container's path
-    path_of = {uid: path for path, uid in order_pipeline.registry.entries.items()}
+    path_of = order_pipeline.store.path_of
     container_path = path_of[subs[0].uid]
     for e in inner.elements:
         assert path_of[e.uid].startswith(container_path + "/")
@@ -46,8 +46,10 @@ def test_subprocess_recursion(order_pipeline):
 
 def test_uid_stability_across_regeneration(order_domain, order_process):
     first = compile_pipeline(order_domain, order_process)
-    second = compile_pipeline(order_domain, order_process, store=first.store)
-    assert second.registry.new_allocations == 0
+    # the store as the next gen loads it, which counts its own allocations
+    second = compile_pipeline(order_domain, order_process,
+                              store=mappings.store_from_json(first.store.to_json()))
+    assert second.store.new_allocations == 0
     assert second.common == first.common
 
 
@@ -59,9 +61,8 @@ def test_uids_unique_across_processes(order_domain, order_process):
           a -> end
         }""", order_domain)
     store = mappings.MappingStore(domain=order_domain.name)
-    registry = store.registry()
-    c1 = pivot.to_common(order_process, order_domain, registry)
-    c2 = pivot.to_common(other, order_domain, registry)
+    c1 = pivot.to_common(order_process, order_domain, store)
+    c2 = pivot.to_common(other, order_domain, store)
 
     def uids(m):
         for e in m.elements:
@@ -76,6 +77,6 @@ def test_uids_unique_across_processes(order_domain, order_process):
 def test_empty_process_lowering(order_domain):
     model = proc.parse_process(
         "process P uses OrderHandling { start -> end }", order_domain)
-    common = pivot.to_common(model, order_domain, mappings.UidRegistry())
+    common = pivot.to_common(model, order_domain, mappings.MappingStore(order_domain.name))
     assert [e.kind for e in common.elements] == ["start", "end"]
     assert len(common.flows) == 1
