@@ -176,8 +176,8 @@ def _txt(value: str) -> str:
 def parse_bpmn(xml_text: str) -> BpmnModel:
     """Parse the first process of a BPMN XML document into a model.
 
-    Every flow element is kept, enrichment without a concept ref included;
-    an element of a kind dsproc does not generate keeps its tag as ``kind``.
+    Every flow node is kept, enrichment without a concept ref included; an
+    element of a kind dsproc does not generate keeps its tag as ``kind``.
     Attributes other than ``id`` and ``name``, documentation and anything
     outside the process are not read: the model is for simulation and
     reconciliation, not for writing the file back. A subProcess nested more
@@ -216,8 +216,11 @@ def parse_bpmn(xml_text: str) -> BpmnModel:
                 child.get("id", ""), child.get("sourceRef", ""),
                 child.get("targetRef", ""), condition))
             continue
-        if tag in ("extensionElements", "conditionExpression", "incoming", "outgoing",
-                   "documentation"):
+        # what an element carries, and what OMG BPMN 2.0 (formal/11-01-03,
+        # section 10) makes no flow node: lanes, artifacts and data
+        if tag in {"extensionElements", "conditionExpression", "incoming", "outgoing",
+                   "documentation", "laneSet", "textAnnotation", "association", "group",
+                   "dataObject", "dataObjectReference", "dataStoreReference"}:
             continue
         concept_uid = concept_name = None
         for sub in child:

@@ -20,7 +20,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from .bpmn import BpmnModel
     from .domain import Domain
-    from .mappings import ActivityMappings, MappingStore
+    from .mappings import MappingStore
+    from .pivot import CommonModel
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -71,11 +72,9 @@ def _load_mapped(domain_path: str, store_path: str) -> tuple[Domain, MappingStor
 
 
 def _generate(proc_path: str, domain_path: str, mappings_path: str
-              ) -> tuple[BpmnModel, MappingStore, ActivityMappings]:
-    """Generate a process's BPMN model into its mapping store.
-
-    Returns the model, the updated store and the store's AM as loaded.
-    """
+              ) -> tuple[BpmnModel, MappingStore, CommonModel]:
+    """Generate a process's BPMN model, its new uids allocated in its mapping
+    store: the model, the store, whose AM is as loaded, and the pivot model."""
     from . import bpmn, domain as dom, mappings, pivot, process as proc
     d = _load(domain_path, dom.parse_domain, dom.validate_domain)
     model = _load(proc_path, lambda text: proc.parse_process(text, d),
@@ -83,11 +82,8 @@ def _generate(proc_path: str, domain_path: str, mappings_path: str
     # the first gen of a domain starts its store
     store = _load_store(mappings_path, d) if os.path.exists(mappings_path) \
         else mappings.MappingStore(domain=d.name)
-    loaded_am = store.am
     common = pivot.to_common(model, d, store)
-    generated = bpmn.generate_bpmn(common, d.name)
-    store.update_process(model.name, mappings.build_am(common))
-    return generated, store, loaded_am
+    return bpmn.generate_bpmn(common, d.name), store, common
 
 
 def _print_diagnostics(path: str, diagnostics) -> int:
@@ -116,7 +112,8 @@ def cmd_check(args) -> int:
 
 def cmd_gen(args) -> int:
     from . import bpmn, mappings
-    generated, store, _ = _generate(args.process, args.domain, args.mappings)
+    generated, store, common = _generate(args.process, args.domain, args.mappings)
+    store.update_process(common.name, mappings.build_am(common))
     _write(args.output, bpmn.serialize_bpmn(generated))
     mappings.save_store(store, args.mappings)
     return EXIT_OK
@@ -124,9 +121,9 @@ def cmd_gen(args) -> int:
 
 def cmd_sync(args) -> int:
     from . import bpmn, mappings
-    generated, store, loaded_am = _generate(args.process, args.domain, args.mappings)
+    generated, store, _ = _generate(args.process, args.domain, args.mappings)
     text, edited = load_input(args.edited, lambda text: (text, bpmn.parse_bpmn(text)))
-    result = mappings.merge_enriched(generated, edited, loaded_am)
+    result = mappings.merge_enriched(generated, edited, store.am)
     _write(args.output, text)
     for element_id in result.technical_additions:
         print(f"technical addition: {element_id}")

@@ -13,7 +13,6 @@ from collections import namedtuple
 from . import diagnostics as diag
 from . import process as proc
 from . import lexer
-from .diagnostics import DsprocError
 from .lexer import escape
 
 TYPE_CHECKING = False
@@ -324,16 +323,10 @@ def propagate_sla(d: Domain, am) -> list[tuple[str, Sla]]:
     ``am`` is a :data:`~dsproc.mappings.ActivityMappings` dict. Each mapped
     activity whose concept carries an SLA reference yields one
     ``(activity_uid, Sla)`` entry; activities of SLA-less concepts are absent.
+    Each concept of ``am`` is one of ``d``'s, as in every store bind and monitor load.
     """
-    out: list[tuple[str, Sla]] = []
-    for uid, entry in am.items():
-        concept = d.concept(entry.concept)
-        if concept is None:
-            raise DsprocError(f"activity mapping references unknown concept {entry.concept!r}")
-        if concept.sla_ref is None:
-            continue
-        out.append((uid, d.sla(concept.sla_ref)))
-    return out
+    return [(uid, d.sla(concept.sla_ref)) for uid, entry in am.items()
+            if (concept := d.concept(entry.concept)).sla_ref is not None]
 
 
 def _num(value: float) -> str:

@@ -131,10 +131,8 @@ class MappingStore:
         return {path.partition("/")[0] for path in self.uids}
 
     def update_process(self, process: str, am: ActivityMappings) -> None:
-        """Replace this process's AM entries by those of ``am``."""
-        kept = {u: e for u, e in self.am.items() if e.process != process}
-        kept.update((u, e) for u, e in am.items() if e.process == process)
-        self.am = kept
+        """Replace this process's AM entries by ``am``, the AM of ``process``."""
+        self.am = {u: e for u, e in self.am.items() if e.process != process} | am
 
     def to_json(self) -> str:
         doc = {

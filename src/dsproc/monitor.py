@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .diagnostics import DsprocError, fits_a_float, sum_in_order
-from .eventlog import read_log
+from .eventlog import EventRecord, read_log
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,8 +34,13 @@ _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
 # one completion of a mapped activity
 Sample = namedtuple("Sample", "duration_ms status instance ts_ms")
+# the fields ingest counts of each measured kind but processStart, by their index
+# in a record's values; not an activityEnd's element_uid: a technical task has none
+_COUNTED = {kind: tuple(map(EventRecord._fields.index, names.split())) for kind, names in {
+    "activityEnd": "status duration_ms", "serviceInvoke": "element_uid service duration_ms",
+    "processEnd": "status"}.items()}
 # the kinds of record whose numbers ingest reads
-_MEASURED = frozenset({"activityEnd", "serviceInvoke", "processStart", "processEnd"})
+_MEASURED = frozenset({*_COUNTED, "processStart"})
 
 
 # The tables of an ingested log. ``activities`` maps each mapped concept to
@@ -58,9 +63,10 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
     line by line. It may hold several logs, each after its own header, of
     the processes ``store`` holds: the same concept used by two processes
     accumulates into one concept's tables. ``cm`` gives each concept's
-    services, as ``mappings.build_cm`` derives them from the domain; a
-    ``serviceInvoke`` of a service that is not its mapped activity's
-    concept's is an error, so no call goes uncounted.
+    services, as ``mappings.build_cm`` derives them from the domain. A
+    measured record of an instance that is not running, or without a field
+    that is counted, is an error; so is a ``serviceInvoke`` of a service
+    that is not its mapped activity's concept's, so no call goes uncounted.
     """
     probes = ProbeSet({}, {}, {}, {})
     known_processes = store.processes()
@@ -94,52 +100,54 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
                 probes.instances[process] = {}
             instances = probes.instances[process]
             last = process
-        if kind == "serviceInvoke":
-            record = instances.get((log, instance))
-            if record is None or record[1] is not None:
-                raise _outside(line_no, kind, instance, record)
+        counted = _COUNTED.get(kind)
+        if counted is None:
+            if kind == "processStart":
+                if (log, instance) in instances:
+                    raise _outside(line_no, kind, instance, instances[log, instance])
+                instances[log, instance] = [ts, None, None]
+            # the other kinds, activityStart and gatewayTaken, carry no aggregated measure
+            continue
+        # any other measured record: of a running instance, with each field counted
+        record = instances.get((log, instance))
+        if record is None or record[1] is not None:
+            raise _outside(line_no, kind, instance, record)
+        for i in counted:
+            if values[i] is None:
+                raise DsprocError(f"line {line_no}: {kind} of instance {instance} has no "
+                                  f"{EventRecord._fields[i]}")
+        if kind == "activityEnd":
+            samples = samples_of.get(uid)
+            # or 0.0: a zero duration, 0 or -0.0, counts as 0.0
+            if samples is None:
+                technical.append(duration or 0.0)
+            else:
+                samples.append(new(Sample, (duration or 0.0, status, instance, ts)))
+        elif kind == "serviceInvoke":
             durations = durations_of.get((uid, service))
             if durations is None:
                 raise _stray_call(line_no, uid, service, store.am)
             durations.append(duration or 0.0)
-        elif kind == "activityEnd":
-            record = instances.get((log, instance))
-            if record is None or record[1] is not None:
-                raise _outside(line_no, kind, instance, record)
-            samples = samples_of.get(uid)
-            if samples is None:
-                technical.append(duration or 0.0)
-            else:
-                samples.append(new(Sample, (duration or 0.0, status or "ok", instance, ts)))
-        elif kind == "processStart":
-            if (log, instance) in instances:
-                raise DsprocError(f"line {line_no}: second processStart of instance {instance}")
-            instances[log, instance] = [ts, None, None]
-        elif kind == "processEnd":
-            record = instances.get((log, instance))
-            if record is None:
-                raise _outside(line_no, kind, instance, record)
-            if record[1] is not None:
-                raise DsprocError(f"line {line_no}: second processEnd of instance {instance}")
+        else:  # processEnd
             if ts < record[0]:
                 raise DsprocError(f"line {line_no}: processEnd of instance {instance} at "
                                   f"ts_ms {ts!r} precedes its start at ts_ms {record[0]!r}")
-            record[1], record[2] = ts, status or "ok"
-        # the other kinds, activityStart and gatewayTaken, carry no aggregated measure
+            record[1], record[2] = ts, status
     return probes
 
 
 def _outside(line_no: int, kind: str, instance: int, record: list | None) -> DsprocError:
     """The error for a record of an instance that has not started (its
-    ``record`` is None) or has ended."""
+    ``record`` is None) or has ended, or for a second start or end of it."""
     if record is None:
         return DsprocError(f"line {line_no}: {kind} of instance {instance} has no "
                            f"processStart before it")
+    if kind in ("processStart", "processEnd"):
+        return DsprocError(f"line {line_no}: second {kind} of instance {instance}")
     return DsprocError(f"line {line_no}: {kind} of instance {instance} after its processEnd")
 
 
-def _stray_call(line_no: int, uid: str | None, service: str | None,
-              am: ActivityMappings) -> DsprocError:
+def _stray_call(line_no: int, uid: str, service: str, am: ActivityMappings) -> DsprocError:
     """The error for a serviceInvoke that is no call of a service of a mapped
     activity's concept: of an unmapped ``uid``, or of another ``service``."""
     entry = am.get(uid)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -6,10 +7,39 @@ from typing import Dict, List, Optional
 import pytest
 from hypothesis import strategies as st
 
-from dsproc import bpmn, deploy, domain as dom, engine, mappings, pivot
+from dsproc import bpmn, cli, deploy, domain as dom, engine, mappings, pivot
 from dsproc import process as proc
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# the README walkthrough's sources, then what its gen, bind and run write
+SOURCES = ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json")
+WALKTHROUGH = SOURCES + ("mappings.json", "order.bpmn", "manifest.json", "events.jsonl")
+
+
+def copy_walkthrough(work: Path, names=SOURCES, source: Path = FIXTURES) -> Path:
+    """``work``, with the files ``names`` of the walkthrough copied from ``source``."""
+    for name in names:
+        shutil.copy(source / name, work / name)
+    return work
+
+
+@pytest.fixture(scope="session")
+def walkthrough(tmp_path_factory) -> Path:
+    """The directory of the README walkthrough: its sources, and what its gen,
+    bind and run wrote. Every test that needs it shares it, so no test writes
+    into it; a test copies what it changes."""
+    work = copy_walkthrough(tmp_path_factory.mktemp("walkthrough"))
+    store = ["--domain", str(work / "order_handling.dsml"),
+             "--mappings", str(work / "mappings.json")]
+    for argv in (
+        ["gen", str(work / "order_handling.dsproc"), *store, "-o", str(work / "order.bpmn")],
+        ["bind", *store, "--bindings", str(work / "bindings.json"),
+         "--process", "HandleOrder", "-o", str(work / "manifest.json")],
+        ["run", str(work / "order.bpmn"), "--manifest", str(work / "manifest.json"),
+         "--sim", str(work / "sim.json"), "-o", str(work / "events.jsonl")],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    return work
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -212,11 +212,14 @@ def _both_u4_ends_huge(lines):
 
 
 def _set_fields(texts, **fields):
-    """The first line that holds each of ``texts``, with ``fields`` set."""
+    """The first line that holds each of ``texts``, with ``fields`` set; a
+    field set to None is left out, as a log leaves out a field that does not
+    apply."""
     def change(lines):
         n = next(i for i, line in enumerate(lines) if all(text in line for text in texts))
-        lines[n] = json.dumps({**json.loads(lines[n]), **fields}) + "\n"
-        return {"n": n + 1}
+        doc = {**json.loads(lines[n]), **fields}
+        lines[n] = json.dumps({k: v for k, v in doc.items() if v is not None}) + "\n"
+        return {"n": n + 1, "instance": doc["instance"]}
     return _log(change)
 
 
@@ -610,6 +613,15 @@ ROWS = [
            "u11 calls svcReview, which concept 'ApproveOrder' does not use"),
           ("unmapped-uid", _set_call("u3", element_uid="u2"),
            "u2 calls svcWebOrder, but u2 is no mapped activity")]],
+    # a record without a field that ingest counts: a missing duration counted
+    # as 0.0 ms and a missing status as ok, and a call of no uid or no service
+    # was named as a call of None
+    *[_monitor_fails(f"test_monitor_rejects_a_record_without_a_field_it_counts[{kind}-{field}]",
+                     _set_fields((f'"kind": "{kind}"',), **{field: None}),
+                     f"line {{n}}: {kind} of instance {{instance}} has no {field}")
+      for kind, field in [("activityEnd", "duration_ms"), ("activityEnd", "status"),
+                          ("serviceInvoke", "element_uid"), ("serviceInvoke", "service"),
+                          ("serviceInvoke", "duration_ms"), ("processEnd", "status")]],
     # a record's seq is its position among the records since the last header
     *[_monitor_fails(f"test_monitor_rejects_a_seq_that_is_not_the_position[{id}]", _log(change),
                      message)

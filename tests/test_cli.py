@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dsproc import bpmn, cli, deploy, engine, eventlog, mappings
 from dsproc.diagnostics import MAX_NESTING, DsprocError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, WALKTHROUGH, copy_walkthrough
 from refusals import BAD_DOMAIN, BAD_PROCESS, ROWS, edited_bpmn, flow_elements, nested_bpmn
 
 
@@ -25,10 +24,14 @@ _SRC = str(FIXTURES.resolve().parent.parent / "src")
 
 @pytest.fixture
 def work(tmp_path):
-    for name in ("order_handling.dsml", "order_handling.dsproc",
-                 "bindings.json", "sim.json"):
-        shutil.copy(FIXTURES / name, tmp_path / name)
-    return tmp_path
+    """A directory with the walkthrough's sources."""
+    return copy_walkthrough(tmp_path)
+
+
+@pytest.fixture
+def walked(walkthrough, tmp_path):
+    """A copy of the walkthrough's directory, with what its gen, bind and run wrote."""
+    return copy_walkthrough(tmp_path, WALKTHROUGH, walkthrough)
 
 
 def _gen(work, out="order.bpmn", mappings="mappings.json", process="order_handling.dsproc"):
@@ -262,11 +265,11 @@ def test_run_leaves_the_log_reader_pattern_uncompiled(work):
     assert (result.stderr, result.stdout) == ("", "0 None\n")
 
 
-def test_monitor_reads_every_record_of_the_walkthrough_log_by_the_pattern(work, monkeypatch,
+def test_monitor_reads_every_record_of_the_walkthrough_log_by_the_pattern(walked, monkeypatch,
                                                                         capsys):
     # the json route may decode the header only; a record line sent there
     # fails the test, so a reader that fell back to it for every line would
-    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+    work = walked
     decode_json = eventlog._decode_json
 
     def header_only(line):
@@ -337,10 +340,8 @@ def test_full_pipeline_and_determinism(work):
     assert header["log_version"] == 1
 
 
-def test_monitor_writes_report_and_alerts(work, capsys):
-    assert _gen(work) == 0
-    assert _bind(work) == 0
-    assert _run(work) == 0
+def test_monitor_writes_report_and_alerts(walked, capsys):
+    work = walked
     code = cli.main([
         "monitor", str(work / "events.jsonl"),
         "--mappings", str(work / "mappings.json"),
@@ -417,8 +418,8 @@ def test_importing_the_cli_does_not_import_pathlib():
 
 
 @pytest.mark.parametrize("command", ["check", "gen", "sync", "bind", "run", "monitor"])
-def test_each_command_loads_only_the_modules_it_runs(work, command):
-    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
+def test_each_command_loads_only_the_modules_it_runs(walked, command):
+    work = walked
     dsml, dsproc = str(work / "order_handling.dsml"), str(work / "order_handling.dsproc")
     store = ["--domain", dsml, "--mappings", str(work / "mappings.json")]
     argv = {
@@ -536,25 +537,10 @@ def test_json_inputs_of_any_shape_raise_only_dsproc_errors(doc):
 # ---------------------------------------------------------------------------
 # the refusal table of tests/refusals.py, each row on a copy of the walkthrough
 
-_WALKTHROUGH = ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json",
-                "mappings.json", "order.bpmn", "manifest.json", "events.jsonl")
-
-
-@pytest.fixture(scope="module")
-def walkthrough(tmp_path_factory):
-    """The README walkthrough: its sources, and what its gen, bind and run wrote."""
-    work = tmp_path_factory.mktemp("walkthrough")
-    for name in _WALKTHROUGH[:4]:
-        shutil.copy(FIXTURES / name, work / name)
-    assert (_gen(work), _bind(work), _run(work)) == (0, 0, 0)
-    return work
-
-
 def _edited_copy(row, walkthrough, work):
     """``row``'s edit of a copy of the walkthrough in ``work``; the exit code,
     stdout and stderr that ``row`` expects of its command there."""
-    for name in _WALKTHROUGH:
-        shutil.copy(walkthrough / name, work / name)
+    copy_walkthrough(work, WALKTHROUGH, walkthrough)
     values = (row.edit(work) if row.edit else None) or {}
     return row.code, row.stdout.format(**values), row.stderr.format(**values)
 
@@ -628,25 +614,26 @@ def test_a_refusal_as_a_command(as_commands, row):
 # one-element edits of the walkthrough's BPMN: each edited file runs, or
 # `run` exits 1 with one line that names it
 
-def _run_edited(work, edit):
+def _run_edited(walkthrough, edit, out):
     """Whether the walkthrough's BPMN with ``edit`` parses and simulates 20
     instances in process, and the exit code and stderr of `run` on it; the
-    path of the file."""
-    text = edited_bpmn((work / "order.bpmn").read_text(encoding="utf-8"), *edit)
-    path = work / "edited.bpmn"
+    path of the file. The file and its log ``edited.jsonl`` are written to
+    directory ``out``."""
+    text = edited_bpmn((walkthrough / "order.bpmn").read_text(encoding="utf-8"), *edit)
+    path = out / "edited.bpmn"
     path.write_text(text, encoding="utf-8")
+    manifest, sim = walkthrough / "manifest.json", walkthrough / "sim.json"
     try:
-        manifest = deploy.load_manifest(work / "manifest.json")
-        cfg = engine.SimulationConfig.from_json((work / "sim.json").read_text(encoding="utf-8"))
-        engine.simulate(bpmn.parse_bpmn(text), manifest, cfg._replace(instance_count=20))
+        cfg = engine.SimulationConfig.from_json(sim.read_text(encoding="utf-8"))
+        engine.simulate(bpmn.parse_bpmn(text), deploy.load_manifest(manifest),
+                        cfg._replace(instance_count=20))
         runs = True
     except DsprocError:
         runs = False
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        code = cli.main(["run", str(path), "--manifest", str(work / "manifest.json"),
-                         "--sim", str(work / "sim.json"), "--instances", "20",
-                         "-o", str(work / "edited.jsonl")])
+        code = cli.main(["run", str(path), "--manifest", str(manifest), "--sim", str(sim),
+                         "--instances", "20", "-o", str(out / "edited.jsonl")])
     return runs, code, stderr.getvalue(), path
 
 
@@ -668,9 +655,15 @@ _bpmn_edits = st.one_of(
               st.integers(0, 63)))
 
 
+@pytest.fixture(scope="module")
+def edits(tmp_path_factory):
+    """A directory for the edited BPMN files and their logs."""
+    return tmp_path_factory.mktemp("edits")
+
+
 @settings(max_examples=150, deadline=None)
 @given(_bpmn_edits)
-def test_a_one_element_edit_of_the_bpmn_runs_or_is_a_located_error(walkthrough, edit):
+def test_a_one_element_edit_of_the_bpmn_runs_or_is_a_located_error(walkthrough, edits, edit):
     import xml.etree.ElementTree as ET
     root = ET.fromstring((walkthrough / "order.bpmn").read_text(encoding="utf-8"))
     items = flow_elements(root)
@@ -682,11 +675,11 @@ def test_a_one_element_edit_of_the_bpmn_runs_or_is_a_located_error(walkthrough, 
         edit = (how, flows[i % len(flows)], end, (ids + ["nosuch"])[j % (len(ids) + 1)])
     else:
         edit = (how, ids[i % len(ids)])
-    runs, code, stderr, path = _run_edited(walkthrough, edit)
+    runs, code, stderr, path = _run_edited(walkthrough, edit, edits)
     if runs:
         assert (code, stderr) == (0, "")
         # each instance starts once and ends once, after all its other records
-        for kinds in _kinds_by_instance(walkthrough / "edited.jsonl").values():
+        for kinds in _kinds_by_instance(edits / "edited.jsonl").values():
             assert kinds[0] == "processStart" and "processStart" not in kinds[1:]
             assert kinds[-1] == "processEnd" and "processEnd" not in kinds[:-1]
     else:
@@ -694,11 +687,12 @@ def test_a_one_element_edit_of_the_bpmn_runs_or_is_a_located_error(walkthrough, 
         assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
 
 
-def test_two_tokens_in_one_subprocess_each_run_it(walkthrough):
+def test_two_tokens_in_one_subprocess_each_run_it(walkthrough, tmp_path):
     # the start event forks a token to web (u3) and one to route (u2), and
     # both reach subProcess u12; each runs it, and the instance ends once
-    runs, code, stderr, _ = _run_edited(walkthrough, ("retarget", "f_u2_u3", "sourceRef", "u1"))
+    runs, code, stderr, _ = _run_edited(walkthrough, ("retarget", "f_u2_u3", "sourceRef", "u1"),
+                                        tmp_path)
     assert (runs, code, stderr) == (True, 0, "")
-    kinds = _kinds_by_instance(walkthrough / "edited.jsonl")
+    kinds = _kinds_by_instance(tmp_path / "edited.jsonl")
     assert sorted(kinds) == list(range(1, 21))
     assert all(k.count("processEnd") == 1 for k in kinds.values())

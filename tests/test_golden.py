@@ -12,50 +12,26 @@ and pins the alerts, their stdout lines and the report that run gives.
 
 import hashlib
 import json
-import shutil
 
 import pytest
 
 from dsproc import cli, domain as dom, mappings
 
-from conftest import FIXTURES
+from conftest import FIXTURES, SOURCES, WALKTHROUGH, copy_walkthrough
 
 GOLDEN = FIXTURES / "golden"
 
 
-@pytest.fixture(scope="module")
-def walkthrough(tmp_path_factory):
-    work = tmp_path_factory.mktemp("walkthrough")
-    for name in ("order_handling.dsml", "order_handling.dsproc",
-                 "bindings.json", "sim.json"):
-        shutil.copy(FIXTURES / name, work / name)
-    domain = str(work / "order_handling.dsml")
-    mappings = str(work / "mappings.json")
-    steps = [
-        ["gen", str(work / "order_handling.dsproc"), "--domain", domain,
-         "--mappings", mappings, "-o", str(work / "order.bpmn")],
-        ["bind", "--domain", domain, "--bindings", str(work / "bindings.json"),
-         "--mappings", mappings, "--process", "HandleOrder",
-         "-o", str(work / "manifest.json")],
-        ["run", str(work / "order.bpmn"), "--manifest", str(work / "manifest.json"),
-         "--sim", str(work / "sim.json"), "-o", str(work / "events.jsonl")],
-    ]
-    for argv in steps:
-        assert cli.main(argv) == 0, argv[0]
-    return work
-
-
-def test_monitor_output_matches_golden(walkthrough, capsys):
-    work = walkthrough
-    code = cli.main(["monitor", str(work / "events.jsonl"),
-                     "--mappings", str(work / "mappings.json"),
-                     "--domain", str(work / "order_handling.dsml"),
-                     "--report", str(work / "report.json"),
-                     "--alert-out", str(work / "alerts.jsonl")])
+def test_monitor_output_matches_golden(walkthrough, tmp_path, capsys):
+    code = cli.main(["monitor", str(walkthrough / "events.jsonl"),
+                     "--mappings", str(walkthrough / "mappings.json"),
+                     "--domain", str(walkthrough / "order_handling.dsml"),
+                     "--report", str(tmp_path / "report.json"),
+                     "--alert-out", str(tmp_path / "alerts.jsonl")])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "monitor_stdout.txt").read_text(encoding="utf-8")
-    assert (work / "report.json").read_bytes() == (GOLDEN / "report.json").read_bytes()
-    assert _sha256(work / "alerts.jsonl") == _pinned()["alerts.jsonl"]
+    assert (tmp_path / "report.json").read_bytes() == (GOLDEN / "report.json").read_bytes()
+    assert _sha256(tmp_path / "alerts.jsonl") == _pinned()["alerts.jsonl"]
 
 
 @pytest.mark.parametrize("name", ["order.bpmn", "mappings.json", "manifest.json",
@@ -108,7 +84,7 @@ _PINNED_REPORT_SHA256 = "7f9774c4ce97b446ec484c745ce9d38d7048fd748cea110ae88e9f4
 
 
 def test_an_alerting_run_is_pinned(tmp_path, capsys):
-    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json"):
+    for name in SOURCES:
         text = (FIXTURES / name).read_text(encoding="utf-8")
         for old, new in _ALERTING_EDITS.get(name, ()):
             assert text.count(old) == 1, (name, old)
@@ -152,9 +128,8 @@ _AUDIT_EDIT = (
 
 def test_a_technical_task_timed_by_the_default_profile_is_pinned(walkthrough, tmp_path,
                                                                   capsys):
-    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json",
-                 "mappings.json"):
-        shutil.copy(walkthrough / name, tmp_path / name)
+    copy_walkthrough(tmp_path, ("order_handling.dsml", "order_handling.dsproc", "bindings.json",
+                                "mappings.json"), walkthrough)
     xml = (walkthrough / "order.bpmn").read_text(encoding="utf-8")
     assert xml.count(_AUDIT_EDIT[0]) == 1
     (tmp_path / "edited.bpmn").write_text(xml.replace(*_AUDIT_EDIT), encoding="utf-8")
@@ -188,13 +163,56 @@ def test_a_technical_task_timed_by_the_default_profile_is_pinned(walkthrough, tm
         (TECHNICAL / "report.json").read_text(encoding="utf-8")
 
 
+# lanes, artifacts and data, which are no flow nodes (OMG BPMN 2.0,
+# formal/11-01-03, section 10), planted in the process and in subProcess u12
+_NO_FLOW_NODES = [
+    ('  <bpmn:process id="HandleOrder" isExecutable="true">\n',
+     '  <bpmn:process id="HandleOrder" isExecutable="true">\n'
+     '    <bpmn:laneSet id="lanes1">\n'
+     '      <bpmn:lane id="lane1"><bpmn:flowNodeRef>u3</bpmn:flowNodeRef></bpmn:lane>\n'
+     '    </bpmn:laneSet>\n'),
+    ('    </bpmn:subProcess>\n',
+     '      <bpmn:textAnnotation id="note2"><bpmn:text>Shipping</bpmn:text></bpmn:textAnnotation>\n'
+     '    </bpmn:subProcess>\n'),
+    ('  </bpmn:process>\n',
+     '    <bpmn:textAnnotation id="note1"><bpmn:text>Checked</bpmn:text></bpmn:textAnnotation>\n'
+     '    <bpmn:association id="assoc1" sourceRef="u3" targetRef="note1"/>\n'
+     '    <bpmn:group id="group1"/>\n'
+     '    <bpmn:dataObject id="data1"/>\n'
+     '    <bpmn:dataObjectReference id="dataref1" dataObjectRef="data1"/>\n'
+     '    <bpmn:dataStoreReference id="store1"/>\n'
+     '  </bpmn:process>\n'),
+]
+
+
+def test_sync_reports_no_lane_artifact_or_data_as_a_technical_addition(walkthrough, tmp_path,
+                                                                        capsys):
+    xml = (walkthrough / "order.bpmn").read_text(encoding="utf-8")
+    for old, new in _NO_FLOW_NODES:
+        assert xml.count(old) == 1
+        xml = xml.replace(old, new)
+    edited, merged = tmp_path / "edited.bpmn", tmp_path / "merged.bpmn"
+    edited.write_text(xml, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["sync", str(walkthrough / "order_handling.dsproc"),
+                     "--domain", str(walkthrough / "order_handling.dsml"),
+                     "--mappings", str(walkthrough / "mappings.json"),
+                     "--edited", str(edited), "-o", str(merged)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert merged.read_bytes() == edited.read_bytes()
+    # they change no run either
+    assert cli.main(["run", str(merged), "--manifest", str(walkthrough / "manifest.json"),
+                     "--sim", str(walkthrough / "sim.json"),
+                     "-o", str(tmp_path / "events.jsonl")]) == 0
+    assert _sha256(tmp_path / "events.jsonl") == _pinned()["events.jsonl"]
+
+
 # ---------------------------------------------------------------------------
 # stores and manifests as earlier versions of dsproc wrote them
 
 def _copy_walkthrough(walkthrough, work):
-    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json",
-                 "mappings.json", "manifest.json", "order.bpmn"):
-        shutil.copy(walkthrough / name, work / name)
+    # not the log: run must write it again
+    copy_walkthrough(work, [name for name in WALKTHROUGH if name != "events.jsonl"], walkthrough)
 
 
 def _write_json(path, doc):

@@ -9,7 +9,6 @@ the whole table, and one traced walkthrough, in a fraction of a second.
 """
 
 import importlib
-import shutil
 import sys
 from pathlib import Path
 
@@ -17,8 +16,9 @@ import pytest
 
 from dsproc import cli, engine, eventlog
 
+from conftest import copy_walkthrough
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +50,7 @@ def test_the_engine_probe_wraps_the_log_writer():
 
 def test_the_traced_walkthrough_runs_every_count_function_it_reaches(spans, tmp_path,
                                                                      monkeypatch):
-    for name in ("order_handling.dsml", "order_handling.dsproc", "bindings.json", "sim.json"):
-        shutil.copy(FIXTURES / name, tmp_path / name)
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(copy_walkthrough(tmp_path))
     store = ["--domain", "order_handling.dsml", "--mappings", "mappings.json"]
     gen = ["gen", "order_handling.dsproc", *store, "-o", "order.bpmn"]
     commands = [gen, gen,
