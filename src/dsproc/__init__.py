@@ -11,9 +11,3 @@ Pipeline stages, each usable on its own:
 - :mod:`dsproc.eventlog` writes and reads that log, the contract of engine and monitor
 - :mod:`dsproc.monitor` aggregates logs into concept metrics and SLA alerts
 """
-
-from .diagnostics import Diagnostic, DsprocError, ParseError
-
-__all__ = ["Diagnostic", "DsprocError", "ParseError"]
-
-__version__ = "0.1.0"

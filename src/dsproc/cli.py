@@ -45,7 +45,7 @@ def _load(path: str, parse, validate):
     with reading(path):
         for diagnostic in validate(model):
             if diagnostic.severity == "error":
-                raise ParseError(diagnostic.message, diagnostic.line, diagnostic.column)
+                raise ParseError(diagnostic.message, diagnostic.line)
     return model
 
 
@@ -154,8 +154,6 @@ def cmd_run(args) -> int:
         else engine.SimulationConfig()
     if args.instances is not None:
         cfg = cfg._replace(instance_count=args.instances)
-    if args.seed is not None:
-        cfg = cfg._replace(seed=args.seed)
     # simulate checks the whole input before the first event: an error names
     # the BPMN file when the model is at fault, and otherwise --sim, or the
     # manifest, whose profile names a run without --sim cannot resolve
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bpmn")
     p.add_argument("--manifest", required=True)
     p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sim", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_run)

@@ -46,18 +46,12 @@ def reachable(seeds: Iterable[str], edges: dict[str, list[str]]) -> set[str]:
     return seen
 
 
-def _loc(line: int, column: int | None) -> str:
-    """``line:column``, or ``line`` alone when the column is unknown."""
-    return f"{line}:{column}" if column is not None else str(line)
-
-
-class Diagnostic(namedtuple("Diagnostic", "severity message line column",
-                            defaults=(None, None))):
+class Diagnostic(namedtuple("Diagnostic", "severity message line")):
     __slots__ = ()
 
     def __str__(self) -> str:
         if self.line is not None:
-            return f"{self.severity} at {_loc(self.line, self.column)}: {self.message}"
+            return f"{self.severity} at {self.line}: {self.message}"
         return f"{self.severity}: {self.message}"
 
 
@@ -74,16 +68,16 @@ class Located(tuple):
         return record
 
 
-def error(message: str, line: int | None = None, column: int | None = None) -> Diagnostic:
-    return Diagnostic("error", message, line, column)
+def error(message: str, line: int | None = None) -> Diagnostic:
+    return Diagnostic("error", message, line)
 
 
-def warning(message: str, line: int | None = None, column: int | None = None) -> Diagnostic:
-    return Diagnostic("warning", message, line, column)
+def warning(message: str, line: int | None = None) -> Diagnostic:
+    return Diagnostic("warning", message, line)
 
 
-def info(message: str, line: int | None = None, column: int | None = None) -> Diagnostic:
-    return Diagnostic("info", message, line, column)
+def info(message: str, line: int | None = None) -> Diagnostic:
+    return Diagnostic("info", message, line)
 
 
 class DsprocError(Exception):
@@ -100,9 +94,8 @@ class ParseError(DsprocError):
 
     def __str__(self) -> str:
         base = super().__str__()
-        if self.line is not None:
-            return f"{_loc(self.line, self.column)}: {base}"
-        return base
+        where = self.line if self.column is None else f"{self.line}:{self.column}"
+        return base if self.line is None else f"{where}: {base}"
 
 
 class JSONError(DsprocError):

@@ -67,6 +67,8 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
     measured record of an instance that is not running, or without a field
     that is counted, is an error; so is a ``serviceInvoke`` of a service
     that is not its mapped activity's concept's, so no call goes uncounted.
+    ``lines`` with no header at all, as in an empty file or one of blank
+    lines only, hold no log: an error too.
     """
     probes = ProbeSet({}, {}, {}, {})
     known_processes = store.processes()
@@ -133,6 +135,8 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
                 raise DsprocError(f"line {line_no}: processEnd of instance {instance} at "
                                   f"ts_ms {ts!r} precedes its start at ts_ms {record[0]!r}")
             record[1], record[2] = ts, status
+    if not log:  # no line, or blank lines only
+        raise DsprocError("log header missing")
     return probes
 
 

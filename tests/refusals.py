@@ -1,6 +1,6 @@
-"""Every input the toolchain refuses, one row each; tests/test_cli.py runs
-each row through ``cli.main`` in process and as a ``python -S -m
-dsproc.cli`` command.
+"""Every input the toolchain refuses, one row each, and an input at the
+edge of a refusal that it accepts; tests/test_cli.py runs each row through
+``cli.main`` in process and as a ``python -S -m dsproc.cli`` command.
 
 A row is an edit of a copy of the README walkthrough's directory (its
 sources, and the outputs of ``gen``, ``bind`` and ``run``), one command line
@@ -308,6 +308,24 @@ _UNBALANCED = """process P uses OrderHandling {
   fork -> end
   a -> end
 }
+"""
+# monitor's text report of a log with no record
+_ZERO_REPORT = """domain: OrderHandling
+
+concept                    count  faults      mean_ms  contrib%
+---------------------------------------------------------------
+ApproveOrder                   0       0            -      0.00
+DetermineLanguage              0       0            -      0.00
+HandlePayment                  0       0            -      0.00
+PackageItems                   0       0            -      0.00
+ReceiveMailOrder               0       0            -      0.00
+ReceiveWebOrder                0       0            -      0.00
+ReviewComment                  0       0            -      0.00
+RunOcr                         0       0            -      0.00
+ScanDocument                   0       0            -      0.00
+SegmentDocument                0       0            -      0.00
+ShipAndConfirm                 0       0            -      0.00
+
 """
 _RUN_EDITED = "run edited.bpmn --manifest manifest.json --sim sim.json -o edited.jsonl"
 _NOT_UTF8 = "error: {}: not UTF-8 text: invalid start byte\n"
@@ -632,6 +650,13 @@ ROWS = [
     # no record of the log is read before its header (the first record here has seq 2)
     _monitor_fails("test_monitor_refuses_a_log_without_its_header",
                    _log(_headless), "line 1: log header missing"),
+    # a file without a log header holds no log; a log of its header only is
+    # a log of no instance, with a report of zeros
+    *[_monitor_fails(f"test_monitor_refuses_a_file_that_holds_no_log[{id}]",
+                     _write("events.jsonl", text), "log header missing")
+      for id, text in [("empty", ""), ("blank-lines", "\n  \n\t\n")]],
+    Row("test_monitor_reports_zeros_for_a_log_of_its_header_only",
+        _write("events.jsonl", _HEADER), MONITOR, 0, stdout=_ZERO_REPORT),
     Row("test_monitor_rejects_foreign_log",
         _log_of('{"seq": 1, "ts_ms": 0, "kind": "processStart", "process": "Ghost", '
                 '"instance": 1}'),

@@ -241,14 +241,20 @@ def test_monitor_refuses_a_log_of_a_process_the_store_does_not_hold(work, capsys
     assert capsys.readouterr() == ("", "error: unknown process 'Ghost'\n")
 
 
-def _run(work, seed=None, out="events.jsonl"):
-    argv = ["run", str(work / "order.bpmn"),
-            "--manifest", str(work / "manifest.json"),
-            "--sim", str(work / "sim.json"),
-            "-o", str(work / out)]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
-    return cli.main(argv)
+def _run(work, out="events.jsonl", sim="sim.json"):
+    return cli.main(["run", str(work / "order.bpmn"),
+                     "--manifest", str(work / "manifest.json"),
+                     "--sim", str(work / sim),
+                     "-o", str(work / out)])
+
+
+def _sim_with_seed(work, seed):
+    """A copy of the walkthrough's sim.json with ``seed``; its file name."""
+    sim = json.loads((work / "sim.json").read_text(encoding="utf-8"))
+    assert sim["seed"] != seed
+    name = f"sim{seed}.json"
+    (work / name).write_text(json.dumps(dict(sim, seed=seed)), encoding="utf-8")
+    return name
 
 
 def test_run_leaves_the_log_reader_pattern_uncompiled(work):
@@ -318,14 +324,15 @@ def test_run_rejects_a_loop_it_can_never_leave(tmp_path, capsys):
     assert not (tmp_path / "ev.jsonl").exists()
 
 
-def test_run_seed_overrides_the_seed_of_the_sim_file(work):
+def test_run_takes_its_seed_from_the_sim_file(work):
     assert (_gen(work), _bind(work)) == (0, 0)
-    assert _run(work, seed=7, out="flag.jsonl") == 0
-    sim = json.loads((work / "sim.json").read_text(encoding="utf-8"))
-    assert sim["seed"] != 7
-    (work / "sim.json").write_text(json.dumps(dict(sim, seed=7)), encoding="utf-8")
-    assert _run(work, out="file.jsonl") == 0
-    assert (work / "flag.jsonl").read_bytes() == (work / "file.jsonl").read_bytes()
+    logs = {}
+    for sim in ["sim.json", _sim_with_seed(work, 7)]:
+        assert _run(work, out=f"{sim}.jsonl", sim=sim) == 0
+        logs[sim] = (work / f"{sim}.jsonl").read_text(encoding="utf-8")
+        header = json.loads(logs[sim].splitlines()[0])
+        assert header["seed"] == json.loads((work / sim).read_text(encoding="utf-8"))["seed"]
+    assert logs["sim.json"] != logs["sim7.json"]
 
 
 def test_full_pipeline_and_determinism(work):
@@ -334,7 +341,7 @@ def test_full_pipeline_and_determinism(work):
     assert _run(work, out="a.jsonl") == 0
     assert _run(work, out="b.jsonl") == 0
     assert (work / "a.jsonl").read_bytes() == (work / "b.jsonl").read_bytes()
-    assert _run(work, seed=99, out="c.jsonl") == 0
+    assert _run(work, out="c.jsonl", sim=_sim_with_seed(work, 99)) == 0
     assert (work / "a.jsonl").read_bytes() != (work / "c.jsonl").read_bytes()
     header = json.loads((work / "a.jsonl").read_text(encoding="utf-8").splitlines()[0])
     assert header["log_version"] == 1
@@ -415,6 +422,14 @@ def test_importing_the_cli_does_not_import_pathlib():
     assert not modules & _BANNED
     assert {m for m in modules if m.startswith("dsproc")} == {
         "dsproc", "dsproc.cli", "dsproc.diagnostics"}
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+              "import dsproc; print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([*_ISOLATED, "-c", script, _SRC], capture_output=True,
+                            encoding="utf-8")
+    assert (result.stderr, result.stdout) == ("", "dsproc\n")
 
 
 @pytest.mark.parametrize("command", ["check", "gen", "sync", "bind", "run", "monitor"])
