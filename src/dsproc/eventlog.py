@@ -19,19 +19,27 @@ field omitted: ``", "`` and ``": "`` separators, ASCII-only string escapes,
 ``NaN`` for the others. :func:`render_log` writes those lines without
 building the objects.
 
+The vocabulary is closed: a record's ``kind`` is one of ``KINDS``, which
+gives the fields a record of each kind must carry and may carry, and its
+``status``, if it has one, is one of ``STATUSES``. :func:`render_log`
+writes what it is given; :func:`read_log` refuses any other kind or
+status, and ``monitor.ingest`` a record without a field its kind must
+carry.
+
 Reading contract: :func:`read_log` reads a line in the canonical form, the
-line :func:`render_log` writes when no string needs an escape, with one
-pattern (``_CANONICAL``, compiled on the first line read), and every other
-line with ``json.loads`` and its checks (:func:`_decode_json`). On a line
-in the canonical form both routes give the same values, because
-``json.loads`` converts a number's text with the same ``int`` or
-``float``; for a record line those values equal its record. A record whose
-``ts_ms`` or ``duration_ms`` is not finite (NaN, an infinity, or an int
-past the largest float) is malformed: no time order places NaN, and no
-report's sum stays a finite float past the largest one. So is a record
-whose ``duration_ms`` is below 0 (``-0.0`` is not): no activity takes less
-than no time. No canonical line holds such a number, so the json route
-refuses them all.
+line :func:`render_log` writes of a record of the vocabulary when no string
+needs an escape, with one pattern (``_CANONICAL``, compiled on the first
+line read), and every other line with ``json.loads`` and its checks
+(:func:`_decode_json`). On a line in the canonical form both routes give
+the same values, because ``json.loads`` converts a number's text with the
+same ``int`` or ``float``; for a record line those values equal its
+record. A record whose ``ts_ms`` or ``duration_ms`` is not finite (NaN, an
+infinity, or an int past the largest float) is malformed: no time order
+places NaN, and no report's sum stays a finite float past the largest one.
+So is a record whose ``duration_ms`` is below 0 (``-0.0`` is not): no
+activity takes less than no time. No canonical line holds such a number,
+or a kind or status outside the vocabulary, so the json route refuses them
+all.
 """
 
 from __future__ import annotations
@@ -60,6 +68,20 @@ _FIELD_TYPES = {"seq": int, "ts_ms": _NUMBER, "kind": str, "process": str, "inst
                 "status": str, "duration_ms": _NUMBER}
 _FIELD_ORDER = tuple(_FIELD_TYPES)
 _REQUIRED = frozenset(_FIELD_ORDER[:5])
+# The vocabulary: each kind of record, with the fields it must carry beyond
+# the five every record has, then those it may carry; run writes them all.
+# An activityEnd may lack element_uid: a technical task has none.
+KINDS = {
+    "processStart": ((), ("element_id", "status")),
+    "activityStart": ((), ("element_uid", "element_id", "concept")),
+    "serviceInvoke": (("element_uid", "service", "duration_ms"),
+                      ("element_id", "concept", "status")),
+    "activityEnd": (("status", "duration_ms"), ("element_uid", "element_id", "concept")),
+    "gatewayTaken": ((), ("element_id",)),
+    "processEnd": (("status",), ("element_id", "duration_ms")),
+}
+# every status a record may have
+STATUSES = ("ok", "fault")
 # one event; ``seq`` is its line's position in the log, not a field
 EventRecord = namedtuple("EventRecord", _FIELD_ORDER[1:], defaults=(None,) * 6)
 
@@ -81,11 +103,15 @@ _FRACTION = rf"(?:\.[0-9]{{1,20}}(?:{_EXPONENT}|)|{_EXPONENT})"
 _NUMBER_RE = f"(?:({_INT}{_FRACTION})|({_INT}))"
 _DURATION_RE = f"(?:({_UINT}{_FRACTION})|({_UINT}))"
 _STRING_RE = r'"([^"\\\x00-\x1f]*)"'
+# a kind and a status of the vocabulary, each an alternation of its words, so
+# that a line of any other misses the pattern and the json route refuses it
+_KIND_RE = '"(' + "|".join(KINDS) + ')"'
+_STATUS_RE = '"(' + "|".join(STATUSES) + ')"'
 _CANONICAL_TEXT = (
-    f'{{"seq": ({_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_STRING_RE}, '
+    f'{{"seq": ({_INT}), "ts_ms": {_NUMBER_RE}, "kind": {_KIND_RE}, '
     f'"process": {_STRING_RE}, "instance": ({_INT})'
-    + "".join(f'(?:, "{name}": {_STRING_RE}|)' for name in _FIELD_ORDER[5:10])
-    + f'(?:, "duration_ms": {_DURATION_RE}|)}}\n?')
+    + "".join(f'(?:, "{name}": {_STRING_RE}|)' for name in _FIELD_ORDER[5:9])
+    + f'(?:, "status": {_STATUS_RE}|)(?:, "duration_ms": {_DURATION_RE}|)}}\n?')
 _CANONICAL = None  # the compiled pattern, once a line has been read
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
@@ -119,7 +145,8 @@ def _decode_json(line: str) -> dict | tuple:
     one, a tuple whose items after ``seq`` equal its record. Any
     other line (not JSON, not an object, a required field missing, a field of
     the wrong type, a time or duration that is not finite, a negative
-    duration, an unsupported log version) raises DsprocError."""
+    duration, a kind or status outside the vocabulary, an unsupported log
+    version) raises DsprocError."""
     try:
         doc = parse_json(line)
     except JSONError as exc:
@@ -144,6 +171,10 @@ def _decode_json(line: str) -> dict | tuple:
             raise DsprocError(f"malformed record: {_FIELD_ORDER[i]!r} is {what}")
     if values[10] is not None and values[10] < 0:
         raise DsprocError("malformed record: 'duration_ms' is negative")
+    if values[2] not in KINDS:
+        raise DsprocError(f"malformed record: unknown kind {values[2]!r}")
+    if values[9] is not None and values[9] not in STATUSES:
+        raise DsprocError(f"malformed record: unknown status {values[9]!r}")
     return values
 
 

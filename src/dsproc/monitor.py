@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .diagnostics import DsprocError, fits_a_float, sum_in_order
-from .eventlog import EventRecord, read_log
+from .eventlog import KINDS, EventRecord, read_log
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,11 +34,10 @@ _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
 # one completion of a mapped activity
 Sample = namedtuple("Sample", "duration_ms status instance ts_ms")
-# the fields ingest counts of each measured kind but processStart, by their index
-# in a record's values; not an activityEnd's element_uid: a technical task has none
-_COUNTED = {kind: tuple(map(EventRecord._fields.index, names.split())) for kind, names in {
-    "activityEnd": "status duration_ms", "serviceInvoke": "element_uid service duration_ms",
-    "processEnd": "status"}.items()}
+# the fields ingest counts, by their index in a record's values: for each
+# kind that must carry fields beyond the five every record has, those fields
+_COUNTED = {kind: tuple(map(EventRecord._fields.index, required))
+            for kind, (required, _may) in KINDS.items() if required}
 # the kinds of record whose numbers ingest reads
 _MEASURED = frozenset({*_COUNTED, "processStart"})
 
@@ -65,10 +64,11 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
     accumulates into one concept's tables. ``cm`` gives each concept's
     services, as ``mappings.build_cm`` derives them from the domain. A
     measured record of an instance that is not running, or without a field
-    that is counted, is an error; so is a ``serviceInvoke`` of a service
-    that is not its mapped activity's concept's, so no call goes uncounted.
-    ``lines`` with no header at all, as in an empty file or one of blank
-    lines only, hold no log: an error too.
+    that its kind must carry (``eventlog.KINDS``), is an error; so is a
+    ``serviceInvoke`` of a service that is not its mapped activity's
+    concept's, so no call goes uncounted. ``lines`` with no header at all,
+    as in an empty file or one of blank lines only, hold no log: an error
+    too.
     """
     probes = ProbeSet({}, {}, {}, {})
     known_processes = store.processes()

@@ -640,6 +640,15 @@ ROWS = [
       for kind, field in [("activityEnd", "duration_ms"), ("activityEnd", "status"),
                           ("serviceInvoke", "element_uid"), ("serviceInvoke", "service"),
                           ("serviceInvoke", "duration_ms"), ("processEnd", "status")]],
+    # a kind or a status outside the log's vocabulary: an activityEnd renamed
+    # activityFinish was skipped, its sample lost, and a status of failed
+    # counted as a success
+    _monitor_fails("test_monitor_rejects_an_unknown_kind",
+                   _set_fields(('"kind": "activityEnd"',), kind="activityFinish"),
+                   "line {n}: malformed record: unknown kind 'activityFinish'"),
+    _monitor_fails("test_monitor_rejects_an_unknown_status",
+                   _set_fields(('"kind": "activityEnd"',), status="failed"),
+                   "line {n}: malformed record: unknown status 'failed'"),
     # a record's seq is its position among the records since the last header
     *[_monitor_fails(f"test_monitor_rejects_a_seq_that_is_not_the_position[{id}]", _log(change),
                      message)

@@ -324,10 +324,15 @@ def test_c6_simulated_logs_take_the_canonical_route(order_pipeline, monkeypatch)
     def json_route(line):
         raise AssertionError(f"line not in the canonical form: {line}")
     monkeypatch.setattr(eventlog, "_decode_json", json_route)
-    kinds = {"processStart", "activityStart", "serviceInvoke", "activityEnd", "gatewayTaken",
-             "processEnd"}
     for lines, values in zip(logs, expected):
-        assert [v for _, v in eventlog.read_log(lines[1:], kinds)] == values
+        assert [v for _, v in eventlog.read_log(lines[1:], eventlog.KINDS)] == values
+    # each record carries what its kind must carry, and no field its kind may not
+    common = set(eventlog.EventRecord._fields[:4])
+    for values in (v for log in expected for v in log):
+        must, may = eventlog.KINDS[values[1]]
+        carried = {name for name, value in zip(eventlog.EventRecord._fields, values)
+                   if value is not None}
+        assert {*common, *must} <= carried <= {*common, *must, *may}
     assert sum(map(len, logs)) > 2000
 
 

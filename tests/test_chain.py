@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsproc import cli, domain as dom, eventlog, process as proc
 from dsproc.bpmn import BPMN_NS, DSML_NS
+from dsproc.engine import SimulationConfig
 
 from conftest import FIXTURES
 from models import World, worlds
@@ -42,6 +43,27 @@ def _header_only(line):
     values = _decode_json(line)
     assert values.__class__ is dict, f"record line read by json.loads: {line}"
     return values
+
+
+def _renumbered(log: bytes, rng: random.Random) -> bytes:
+    """``log`` with its instances numbered in another order, and started in
+    yet another: instance ``i`` becomes ``numbers[i - 1]``, its processStarts,
+    all at ts_ms 0, are shuffled among themselves, and every seq is
+    renumbered."""
+    header, *lines = log.decode("utf-8").splitlines()
+    docs = [json.loads(line) for line in lines]
+    starts = [i for i, doc in enumerate(docs) if doc["kind"] == "processStart"]
+    numbers = rng.sample(range(1, len(starts) + 1), len(starts))
+    records = []
+    for doc in docs:
+        del doc["seq"]
+        records.append(eventlog.EventRecord(**{**doc, "instance": numbers[doc["instance"] - 1]}))
+    shuffled = [records[i] for i in starts]
+    rng.shuffle(shuffled)
+    for i, start in zip(starts, shuffled):
+        records[i] = start
+    rendered = eventlog.render_log(records, SimulationConfig())
+    return (header + rendered[rendered.index("\n"):]).encode("utf-8")
 
 
 def _activity_uids(xml: str) -> Counter:
@@ -160,9 +182,17 @@ def check_chain(work: Path, world: World, seed: int) -> None:
         assert (work / f"{name}.b.jsonl").read_bytes() == logs[-1]
 
     (work / "events.jsonl").write_bytes(b"".join(logs))
+    # the same logs with each one's instances numbered, and started, in another order
+    (work / "renumbered.jsonl").write_bytes(b"".join(
+        _renumbered(log, rng) for log in logs))
     with mock.patch.object(eventlog, "_decode_json", _header_only):
         _main("monitor", work / "events.jsonl", *store, "--report", work / "report.json",
               "--alert-out", work / "alerts.jsonl")
+        _main("monitor", work / "renumbered.jsonl", *store,
+              "--report", work / "renumbered.report.json")
+    # no number of the report depends on how a log numbers its instances
+    assert (work / "renumbered.report.json").read_bytes() == \
+        (work / "report.json").read_bytes()
     report = json.loads((work / "report.json").read_text(encoding="utf-8"))
     assert {name: entry["instances"] for name, entry in report["processes"].items()} == \
         {name: 10 + i for i, name in enumerate(names)}

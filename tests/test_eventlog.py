@@ -3,7 +3,9 @@ two routes by which read_log takes a line back to its record."""
 
 import json
 import math
+import re
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -25,14 +27,19 @@ _text = st.text(_chars)
 _any_text = st.text(_chars | st.characters(categories=["Cs"]))
 _int = st.integers(-2**63, 2**63)
 _number = _int | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
+_kinds = st.sampled_from(list(eventlog.KINDS))
+_statuses = st.sampled_from(eventlog.STATUSES)
 
 
-def _record(text, number, ints=_int, durations=None):
+def _record(text, number, ints=_int, durations=None, unknown=st.nothing()):
+    """Records of ``text`` strings and ``number`` numbers, whose kind and
+    status are the vocabulary's or drawn from ``unknown``."""
     def optional(values):
         return st.none() | values
-    return st.builds(eventlog.EventRecord, number, text, text, ints,
+    return st.builds(eventlog.EventRecord, number, _kinds | unknown, text, ints,
                      optional(text), optional(text), optional(text), optional(text),
-                     optional(text), optional(number if durations is None else durations))
+                     optional(_statuses | unknown),
+                     optional(number if durations is None else durations))
 
 
 def _record_lines(records):
@@ -50,7 +57,8 @@ def _doc(seq, record):
 _close_number = _number | st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5])
 
 
-@given(st.lists(_record(_any_text, _close_number), min_size=1, max_size=4),
+# render_log writes what it is given, a kind or status outside the vocabulary too
+@given(st.lists(_record(_any_text, _close_number, unknown=_any_text), min_size=1, max_size=4),
        st.lists(st.tuples(_close_number, _int, st.none() | _close_number), max_size=8))
 def test_log_line_is_json_dumps_of_the_set_fields(records, numbers):
     # records with the strings of an earlier one and other numbers: their
@@ -130,10 +138,15 @@ _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "insta
     ({"duration_ms": -1}, "'duration_ms' is negative"),
     ({"duration_ms": -5e-324}, "'duration_ms' is negative"),
     ({"duration_ms": -10**400}, "'duration_ms' is too large for a float"),
+    # the vocabulary is closed
+    ({"kind": "activityFinish"}, "unknown kind 'activityFinish'"),
+    ({"status": "failed"}, "unknown status 'failed'"),
+    ({"kind": "", "status": ""}, "unknown kind ''"),
 ], ids=["bool-instance", "bool-seq", "float-seq", "string-ts", "null-kind", "int-status",
         "bool-duration", "first-of-two", "missing-before-wrong", "infinite-ts",
         "minus-infinite-duration", "int-past-the-largest-float", "negative-int-duration",
-        "negative-float-duration", "negative-int-past-the-largest-float"])
+        "negative-float-duration", "negative-int-past-the-largest-float", "unknown-kind",
+        "unknown-status", "kind-before-status"])
 def test_decode_line_rejects_a_bad_field(edit, message):
     with pytest.raises(DsprocError) as exc:
         list(eventlog.read_log([json.dumps({**_VALID, **edit})], ()))
@@ -164,6 +177,22 @@ def test_a_duration_of_minus_zero_is_not_negative(text):
     assert repr(values[-1]) == repr(json.loads(text))
 
 
+def _listed(names, conjunction="and"):
+    """``names`` as README lists them: `a`, `b` and `c`."""
+    quoted = [f"`{name}`" for name in names]
+    return f" {conjunction} ".join(filter(None, [", ".join(quoted[:-1]), quoted[-1]]))
+
+
+def test_readme_gives_the_vocabulary_of_the_table():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = " ".join(text.split("\n## Event log\n")[1].split("\n## ")[0].split())
+    listed = dict(re.findall(r"- `(\w+)`: ([^;.]*)[;.]", section))
+    assert listed == {kind: ", and ".join(filter(None, [must and f"must carry {_listed(must)}",
+                                                        may and f"may carry {_listed(may)}"]))
+                      for kind, (must, may) in eventlog.KINDS.items()}
+    assert f"`status`, where it has one, is {_listed(eventlog.STATUSES, 'or')}." in section
+
+
 # ---------------------------------------------------------------------------
 # the two routes of read_log: the canonical pattern and json.loads
 
@@ -187,11 +216,13 @@ def _numbers_line(draw):
 
 
 # lines of any record, and lines with printable ASCII strings and finite
-# numbers, which mostly stay in the canonical form
+# numbers, which mostly stay in the canonical form; a kind or status outside
+# the vocabulary takes a line out of it
+_ascii_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e))
 _canonical_line = st.one_of(
-    _record(_any_text, _number, _int | st.integers(-10**30, 10**30)),
-    _record(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e)),
-            _int | st.floats(allow_nan=False, allow_infinity=False)),
+    _record(_any_text, _number, _int | st.integers(-10**30, 10**30), unknown=_any_text),
+    _record(_ascii_text, _int | st.floats(allow_nan=False, allow_infinity=False),
+            unknown=_ascii_text | st.sampled_from(["activityFinish", "failed", "OK", ""])),
 ).map(
     lambda record: _record_lines([record])[0])
 
@@ -222,7 +253,8 @@ def _mutated_line(draw, lines=_canonical_line):
     if how == "string":  # raw or escaped characters at the start of a string value
         chars = draw(st.sampled_from(["\x00", "\t", "\x1f", "\x7f", "é", "\\", '\\"', "\\n",
                                       "\\u0041", "\\ud800"]))
-        return line.replace('"kind": "', '"kind": "' + chars, 1)
+        field = draw(st.sampled_from(["kind", "process"]))
+        return line.replace(f'"{field}": "', f'"{field}": "' + chars, 1)
     return line[:draw(st.integers(0, len(line) - 1))]
 
 
@@ -262,6 +294,11 @@ def _next_to_the_pattern(test):
         test = example(line.format("1", "2.5", char, ""))(test)
     for end in ("\n", "\r\n", "\n\n", " ", "\x0c", "\u2028", "\x85"):
         test = example(line.format("1", "2.5", "", end))(test)
+    # a kind or a status next to the vocabulary's
+    for kind in ("activityEn", "activityEnds", "ActivityEnd", "gateway", ""):
+        test = example(line.format("1", "2.5", "", "").replace("activityEnd", kind))(test)
+    for status in ("failed", "oks", "o", "OK", ""):
+        test = example(line.format("1", "2.5", "", "").replace('"ok"', f'"{status}"'))(test)
     return test
 
 
@@ -284,12 +321,11 @@ _INGEST_CM = {"C": ["s1"], "D": ["s2"]}
 _vocabulary_line = st.builds(
     eventlog.EventRecord,
     _int | st.floats(allow_nan=False) | st.sampled_from([0, -0.0, 1.0]),
-    st.sampled_from(["processStart", "activityStart", "serviceInvoke", "activityEnd",
-                     "gatewayTaken", "processEnd", "other"]),
+    st.sampled_from([*eventlog.KINDS, "other"]),
     st.sampled_from(["P"] * 8 + ["Q"] * 8 + ["R"]), st.integers(-1, 3),
     st.none() | st.sampled_from(["u1", "u2", "u3"]), st.none() | st.just("e"),
     st.none() | st.just("C"), st.none() | st.sampled_from(["s1", "s2"]),
-    st.none() | st.sampled_from(["ok", "fault", "x"]),
+    st.none() | st.sampled_from([*eventlog.STATUSES, "x"]),
     st.none() | _int | st.floats() | st.sampled_from([0, -0.0, 1.0]),
 ).map(lambda record: _record_lines([record])[0])
 

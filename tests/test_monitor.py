@@ -390,6 +390,24 @@ def test_no_alert_below_threshold():
     assert _alerts(probes, store, _sla(threshold=1.0, unit="s")) == []
 
 
+def test_an_sla_alerts_only_on_a_value_past_its_threshold():
+    store = _single_concept_world()
+    above = math.nextafter(1000.0, math.inf)
+    # a sample equal to the threshold is within it; one just above is not
+    probes = monitor.ingest(_activity_lines([999.0, 1000.0]), store, _CM)
+    assert _alerts(probes, store, _sla()) == []
+    probes = monitor.ingest(_activity_lines([1000.0, above]), store, _CM)
+    [alert] = _alerts(probes, store, _sla())
+    assert (alert.observed, alert.instances) == (above, [2])
+    # a mean, and a fault rate, equal to the threshold
+    probes = monitor.ingest(_activity_lines([900.0, 1100.0]), store, _CM)
+    assert _alerts(probes, store, _sla(metric="max_mean_duration")) == []
+    probes = monitor.ingest(
+        _activity_lines([10.0] * 4, statuses=["ok", "fault", "ok", "ok"]), store, _CM)
+    assert _alerts(probes, store, _sla(metric="max_fault_rate", threshold=0.25,
+                                       unit="ratio")) == []
+
+
 def test_max_mean_duration_alert_uses_mean():
     store = _single_concept_world()
     durations = [100.0, 300.0]  # mean 200
