@@ -10,7 +10,8 @@ A record is an immutable :class:`EventRecord` tuple of the fields after
 not part of the record: it is the 1-based position of the record's line
 in the log, written by :func:`render_log`, and :func:`read_log` refuses a
 record whose ``seq`` is not its position among the records since the last
-header.
+header. A record before the first header, and a file with no header, are
+refused too: they hold no log.
 
 Each record line is exactly the bytes ``json.dumps`` gives for an object
 of ``seq`` and the record's fields in ``_FIELD_ORDER``, with every ``None``
@@ -23,8 +24,7 @@ The vocabulary is closed: a record's ``kind`` is one of ``KINDS``, which
 gives the fields a record of each kind must carry and may carry, and its
 ``status``, if it has one, is one of ``STATUSES``. :func:`render_log`
 writes what it is given; :func:`read_log` refuses any other kind or
-status, and ``monitor.ingest`` a record without a field its kind must
-carry.
+status, and a record without a field its kind must carry.
 
 Reading contract: :func:`read_log` reads a line in the canonical form, the
 line :func:`render_log` writes of a record of the vocabulary when no string
@@ -53,7 +53,7 @@ from .diagnostics import DsprocError, JSONError, fits_a_float, parse_json
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Collection, Iterable, Iterator
+    from collections.abc import Iterable, Iterator
 
     from .engine import SimulationConfig
 
@@ -84,6 +84,8 @@ KINDS = {
 STATUSES = ("ok", "fault")
 # one event; ``seq`` is its line's position in the log, not a field
 EventRecord = namedtuple("EventRecord", _FIELD_ORDER[1:], defaults=(None,) * 6)
+# the fields each kind must carry, by their index in a record's values
+_MUST = {kind: tuple(map(EventRecord._fields.index, must)) for kind, (must, _may) in KINDS.items()}
 
 # The canonical form of a record line. Strings hold no backslash and no
 # control character. Numbers follow the JSON grammar with bounded digit
@@ -129,16 +131,6 @@ def _fullmatch():
     return _CANONICAL.fullmatch
 
 
-def _values(groups: tuple) -> tuple:
-    """A record's values from the groups of its canonical line."""
-    _seq, ts, ts_int, kind, process, instance, uid, element_id, concept, service, status, \
-        duration, duration_int = groups
-    return (float(ts) if ts is not None else int(ts_int), kind, process,
-            int(instance), uid, element_id, concept, service, status,
-            float(duration) if duration is not None
-            else None if duration_int is None else int(duration_int))
-
-
 def _decode_json(line: str) -> dict | tuple:
     """One log line by a single ``json.loads``: the header as a dict, a record
     line as the values of its fields in log order, ``None`` for an absent
@@ -154,8 +146,10 @@ def _decode_json(line: str) -> dict | tuple:
     if not isinstance(doc, dict):
         raise DsprocError("malformed record: not a JSON object")
     if "log_version" in doc:
-        if doc["log_version"] != LOG_VERSION:
-            raise DsprocError(f"unsupported log version {doc['log_version']!r}")
+        version = doc["log_version"]
+        # the int 1 only: true and 1.0 equal it in Python
+        if version != LOG_VERSION or version.__class__ is not int:
+            raise DsprocError(f"unsupported log version {json.dumps(version)}")
         return doc
     values = tuple(map(doc.get, _FIELD_ORDER))
     for (name, types), value in zip(_FIELD_TYPES.items(), values):
@@ -178,19 +172,18 @@ def _decode_json(line: str) -> dict | tuple:
     return values
 
 
-def read_log(lines: Iterable[str], kinds: Collection[str]) -> Iterator[tuple[int, dict | tuple]]:
+def read_log(lines: Iterable[str]) -> Iterator[tuple[int, dict | tuple]]:
     """``(line_no, values)`` for each line of ``lines`` that is not blank,
-    numbered from 1, with the values :func:`_decode_json` gives; except
-    that a record's values leave out its ``seq``, and a record line in the
-    canonical form whose kind is not in ``kinds`` has its numbers, ``ts_ms``,
-    ``instance`` and ``duration_ms``, as ``None``.
+    numbered from 1, with the values :func:`_decode_json` gives, except
+    that a record's values leave out its ``seq``.
 
     ``lines`` is read once, one line at a time. A line that does not decode
     and is not blank raises :class:`DsprocError`, prefixed ``line N: ``; so
-    does a record after a header whose ``seq`` is not its position among the
-    records since the last header. A record before the first header is not
-    checked: no log holds one, and ``monitor.ingest`` refuses it as a log
-    without its header.
+    does a record before the first header, a record whose ``seq`` is not its
+    position among the records since the last header, and a record without
+    a field its kind must carry (``KINDS``). ``lines`` with no header at
+    all, as an empty file or one of blank lines only, hold no log: an error
+    without a line.
     """
     fullmatch = _fullmatch()
     headed = False
@@ -210,19 +203,27 @@ def read_log(lines: Iterable[str], kinds: Collection[str]) -> Iterator[tuple[int
                 continue
             # compared as the text the canonical route captures
             seq, values = str(values[0]), values[1:]
+            kind = values[1]
         else:
-            groups = match.groups()
-            seq = groups[0]
-            if groups[3] in kinds:
-                values = _values(groups)
-            else:
-                _, _, _, kind, process, _, uid, element_id, concept, service, status, _, _ = groups
-                values = (None, kind, process, None, uid, element_id, concept, service, status,
-                          None)
+            # json.loads converts a number's text by the same int or float
+            seq, ts, ts_int, kind, process, instance, uid, element_id, concept, service, \
+                status, duration, duration_int = match.groups()
+            values = (float(ts) if ts is not None else int(ts_int), kind, process,
+                      int(instance), uid, element_id, concept, service, status,
+                      float(duration) if duration is not None
+                      else None if duration_int is None else int(duration_int))
+        if not headed:
+            raise DsprocError(f"line {line_no}: log header missing")
         position += 1
-        if seq != str(position) and headed:
+        if seq != str(position):
             raise DsprocError(f"line {line_no}: seq {int(seq)}, expected {position}")
+        for i in _MUST[kind]:
+            if values[i] is None:
+                raise DsprocError(f"line {line_no}: {kind} of instance {values[3]} has no "
+                                  f"{EventRecord._fields[i]}")
         yield line_no, values
+    if not headed:
+        raise DsprocError("log header missing")
 
 
 def render_log(records: Iterable[EventRecord], cfg: SimulationConfig) -> str:

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .diagnostics import DsprocError, fits_a_float, sum_in_order
-from .eventlog import KINDS, EventRecord, read_log
+from .eventlog import read_log
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,12 +34,6 @@ _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
 # one completion of a mapped activity
 Sample = namedtuple("Sample", "duration_ms status instance ts_ms")
-# the fields ingest counts, by their index in a record's values: for each
-# kind that must carry fields beyond the five every record has, those fields
-_COUNTED = {kind: tuple(map(EventRecord._fields.index, required))
-            for kind, (required, _may) in KINDS.items() if required}
-# the kinds of record whose numbers ingest reads
-_MEASURED = frozenset({*_COUNTED, "processStart"})
 
 
 # The tables of an ingested log. ``activities`` maps each mapped concept to
@@ -62,13 +56,12 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
     line by line. It may hold several logs, each after its own header, of
     the processes ``store`` holds: the same concept used by two processes
     accumulates into one concept's tables. ``cm`` gives each concept's
-    services, as ``mappings.build_cm`` derives them from the domain. A
-    measured record of an instance that is not running, or without a field
-    that its kind must carry (``eventlog.KINDS``), is an error; so is a
+    services, as ``mappings.build_cm`` derives them from the domain.
+    ``eventlog.read_log`` checks the log's format; ingest checks it against
+    the store. A record of a process the store does not hold is an error;
+    so is a measured record of an instance that is not running, and a
     ``serviceInvoke`` of a service that is not its mapped activity's
-    concept's, so no call goes uncounted. ``lines`` with no header at all,
-    as in an empty file or one of blank lines only, hold no log: an error
-    too.
+    concept's, so no call goes uncounted.
     """
     probes = ProbeSet({}, {}, {}, {})
     known_processes = store.processes()
@@ -85,12 +78,10 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
     log = 0  # the log headers read
     last = None  # the last record's process, with its instances and technical bucket
     new = tuple.__new__  # a Sample from its four fields, without a Python-level call
-    for line_no, values in read_log(lines, _MEASURED):
+    for line_no, values in read_log(lines):
         if values.__class__ is dict:
             log += 1
             continue
-        if not log:
-            raise DsprocError(f"line {line_no}: log header missing")
         ts, kind, process, instance, uid, _element_id, _concept, service, status, \
             duration = values
         if process != last:
@@ -102,22 +93,17 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
                 probes.instances[process] = {}
             instances = probes.instances[process]
             last = process
-        counted = _COUNTED.get(kind)
-        if counted is None:
-            if kind == "processStart":
-                if (log, instance) in instances:
-                    raise _outside(line_no, kind, instance, instances[log, instance])
-                instances[log, instance] = [ts, None, None]
-            # the other kinds, activityStart and gatewayTaken, carry no aggregated measure
+        if kind == "processStart":
+            if (log, instance) in instances:
+                raise _outside(line_no, kind, instance, instances[log, instance])
+            instances[log, instance] = [ts, None, None]
             continue
-        # any other measured record: of a running instance, with each field counted
+        if kind == "activityStart" or kind == "gatewayTaken":
+            continue  # they carry no aggregated measure
+        # any other record is measured, and of a running instance
         record = instances.get((log, instance))
         if record is None or record[1] is not None:
             raise _outside(line_no, kind, instance, record)
-        for i in counted:
-            if values[i] is None:
-                raise DsprocError(f"line {line_no}: {kind} of instance {instance} has no "
-                                  f"{EventRecord._fields[i]}")
         if kind == "activityEnd":
             samples = samples_of.get(uid)
             # or 0.0: a zero duration, 0 or -0.0, counts as 0.0
@@ -135,8 +121,6 @@ def ingest(lines: Iterable[str], store: MappingStore, cm: dict[str, list[str]]) 
                 raise DsprocError(f"line {line_no}: processEnd of instance {instance} at "
                                   f"ts_ms {ts!r} precedes its start at ts_ms {record[0]!r}")
             record[1], record[2] = ts, status
-    if not log:  # no line, or blank lines only
-        raise DsprocError("log header missing")
     return probes
 
 

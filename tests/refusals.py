@@ -664,6 +664,11 @@ ROWS = [
     *[_monitor_fails(f"test_monitor_refuses_a_file_that_holds_no_log[{id}]",
                      _write("events.jsonl", text), "log header missing")
       for id, text in [("empty", ""), ("blank-lines", "\n  \n\t\n")]],
+    # only the int 1 is log version 1: true and 1.0 equal it in Python
+    *[_monitor_fails(f"test_monitor_refuses_a_log_version_other_than_the_int_1[{id}]",
+                     _replace("events.jsonl", '"log_version": 1,', f'"log_version": {text},'),
+                     f"line 1: unsupported log version {text}")
+      for id, text in [("true", "true"), ("float", "1.0")]],
     Row("test_monitor_reports_zeros_for_a_log_of_its_header_only",
         _write("events.jsonl", _HEADER), MONITOR, 0, stdout=_ZERO_REPORT),
     Row("test_monitor_rejects_foreign_log",

@@ -66,6 +66,30 @@ def _renumbered(log: bytes, rng: random.Random) -> bytes:
     return (header + rendered[rendered.index("\n"):]).encode("utf-8")
 
 
+def _tallies(report: dict) -> tuple[dict, dict]:
+    """Each concept's count, faults, min_ms and max_ms (None without a
+    sample), and each process's instances and faults, in ``report``."""
+    return ({concept: (e["count"], e["faults"], e.get("min_ms"), e.get("max_ms"))
+             for concept, e in report["concepts"].items()},
+            {process: (e["instances"], e["faults"]) for process, e in report["processes"].items()})
+
+
+def _concatenation(a: dict, b: dict) -> tuple[dict, dict]:
+    """The tallies of the report of two logs one after the other, from the
+    reports ``a`` and ``b`` of each: each concept's count and faults add up,
+    and its min_ms and max_ms are the least and the greatest of either; each
+    process's instances and faults add up."""
+    def extreme(pick, x, y, key):
+        values = [e[key] for e in (x, y) if key in e]
+        return pick(values) if values else None
+    concepts = {concept: (x["count"] + y["count"], x["faults"] + y["faults"],
+                          extreme(min, x, y, "min_ms"), extreme(max, x, y, "max_ms"))
+                for concept, x in a["concepts"].items() for y in [b["concepts"][concept]]}
+    processes = {process: (x["instances"] + y["instances"], x["faults"] + y["faults"])
+                 for process, x in a["processes"].items() for y in [b["processes"][process]]}
+    return concepts, processes
+
+
 def _activity_uids(xml: str) -> Counter:
     """The conceptRef uids of a BPMN text's service tasks, read by ElementTree."""
     return Counter(ref.get("uid") for task in ET.fromstring(xml).iter(f"{{{BPMN_NS}}}serviceTask")
@@ -136,7 +160,8 @@ def check_chain(work: Path, world: World, seed: int) -> None:
 
     Process ``i`` runs ``10 + i`` instances; a third of its activities,
     chosen by ``seed`` after ``gen``, fault with probability 0.2. The logs,
-    one after the other in ``events.jsonl``, are monitored together.
+    one after the other in ``events.jsonl``, are monitored together, and
+    again followed by the logs of a second run.
     """
     d, names = world.domain, [m.name for m in world.processes]
     (work / "d.dsml").write_text(dom.serialize_domain(d), encoding="utf-8")
@@ -182,6 +207,8 @@ def check_chain(work: Path, world: World, seed: int) -> None:
         assert (work / f"{name}.b.jsonl").read_bytes() == logs[-1]
 
     (work / "events.jsonl").write_bytes(b"".join(logs))
+    # the a logs, then the b logs: each b log repeats its a log
+    (work / "ab.jsonl").write_bytes(b"".join(logs) * 2)
     # the same logs with each one's instances numbered, and started, in another order
     (work / "renumbered.jsonl").write_bytes(b"".join(
         _renumbered(log, rng) for log in logs))
@@ -190,10 +217,14 @@ def check_chain(work: Path, world: World, seed: int) -> None:
               "--alert-out", work / "alerts.jsonl")
         _main("monitor", work / "renumbered.jsonl", *store,
               "--report", work / "renumbered.report.json")
+        _main("monitor", work / "ab.jsonl", *store, "--report", work / "ab.report.json")
     # no number of the report depends on how a log numbers its instances
     assert (work / "renumbered.report.json").read_bytes() == \
         (work / "report.json").read_bytes()
-    report = json.loads((work / "report.json").read_text(encoding="utf-8"))
+    report, ab_report = (json.loads((work / name).read_text(encoding="utf-8"))
+                         for name in ("report.json", "ab.report.json"))
+    # the report of the a logs, then the b logs, combines the report of each
+    assert _tallies(ab_report) == _concatenation(report, report)
     assert {name: entry["instances"] for name, entry in report["processes"].items()} == \
         {name: 10 + i for i, name in enumerate(names)}
     counts = {entry["concept"]: [0, 0] for entry in am.values()}  # activityEnds, faults

@@ -31,15 +31,24 @@ _kinds = st.sampled_from(list(eventlog.KINDS))
 _statuses = st.sampled_from(eventlog.STATUSES)
 
 
-def _record(text, number, ints=_int, durations=None, unknown=st.nothing()):
+def _record(text, number, ints=_int, durations=None, unknown=st.nothing(), conforming=False):
     """Records of ``text`` strings and ``number`` numbers, whose kind and
-    status are the vocabulary's or drawn from ``unknown``."""
-    def optional(values):
-        return st.none() | values
-    return st.builds(eventlog.EventRecord, number, _kinds | unknown, text, ints,
-                     optional(text), optional(text), optional(text), optional(text),
-                     optional(_statuses | unknown),
-                     optional(number if durations is None else durations))
+    status are the vocabulary's or drawn from ``unknown``; with
+    ``conforming``, a record of a kind of the vocabulary carries each field
+    its kind must carry."""
+    # the fields after instance, in log order
+    fields = {"element_uid": text, "element_id": text, "concept": text, "service": text,
+              "status": _statuses | unknown,
+              "duration_ms": number if durations is None else durations}
+
+    def build(kinds, must=()):
+        return st.builds(eventlog.EventRecord, number, kinds, text, ints,
+                         *[values if name in must else st.none() | values
+                           for name, values in fields.items()])
+    if conforming:
+        return st.one_of(*[build(st.just(kind), must)
+                           for kind, (must, _may) in eventlog.KINDS.items()], build(unknown))
+    return build(_kinds | unknown)
 
 
 def _record_lines(records):
@@ -89,19 +98,20 @@ _finite = _int | st.floats(allow_nan=False, allow_infinity=False)
 # records read back as they are: a duration is finite and not below 0 (a
 # negative one is refused, see test_decode_line_rejects_a_bad_field)
 _valid_records = st.lists(_record(_text, _finite, durations=_int.filter(lambda n: n >= 0)
-                                  | st.floats(min_value=0.0, allow_infinity=False)),
+                                  | st.floats(min_value=0.0, allow_infinity=False),
+                                  conforming=True),
                           min_size=1, max_size=3)
 _HEADER_LINE = '{"log_version": 1, "seed": 0, "rng": "python-mt19937"}'
 
 
 @given(_valid_records, st.integers(1, 3), _int)
 def test_log_line_decodes_to_its_record(records, n, seq):
-    kinds = {record.kind for record in records}
-    assert [values for _, values in eventlog.read_log(_record_lines(records), kinds)] == records
-    # each log of a file is numbered from 1 after its own header
-    lines = [_HEADER_LINE, *_record_lines(records)] * 2
     header = json.loads(_HEADER_LINE)
-    assert [values for _, values in eventlog.read_log(lines, kinds)] == [header, *records] * 2
+    lines = [_HEADER_LINE, *_record_lines(records)]
+    assert [values for _, values in eventlog.read_log(lines)] == [header, *records]
+    # each log of a file is numbered from 1 after its own header
+    lines *= 2
+    assert [values for _, values in eventlog.read_log(lines)] == [header, *records] * 2
     # a record whose seq is not its position is refused, by the canonical
     # pattern and by the json route alike
     n = min(n, len(records))
@@ -109,7 +119,7 @@ def test_log_line_decodes_to_its_record(records, n, seq):
     lines[n] = lines[n].replace(f'{{"seq": {n}, ', f'{{"seq": {seq}, ', 1)
 
     def read(lines):
-        return list(eventlog.read_log(lines, kinds))
+        return list(eventlog.read_log(lines))
     expected = ("error", f"line {n + 1}: seq {seq}, expected {n}")
     assert _outcome(read, lines) == expected
     with mock.patch.object(eventlog, "_fullmatch", lambda: lambda line: None):
@@ -149,7 +159,7 @@ _VALID = {"seq": 1, "ts_ms": 0.5, "kind": "processStart", "process": "P", "insta
         "unknown-status", "kind-before-status"])
 def test_decode_line_rejects_a_bad_field(edit, message):
     with pytest.raises(DsprocError) as exc:
-        list(eventlog.read_log([json.dumps({**_VALID, **edit})], ()))
+        list(eventlog.read_log([json.dumps({**_VALID, **edit})]))
     assert str(exc.value) == f"line 1: malformed record: {message}"
 
 
@@ -157,23 +167,23 @@ def test_decode_line_rejects_a_missing_field():
     doc = dict(_VALID)
     del doc["kind"]
     with pytest.raises(DsprocError) as exc:
-        list(eventlog.read_log([json.dumps(doc)], ()))
+        list(eventlog.read_log([json.dumps(doc)]))
     assert str(exc.value) == "line 1: malformed record: 'kind' missing"
 
 
 def test_decode_line_accepts_int_times_and_ignores_unknown_keys():
-    [(_, record)] = eventlog.read_log([json.dumps(
-        {**_VALID, "ts_ms": 7, "duration_ms": 3, "extra": [1], "kind": "activityEnd"})],
-        {"activityEnd"})
-    assert record == eventlog.EventRecord(7, "activityEnd", "P", 1, duration_ms=3)
+    [_, (_, record)] = eventlog.read_log([_HEADER_LINE, json.dumps(
+        {**_VALID, "ts_ms": 7, "duration_ms": 3, "extra": [1], "kind": "activityEnd",
+         "status": "ok"})])
+    assert record == eventlog.EventRecord(7, "activityEnd", "P", 1, status="ok", duration_ms=3)
     assert type(record[0]) is int and type(record[-1]) is int
 
 
 @pytest.mark.parametrize("text", ["-0.0", "-0"])
 def test_a_duration_of_minus_zero_is_not_negative(text):
     line = ('{"seq": 1, "ts_ms": 0.5, "kind": "activityEnd", "process": "P", "instance": 1, '
-            f'"duration_ms": {text}}}')
-    [(_, values)] = eventlog.read_log([line], {"activityEnd"})
+            f'"status": "ok", "duration_ms": {text}}}')
+    [_, (_, values)] = eventlog.read_log([_HEADER_LINE, line])
     assert repr(values[-1]) == repr(json.loads(text))
 
 
@@ -208,11 +218,12 @@ _odd_number_text = st.sampled_from(
 
 @st.composite
 def _numbers_line(draw):
-    numbers = draw(st.lists(_number_text, min_size=4, max_size=4))
+    # seq is 1, its position after the header, unless it is the drawn slot
+    numbers = ["1", *draw(st.lists(_number_text, min_size=3, max_size=3))]
     numbers[draw(st.integers(0, 3))] = draw(_number_text | _odd_number_text)
     seq, ts, instance, duration = numbers
     return (f'{{"seq": {seq}, "ts_ms": {ts}, "kind": "activityEnd", "process": "P", '
-            f'"instance": {instance}, "duration_ms": {duration}}}')
+            f'"instance": {instance}, "status": "ok", "duration_ms": {duration}}}')
 
 
 # lines of any record, and lines with printable ASCII strings and finite
@@ -220,9 +231,11 @@ def _numbers_line(draw):
 # the vocabulary takes a line out of it
 _ascii_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e))
 _canonical_line = st.one_of(
-    _record(_any_text, _number, _int | st.integers(-10**30, 10**30), unknown=_any_text),
+    _record(_any_text, _number, _int | st.integers(-10**30, 10**30), unknown=_any_text,
+            conforming=True),
     _record(_ascii_text, _int | st.floats(allow_nan=False, allow_infinity=False),
-            unknown=_ascii_text | st.sampled_from(["activityFinish", "failed", "OK", ""])),
+            unknown=_ascii_text | st.sampled_from(["activityFinish", "failed", "OK", ""]),
+            conforming=True),
 ).map(
     lambda record: _record_lines([record])[0])
 
@@ -258,16 +271,9 @@ def _mutated_line(draw, lines=_canonical_line):
     return line[:draw(st.integers(0, len(line) - 1))]
 
 
-class _EveryKind:
-    """A ``kinds`` that holds every kind, so read_log reads each record's numbers."""
-
-    def __contains__(self, kind):
-        return True
-
-
 def _read(line):
-    """The values read_log gives for a log of ``line`` alone."""
-    return [values for _, values in eventlog.read_log([line], _EveryKind())]
+    """The values read_log gives for a log of a header and ``line``."""
+    return [values for _, values in eventlog.read_log([_HEADER_LINE, line])]
 
 
 def _outcome(decode, line):

@@ -1,9 +1,12 @@
 import json
 import math
+import time
+from collections import deque
+from unittest import mock
 
 import pytest
 
-from dsproc import deploy, domain as dom, engine, monitor
+from dsproc import deploy, domain as dom, engine, eventlog, monitor
 from dsproc.diagnostics import DsprocError
 from dsproc.mappings import AmEntry, MappingStore, build_cm
 
@@ -117,6 +120,28 @@ def test_durations_that_add_up_past_the_largest_float_are_refused(durations):
     assert str(info.value) == "durations add up past the largest float"
 
 
+def _least_thread_time(work, rounds=5):
+    """The least thread time, in seconds, of ``rounds`` calls of ``work``."""
+    times = []
+    for _ in range(rounds):
+        start = time.thread_time()
+        work()
+        times.append(time.thread_time() - start)
+    return min(times)
+
+
+def test_read_log_and_ingest_grow_linearly(order_pipeline):
+    # a log four times longer: a linear stage takes about 4x as long, a
+    # quadratic one about 16x
+    store, cm = order_pipeline.store, build_cm(order_pipeline.domain)
+    short, long = (_simulated_log(order_pipeline, instances=n) for n in (150, 600))
+    assert 3.8 < len(long) / len(short) < 4.2
+    for name, work in [("read_log", lambda lines: deque(eventlog.read_log(lines), 0)),
+                       ("ingest", lambda lines: monitor.ingest(lines, store, cm))]:
+        ratio = _least_thread_time(lambda: work(long)) / _least_thread_time(lambda: work(short))
+        assert ratio <= 8, f"{name} took {ratio:.1f}x as long on a log 4x as long"
+
+
 def test_streaming_equals_batch(order_pipeline):
     lines = _simulated_log(order_pipeline, instances=50)
     store = order_pipeline.store
@@ -226,6 +251,23 @@ def test_a_measured_record_after_its_instance_ends_is_refused(kind):
     with pytest.raises(DsprocError) as exc:
         monitor.ingest(lines, store, _CM)
     assert str(exc.value) == f"line 4: {kind} of instance 1 after its processEnd"
+
+
+@pytest.mark.parametrize("route", ["pattern", "json"])
+def test_a_format_error_is_reported_before_a_store_error(route):
+    # the activityEnd has no duration_ms, and comes after its instance's
+    # processEnd: read_log refuses the first before ingest sees the second
+    store = _single_concept_world()
+    lines = [_HEADER, _line(1, 0.0, "processStart", element_id="P"),
+             _line(2, 10.0, "processEnd", element_id="P", status="ok", duration_ms=10.0),
+             _line(3, 20.0, "activityEnd", element_uid="u1", element_id="u1", concept="C",
+                   status="ok")]
+    assert eventlog._fullmatch()(lines[3])  # in the canonical form
+    fullmatch = {"pattern": eventlog._fullmatch, "json": lambda: lambda line: None}[route]
+    with mock.patch.object(eventlog, "_fullmatch", fullmatch), \
+            pytest.raises(DsprocError) as exc:
+        monitor.ingest(lines, store, _CM)
+    assert str(exc.value) == "line 4: activityEnd of instance 1 has no duration_ms"
 
 
 def test_blank_lines_are_skipped_and_records_of_two_processes_may_interleave():
